@@ -64,21 +64,17 @@ std::unique_ptr<engine::SimSource> make_source(std::uint64_t seed) {
 struct Point {
     std::size_t workers = 0;
     std::size_t sessions = 0;
-    bool batch_fft = false;
     std::size_t frames = 0;
     double seconds = 0.0;
     double fps() const { return seconds > 0.0 ? frames / seconds : 0.0; }
 };
 
 /// One fleet run to completion: `sessions` identical full-pipeline sim
-/// tenants on a host with `workers` shared workers, optionally gathering
-/// every round's range FFTs into cross-session batches.
-Point run_fleet(std::size_t workers, std::size_t sessions,
-                bool batch_fft = false) {
+/// tenants on a host with `workers` shared workers.
+Point run_fleet(std::size_t workers, std::size_t sessions) {
     engine::EngineHost host(engine::HostConfig{}
                                 .with_workers(workers)
-                                .with_max_sessions(sessions)
-                                .with_batch_fft(batch_fft));
+                                .with_max_sessions(sessions));
     for (std::size_t s = 0; s < sessions; ++s)
         host.admit("bench-" + std::to_string(s), session_config(900 + s),
                    make_source(900 + s));
@@ -86,16 +82,14 @@ Point run_fleet(std::size_t workers, std::size_t sessions,
     Point point;
     point.workers = workers;
     point.sessions = sessions;
-    point.batch_fft = batch_fft;
     const auto t0 = std::chrono::steady_clock::now();
     point.frames = host.run();
     const auto t1 = std::chrono::steady_clock::now();
     point.seconds = std::chrono::duration<double>(t1 - t0).count();
-    std::printf("  workers %zu  sessions %zu%s  %5zu frames  %6.2f s  %7.1f "
+    std::printf("  workers %zu  sessions %zu  %5zu frames  %6.2f s  %7.1f "
                 "frames/s\n",
-                point.workers, point.sessions,
-                point.batch_fft ? "  batch" : "       ", point.frames,
-                point.seconds, point.fps());
+                point.workers, point.sessions, point.frames, point.seconds,
+                point.fps());
     return point;
 }
 
@@ -487,9 +481,6 @@ int main(int argc, char** argv) {
     for (const std::size_t workers : {1u, 2u, 4u})
         for (const std::size_t sessions : {1u, 2u, 4u, 8u})
             points.push_back(run_fleet(workers, sessions));
-    // The batched-FFT schedule: serial host, cross-session batches.
-    for (const std::size_t sessions : {2u, 4u, 8u})
-        points.push_back(run_fleet(1, sessions, /*batch_fft=*/true));
 
     bench::JsonReport report(path, "bench_fleet",
                              "N identical full-pipeline sim sessions "
@@ -506,11 +497,10 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < points.size(); ++i) {
         const auto& p = points[i];
         std::fprintf(out,
-                     "    {\"workers\": %zu, \"sessions\": %zu, \"batch_fft\": "
-                     "%s, \"frames\": %zu, \"seconds\": %.4f, "
+                     "    {\"workers\": %zu, \"sessions\": %zu, "
+                     "\"frames\": %zu, \"seconds\": %.4f, "
                      "\"frames_per_second\": %.1f}%s\n",
-                     p.workers, p.sessions, p.batch_fft ? "true" : "false",
-                     p.frames, p.seconds, p.fps(),
+                     p.workers, p.sessions, p.frames, p.seconds, p.fps(),
                      i + 1 < points.size() ? "," : "");
     }
     std::fprintf(out, "  ]\n");

@@ -14,9 +14,6 @@
 // serial DSP hot path (per-antenna range FFT, paper-literal Bluestein FFT,
 // full pipeline frame) against the pre-SoA-kernel numbers recorded in
 // bench/baseline_frame_latency.json, writing bench/fft_kernel_latency.json.
-// Batch comparison mode: `bench_latency --batch-json <path>` times the
-// lane-interleaved batched r2c pass against B sequential transforms across
-// batch widths, writing bench/fft_batch_latency.json.
 // Tail profile mode: `bench_latency --tail-json <path>` runs serial full-
 // pipeline frames and writes the per-step breakdown (fft, subtract,
 // contour, denoise, localize, smooth) from the tracker's cycle counters
@@ -29,7 +26,6 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
-#include <random>
 #include <string>
 #include <thread>
 #include <utility>
@@ -534,133 +530,6 @@ int write_tail_json(const char* path) {
     return report.close();
 }
 
-// ---------------------------------------------------- batch JSON comparison
-
-/// Per-transform cost of the lane-interleaved batch pass vs B sequential
-/// r2c transforms of the production range-FFT shape, across batch widths
-/// (1 = the degenerate collapse onto the sequential path) and both batch
-/// precisions. This is the number the EngineHost batch_fft schedule banks
-/// per session frame.
-int write_batch_json(const char* path) {
-    constexpr std::size_t kWidths[] = {1, 2, 4, 8, 16};
-    constexpr std::size_t kMaxWidth = 16;
-    constexpr int kRounds = 300;
-    const std::size_t n = core::PipelineConfig{}.fft_size;  // 4096
-    const std::size_t nz = core::PipelineConfig{}.fmcw.samples_per_sweep();
-    const dsp::RealFft plan(n, nz);
-
-    std::mt19937 rng(53);
-    std::uniform_real_distribution<double> dist(-1.0, 1.0);
-    std::vector<std::vector<double>> x(kMaxWidth), w(kMaxWidth);
-    std::vector<std::vector<dsp::cplx>> spectra(kMaxWidth);
-    for (std::size_t b = 0; b < kMaxWidth; ++b) {
-        x[b].resize(nz);
-        w[b].resize(nz);
-        for (std::size_t i = 0; i < nz; ++i) {
-            x[b][i] = dist(rng);
-            w[b][i] = 0.5 + 0.5 * dist(rng);
-        }
-    }
-
-    struct Row {
-        std::size_t batch;
-        double sequential_us;  ///< per transform, B forward_windowed calls
-        double batch_us;       ///< per transform, one B-wide batch pass
-        double batch_f32_us;   ///< per transform, float32 lane
-    };
-    dsp::FftScratch scratch;
-    std::vector<Row> rows;
-    std::printf("batched r2c range FFT (N %zu, %zu live samples, simd %s):\n",
-                n, nz, dsp::simd::to_string(dsp::simd::active()));
-    for (const std::size_t batch : kWidths) {
-        std::vector<dsp::RealFft::BatchItem> items;
-        for (std::size_t b = 0; b < batch; ++b)
-            items.push_back({x[b], w[b], &spectra[b]});
-        const double divisor = static_cast<double>(batch);
-        Row row{batch, 0.0, 0.0, 0.0};
-        // Interleaved min-of-rounds: every round times each variant once,
-        // back to back, and the minimum per variant survives. Unlike a mean
-        // over a long block per variant, this keeps the comparison honest
-        // when background load drifts between blocks and discards scheduler
-        // interruptions entirely.
-        const auto sequential_pass = [&] {
-            for (std::size_t b = 0; b < batch; ++b)
-                plan.forward_windowed(x[b], w[b], spectra[b], scratch);
-        };
-        const auto batch_pass = [&] {
-            plan.forward_windowed_batch(items, scratch);
-        };
-        const auto batch_f32_pass = [&] {
-            plan.forward_windowed_batch(items, scratch,
-                                        dsp::BatchPrecision::kFloat32);
-        };
-        const auto timed = [](auto&& fn) {
-            const auto t0 = std::chrono::steady_clock::now();
-            fn();
-            const auto t1 = std::chrono::steady_clock::now();
-            return std::chrono::duration<double>(t1 - t0).count();
-        };
-        sequential_pass();  // warm plans, scratch and caches
-        batch_pass();
-        batch_f32_pass();
-        double seq_s = 1e30, batch_s = 1e30, f32_s = 1e30;
-        for (int round = 0; round < kRounds; ++round) {
-            seq_s = std::min(seq_s, timed(sequential_pass));
-            batch_s = std::min(batch_s, timed(batch_pass));
-            f32_s = std::min(f32_s, timed(batch_f32_pass));
-        }
-        row.sequential_us = seq_s * 1e6 / divisor;
-        row.batch_us = batch_s * 1e6 / divisor;
-        row.batch_f32_us = f32_s * 1e6 / divisor;
-        std::printf("  B %2zu  sequential %7.2f us/tx  batch %7.2f us/tx "
-                    "(x%.2f)  f32 %7.2f us/tx (x%.2f)\n",
-                    row.batch, row.sequential_us, row.batch_us,
-                    row.batch_us > 0.0 ? row.sequential_us / row.batch_us : 0.0,
-                    row.batch_f32_us,
-                    row.batch_f32_us > 0.0
-                        ? row.sequential_us / row.batch_f32_us
-                        : 0.0);
-        rows.push_back(row);
-    }
-
-    bench::JsonReport report(path, "bench_latency --batch-json",
-                             "per-transform cost of one B-wide "
-                             "lane-interleaved r2c batch pass vs B sequential "
-                             "forward_windowed calls, production range-FFT "
-                             "shape (fft_size 4096, 2500 live samples, fused "
-                             "window)");
-    if (!report.ok()) return 1;
-    report.single_core_caveat(
-        "timings are pessimistic in absolute terms, but the batch-vs-"
-        "sequential ratio is a single-thread property and holds here");
-    report.note(
-        "float64 is the bit-identical lane (about cost-neutral at this "
-        "shape: the sequential kernel is already fully vectorized, so "
-        "batching doubles only the working set); float32 is the throughput "
-        "lane -- half the traffic, twice the vector width -- and carries "
-        "the B>=4 speedup, gated by the error budget in test_fft",
-        "lanes");
-    std::FILE* out = report.stream();
-    std::fprintf(out, "  \"simd_level\": \"%s\",\n",
-                 dsp::simd::to_string(dsp::simd::active()));
-    std::fprintf(out, "  \"widths\": [\n");
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const Row& r = rows[i];
-        std::fprintf(out,
-                     "    {\"batch\": %zu, \"sequential_us_per_transform\": "
-                     "%.3f, \"batch_us_per_transform\": %.3f, "
-                     "\"batch_f32_us_per_transform\": %.3f, \"speedup\": "
-                     "%.3f, \"speedup_f32\": %.3f}%s\n",
-                     r.batch, r.sequential_us, r.batch_us, r.batch_f32_us,
-                     r.batch_us > 0.0 ? r.sequential_us / r.batch_us : 0.0,
-                     r.batch_f32_us > 0.0 ? r.sequential_us / r.batch_f32_us
-                                          : 0.0,
-                     i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(out, "  ]\n");
-    return report.close();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -669,8 +538,6 @@ int main(int argc, char** argv) {
             return write_scheduler_json(argv[i + 1]);
         if (std::strcmp(argv[i], "--kernel-json") == 0)
             return write_kernel_json(argv[i + 1]);
-        if (std::strcmp(argv[i], "--batch-json") == 0)
-            return write_batch_json(argv[i + 1]);
         if (std::strcmp(argv[i], "--tail-json") == 0)
             return write_tail_json(argv[i + 1]);
     }

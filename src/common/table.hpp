@@ -13,7 +13,7 @@
 namespace witrack {
 
 /// Column-aligned ASCII table; collects rows of strings and prints them with
-/// a header rule, matching the "paper vs measured" layout in EXPERIMENTS.md.
+/// a header rule (the "paper vs measured" layout of the bench_* programs).
 class Table {
   public:
     explicit Table(std::vector<std::string> header) : header_(std::move(header)) {}

@@ -7,8 +7,17 @@
 // parallel_for is the main entry point: the calling thread participates in
 // the work (no idle handoff for small fan-outs), the call returns only
 // after every index has finished, and the first exception thrown by the
-// body is rethrown on the caller. Do not call parallel_for or submit from
-// inside a pool job: jobs blocking on the pool's own queue can deadlock.
+// body is rethrown on the caller.
+//
+// Nesting is safe and runs inline: while a thread runs its share of a
+// fan-out -- as a pool worker or as the calling thread -- a parallel_for
+// it starts (on any pool) runs the whole body on that thread. So when the
+// fleet host steps sessions in parallel, each session's own per-RX and
+// concurrent-stage fan-outs run on the thread stepping it, and no job ever
+// blocks on a queue its own pool must drain. A fan-out of one index is not
+// a share: it runs inline without marking the thread, so its body may
+// still fan out. submit() from inside a pool job stays unsafe (a job
+// blocking on its own full queue can deadlock).
 //
 // Multi-client: one pool may be shared by any number of caller threads
 // (the fleet EngineHost hands one pool to every session). Concurrent
@@ -78,7 +87,7 @@ class WorkerPool {
     /// dynamic, so the body must only touch index-disjoint state.
     void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body) {
         if (n == 0) return;
-        if (n == 1 || threads_.empty()) {
+        if (n == 1 || threads_.empty() || in_share()) {
             for (std::size_t i = 0; i < n; ++i) body(i);
             return;
         }
@@ -96,6 +105,7 @@ class WorkerPool {
         state.body = &body;
 
         const auto run_share = [&state] {
+            const ShareMark mark;
             for (;;) {
                 const std::size_t i =
                     state.next.fetch_add(1, std::memory_order_relaxed);
@@ -137,6 +147,23 @@ class WorkerPool {
     }
 
   private:
+    /// Whether this thread is inside some parallel_for share right now.
+    static bool& in_share() {
+        thread_local bool flag = false;
+        return flag;
+    }
+
+    /// Marks this thread as running a share for the mark's lifetime
+    /// (restoring the previous value, so an inline nested call unwinds
+    /// cleanly).
+    struct ShareMark {
+        bool previous = in_share();
+        ShareMark() { in_share() = true; }
+        ~ShareMark() { in_share() = previous; }
+        ShareMark(const ShareMark&) = delete;
+        ShareMark& operator=(const ShareMark&) = delete;
+    };
+
     void worker_loop() {
         for (;;) {
             std::function<void()> job;

@@ -35,10 +35,6 @@ SweepProcessor::SweepProcessor(const FmcwParams& fmcw, dsp::WindowType window,
 
 void SweepProcessor::transform(RangeProfile& out) {
     rfft_->forward_windowed_soa(averaged_, window_, out.re, out.im, scratch_);
-    finalize_profile(out);
-}
-
-void SweepProcessor::finalize_profile(RangeProfile& out) const {
     // One FFT bin spans fs/Nfft in beat frequency; Eq. 4 maps that to
     // round-trip meters via C/slope.
     const double bin_hz = fmcw_.sample_rate_hz / static_cast<double>(fft_size_);
@@ -71,13 +67,6 @@ void SweepProcessor::process_into(std::span<const double> sweeps,
     transform(out);
 }
 
-void SweepProcessor::stage_into(std::span<const double> sweeps,
-                                std::size_t sweep_count, RangeProfile& out,
-                                dsp::FftBatch& batch) {
-    average(sweeps, sweep_count);
-    batch.enqueue(*rfft_, averaged_, window_, out.re, out.im);
-}
-
 void SweepProcessor::process_frame_into(const FrameBuffer& frame,
                                         std::vector<RangeProfile>& out) {
     if (frame.num_rx() == 0 || frame.num_sweeps() == 0)
@@ -99,25 +88,6 @@ void SweepProcessorBank::ensure_lanes(std::size_t count) {
     lanes_.reserve(count);
     while (lanes_.size() < count)
         lanes_.emplace_back(fmcw_, window_, fft_size_, plans_);
-}
-
-void SweepProcessorBank::stage_frame(const FrameBuffer& frame,
-                                     std::vector<RangeProfile>& out,
-                                     dsp::FftBatch& batch) {
-    if (frame.num_rx() == 0 || frame.num_sweeps() == 0)
-        throw std::invalid_argument("SweepProcessor: no sweeps");
-    out.resize(frame.num_rx());
-    // One lane per antenna: each staged transform's averaging buffer is
-    // owned by a distinct processor, so all of them can be pending at once.
-    ensure_lanes(frame.num_rx());
-    for (std::size_t rx = 0; rx < frame.num_rx(); ++rx)
-        lane(rx).stage_into(frame.antenna(rx), frame.num_sweeps(), out[rx],
-                            batch);
-}
-
-void SweepProcessorBank::finalize_frame(std::vector<RangeProfile>& out) {
-    for (std::size_t rx = 0; rx < out.size(); ++rx)
-        lane(rx).finalize_profile(out[rx]);
 }
 
 }  // namespace witrack::core

@@ -24,7 +24,6 @@
 #include "common/constants.hpp"
 #include "common/frame_buffer.hpp"
 #include "dsp/fft.hpp"
-#include "dsp/fft_batch.hpp"
 #include "dsp/fft_plan_cache.hpp"
 #include "dsp/window.hpp"
 
@@ -77,21 +76,6 @@ class SweepProcessor {
     /// `out` is resized to frame.num_rx(); profile storage is reused.
     void process_frame_into(const FrameBuffer& frame, std::vector<RangeProfile>& out);
 
-    /// Split-step form of process_into for batched execution: run the
-    /// averaging now, *stage* the windowed transform into `batch` instead
-    /// of executing it, and fill the profile metadata via
-    /// finalize_profile() once the caller has run the batch. The staged
-    /// operands are the processor's averaging buffer and `out`'s re/im
-    /// planes, so this processor must not stage or process again -- and `out` must
-    /// stay alive -- until the batch has run. Batched results are
-    /// bit-identical to process_into.
-    void stage_into(std::span<const double> sweeps, std::size_t sweep_count,
-                    RangeProfile& out, dsp::FftBatch& batch);
-
-    /// Fill the non-spectrum fields of a profile whose transform was staged
-    /// by stage_into (the spectrum itself was written when the batch ran).
-    void finalize_profile(RangeProfile& out) const;
-
     const FmcwParams& params() const { return fmcw_; }
     std::size_t fft_size() const { return fft_size_; }
 
@@ -138,18 +122,6 @@ class SweepProcessorBank {
 
     /// Grow the bank to at least `count` lanes (never shrinks).
     void ensure_lanes(std::size_t count);
-
-    /// Stage every per-antenna transform of one frame into `batch`, one
-    /// lane per antenna (growing the bank as needed): the time-domain
-    /// averaging runs now; the range FFTs execute when the caller runs the
-    /// batch -- all antennas of this frame, plus whatever else was staged
-    /// (other sessions' frames), in one lane-interleaved pass. Call
-    /// finalize_frame() after the batch has run.
-    void stage_frame(const FrameBuffer& frame, std::vector<RangeProfile>& out,
-                     dsp::FftBatch& batch);
-
-    /// Complete the profiles staged by stage_frame once the batch has run.
-    void finalize_frame(std::vector<RangeProfile>& out);
 
     const FmcwParams& params() const { return lanes_.front().params(); }
 

@@ -73,20 +73,15 @@ void TofEstimator::process_rx(std::size_t rx, SweepProcessor& processor,
         mark_dead(out);
         return;
     }
-    {
-        ScopedStepTimer timer(step_slots_[rx].fft);
-        processor.process_into(frame.antenna(rx), frame.num_sweeps(),
-                               profiles_[rx]);
-    }
-    post_rx(rx, dt, out);
-}
-
-void TofEstimator::post_rx(std::size_t rx, double dt, AntennaFrame& out) {
     auto& antenna_state = per_rx_[rx];
-    const auto& profile = profiles_[rx];
+    auto& profile = profiles_[rx];
     auto& magnitude = magnitude_[rx];
     auto& scratch = contour_scratch_[rx];
     auto& slot = step_slots_[rx];
+    {
+        ScopedStepTimer timer(slot.fft);
+        processor.process_into(frame.antenna(rx), frame.num_sweeps(), profile);
+    }
     {
         // A saturated lane still localizes off its subtracted profile, but
         // the clipped spectrum must not poison the background history the
@@ -179,46 +174,6 @@ const TofFrame& TofEstimator::process_frame(const FrameBuffer& frame,
         for (std::size_t rx = 0; rx < per_rx_.size(); ++rx)
             process_rx(rx, processors_.lane(0), frame, dt,
                        frame_out_.antennas[rx]);
-    }
-    roll_up_steps();
-    return frame_out_;
-}
-
-void TofEstimator::stage_frame(const FrameBuffer& frame, double time_s,
-                               dsp::FftBatch& batch) {
-    if (frame.num_rx() < per_rx_.size())
-        throw std::invalid_argument("TofEstimator: missing antenna in sweep data");
-    staged_time_s_ = time_s;
-    latch_quality(frame);
-    // One FFT lane per antenna so every staged transform's averaging
-    // buffer is distinct. Lanes are identically configured, so lane(rx)
-    // produces bit-identically what the serial path's lane(0) would.
-    processors_.ensure_lanes(per_rx_.size());
-    for (std::size_t rx = 0; rx < per_rx_.size(); ++rx) {
-        // Dead lanes stage no transform (the serial path skips their FFT
-        // too, so serial/batched parity holds under faults as well).
-        if (lane_flags_[rx] == kLaneDead) continue;
-        processors_.lane(rx).stage_into(frame.antenna(rx), frame.num_sweeps(),
-                                        profiles_[rx], batch);
-    }
-}
-
-const TofFrame& TofEstimator::finish_frame() {
-    frame_out_.time_s = staged_time_s_;
-    frame_out_.antennas.resize(per_rx_.size());
-    const double dt = config_.fmcw.frame_duration_s();
-    for (std::size_t rx = 0; rx < per_rx_.size(); ++rx) {
-        if (lane_flags_[rx] == kLaneDead) {
-            mark_dead(frame_out_.antennas[rx]);
-            continue;
-        }
-        {
-            // The transform itself ran inside the caller's batch; only the
-            // metadata fill lands in the FFT step here.
-            ScopedStepTimer timer(step_slots_[rx].fft);
-            processors_.lane(rx).finalize_profile(profiles_[rx]);
-        }
-        post_rx(rx, dt, frame_out_.antennas[rx]);
     }
     roll_up_steps();
     return frame_out_;

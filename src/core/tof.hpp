@@ -96,19 +96,6 @@ class TofEstimator {
     /// frame. FrameBuffer is the only ingestion type.
     const TofFrame& process_frame(const FrameBuffer& frame, double time_s);
 
-    /// Split-step form of process_frame for batched FFT execution: average
-    /// each antenna's sweeps and *stage* its range FFT into `batch` now
-    /// (one FFT lane per antenna); after the caller runs the batch,
-    /// finish_frame() runs the remainder of every antenna's chain
-    /// (subtraction, contour, gating, denoise) and returns the frame
-    /// (same persistent member as process_frame). Per-antenna state
-    /// mutates only in finish_frame, and the result is bit-identical to
-    /// process_frame. Exactly one finish_frame call must follow each
-    /// stage_frame; `frame` must stay alive in between.
-    void stage_frame(const FrameBuffer& frame, double time_s,
-                     dsp::FftBatch& batch);
-    const TofFrame& finish_frame();
-
     /// Accumulated per-step cycle counters of the analysis chain (range
     /// FFT, background subtract, contour+gating, denoise), rolled up
     /// across antennas after every frame. take_step_stats() returns and
@@ -175,10 +162,6 @@ class TofEstimator {
     void process_rx(std::size_t rx, SweepProcessor& processor,
                     const FrameBuffer& frame, double dt, AntennaFrame& out);
 
-    /// The post-FFT remainder of process_rx: consumes profiles_[rx] (the
-    /// antenna's finalized range profile) and updates rx-indexed state.
-    void post_rx(std::size_t rx, double dt, AntennaFrame& out);
-
     /// Latch the frame's quality plane into lane_flags_ (done once per
     /// frame, before any per-RX work, so the parallel fan-out only reads).
     void latch_quality(const FrameBuffer& frame);
@@ -202,7 +185,6 @@ class TofEstimator {
     std::vector<StepStats> step_slots_;           ///< per-rx, race-free lanes
     StepStats step_stats_;                        ///< rolled up across rx
     TofFrame frame_out_;                          ///< persistent result frame
-    double staged_time_s_ = 0.0;                  ///< timestamp of the staged frame
 
     /// Per-lane quality latched from the current frame: kLaneOk runs the
     /// unchanged chain, kLaneSaturated excludes the frame from background

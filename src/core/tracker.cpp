@@ -98,80 +98,6 @@ const WiTrackTracker::FrameResult& WiTrackTracker::process_frame(
     return result_;
 }
 
-void WiTrackTracker::stage_frame(const FrameBuffer& frame, double time_s,
-                                 PipelineOutputs demanded,
-                                 dsp::FftBatch& batch) {
-    const auto t0 = std::chrono::steady_clock::now();
-    demanded = with_dependencies(demanded);
-
-    // Same demand-gap resets, in the same order, as process_frame.
-    if (demands(demanded, PipelineOutputs::kTof) &&
-        !demands(prev_demanded_, PipelineOutputs::kTof))
-        tof_step_.reset();
-    if (demands(demanded, PipelineOutputs::kSmoothedTrack) &&
-        !demands(prev_demanded_, PipelineOutputs::kSmoothedTrack))
-        smooth_step_.reset();
-    prev_demanded_ = demanded;
-
-    staged_demanded_ = demanded;
-    staged_time_s_ = time_s;
-    staged_health_ = frame.quality().health;
-    if (demands(demanded, PipelineOutputs::kTof))
-        tof_step_.estimator().stage_frame(frame, time_s, batch);
-
-    const auto t1 = std::chrono::steady_clock::now();
-    staged_elapsed_s_ = std::chrono::duration<double>(t1 - t0).count();
-}
-
-const WiTrackTracker::FrameResult& WiTrackTracker::finish_frame() {
-    // Mirrors the post-TOF tail of process_frame exactly; only the range
-    // FFTs ran elsewhere (in the shared batch pass).
-    const auto t0 = std::chrono::steady_clock::now();
-    result_.computed = staged_demanded_;
-    result_.raw.reset();
-    result_.smoothed.reset();
-
-    if (demands(staged_demanded_, PipelineOutputs::kTof)) {
-        result_.tof = tof_step_.estimator().finish_frame();
-    } else {
-        result_.tof.time_s = 0.0;
-        result_.tof.antennas.clear();
-    }
-
-    if (demands(staged_demanded_, PipelineOutputs::kRawPosition)) {
-        ScopedStepTimer timer(localize_steps_);
-        result_.raw = localize_step_.run(result_.tof);
-        if (result_.raw) {
-            raw_track_.push_back(*result_.raw);
-            trim_history(raw_track_);
-        }
-    }
-
-    if (demands(staged_demanded_, PipelineOutputs::kSmoothedTrack)) {
-        ScopedStepTimer timer(smooth_steps_);
-        result_.smoothed =
-            smooth_step_.run(result_.raw, staged_time_s_, staged_health_);
-        if (result_.smoothed) {
-            track_.push_back(*result_.smoothed);
-            trim_history(track_);
-        }
-    }
-
-    // Same confidence rule as process_frame (split-step parity).
-    result_.confidence =
-        demands(staged_demanded_, PipelineOutputs::kRawPosition) && !result_.raw
-            ? 0.0
-            : staged_health_;
-
-    const auto t1 = std::chrono::steady_clock::now();
-    result_.processing_seconds =
-        staged_elapsed_s_ + std::chrono::duration<double>(t1 - t0).count();
-    total_latency_s_ += result_.processing_seconds;
-    max_latency_s_ = std::max(max_latency_s_, result_.processing_seconds);
-    ++frames_;
-    return result_;
-}
-
 void WiTrackTracker::trim_history(std::vector<TrackPoint>& track) {
     // Trim only once the history doubles the cap, so each erase moves cap
     // elements after cap insertions: amortized O(1) per frame.

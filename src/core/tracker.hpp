@@ -63,18 +63,6 @@ class WiTrackTracker {
     const FrameResult& process_frame(const FrameBuffer& frame, double time_s,
                                      PipelineOutputs demanded);
 
-    /// Split-step form of process_frame for batched FFT execution: run the
-    /// demand bookkeeping and stage the TOF step's range FFTs into `batch`
-    /// now; after the caller runs the batch, finish_frame() completes the
-    /// chain and returns the result -- bit-identical to process_frame.
-    /// Exactly one finish_frame must follow each stage_frame, with the
-    /// batch run in between. processing_seconds covers this tracker's own
-    /// stage + finish work; the shared batch pass is accounted by the
-    /// scheduler that ran it.
-    void stage_frame(const FrameBuffer& frame, double time_s,
-                     PipelineOutputs demanded, dsp::FftBatch& batch);
-    const FrameResult& finish_frame();
-
     /// Per-pipeline-step cycle counters (Section 4 chain: fft, subtract,
     /// contour, denoise from the TOF estimator; localize and smooth from
     /// this tracker). take_step_stats() returns and resets the window.
@@ -132,12 +120,6 @@ class WiTrackTracker {
     LocalizeStep localize_step_;
     SmoothStep smooth_step_;
     PipelineOutputs prev_demanded_ = PipelineOutputs::kNone;
-    // Transient split-step state, valid between stage_frame and its
-    // finish_frame (not serialized: snapshots happen at frame boundaries).
-    PipelineOutputs staged_demanded_ = PipelineOutputs::kNone;
-    double staged_time_s_ = 0.0;
-    double staged_elapsed_s_ = 0.0;
-    double staged_health_ = 1.0;  ///< quality score of the staged frame
     FrameResult result_;  ///< persistent per-frame result, reused every frame
     StepCounter localize_steps_, smooth_steps_;
     std::vector<TrackPoint> track_;

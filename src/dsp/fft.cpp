@@ -16,8 +16,7 @@ std::size_t next_power_of_two(std::size_t n) {
 }
 
 /// Grow-only plane sizing: capacity is kept warm across mixed-size calls.
-template <class T>
-inline void ensure_plane(std::vector<T>& v, std::size_t n) {
+inline void ensure_plane(std::vector<double>& v, std::size_t n) {
     if (v.size() < n) v.resize(n);
 }
 
@@ -27,29 +26,21 @@ inline void ensure_plane(std::vector<T>& v, std::size_t n) {
 ///   O_k = -i/2 (Z_k - conj(Z_{h-k})),  w = exp(-2*pi*i/N).
 /// Each loop iteration emits the pair (X_k, X_{h-k} = conj(E_k - w^k O_k)),
 /// so the untangle does h/2 iterations instead of the h a full-spectrum
-/// recombination needs. `stride` parameterizes the layout: 1 for the
-/// sequential path's contiguous planes, B for a lane-interleaved batch
-/// member (base pointers already offset to the member). The output is
-/// written through (ore, oim, ostride): an interleaved std::complex array
-/// (ore = base, oim = base + 1, ostride 2 -- std::complex<double> is
-/// layout-guaranteed double[2]) or separate SoA planes (ostride 1), with
-/// identical arithmetic either way. TS is the source element type (double,
-/// or float for the float32 batch lane); the recombination arithmetic is
-/// double either way, so the stride-1 double instantiation is bit-identical
-/// to the pre-batch sequential code.
-template <class TS>
-void untangle_half_spectrum(const TS* zr, const TS* zi, std::size_t h,
-                            std::size_t stride, const double* wr,
-                            const double* wi, double* ore, double* oim,
-                            std::size_t ostride) {
+/// recombination needs. The output is written through (ore, oim, ostride):
+/// an interleaved std::complex array (ore = base, oim = base + 1, ostride 2
+/// -- std::complex<double> is layout-guaranteed double[2]) or separate SoA
+/// planes (ostride 1), with identical arithmetic either way.
+void untangle_half_spectrum(const double* zr, const double* zi, std::size_t h,
+                            const double* wr, const double* wi, double* ore,
+                            double* oim, std::size_t ostride) {
     const double zr0 = zr[0], zi0 = zi[0];
     ore[0] = zr0 + zi0;
     oim[0] = 0.0;
     ore[h * ostride] = zr0 - zi0;
     oim[h * ostride] = 0.0;
     for (std::size_t k = 1; 2 * k < h; ++k) {
-        const double ar = zr[k * stride], ai = zi[k * stride];
-        const double br = zr[(h - k) * stride], bi = zi[(h - k) * stride];
+        const double ar = zr[k], ai = zi[k];
+        const double br = zr[h - k], bi = zi[h - k];
         const double er = 0.5 * (ar + br);
         const double ei = 0.5 * (ai - bi);
         const double odr = 0.5 * (ai + bi);
@@ -62,7 +53,7 @@ void untangle_half_spectrum(const TS* zr, const TS* zi, std::size_t h,
         oim[(h - k) * ostride] = ti - ei;
     }
     if (h % 2 == 0 && h >= 2) {  // middle bin: X_{h/2} = conj(Z_{h/2}) exactly
-        const double mr = zr[(h / 2) * stride], mi = zi[(h / 2) * stride];
+        const double mr = zr[h / 2], mi = zi[h / 2];
         ore[(h / 2) * ostride] = mr;
         oim[(h / 2) * ostride] = -mi;
     }
@@ -75,32 +66,20 @@ struct SpectrumOut {
     std::size_t stride;
 };
 
-/// Size (or reuse) a member's output storage and return where to write.
+/// Size (or reuse) the output storage and return where to write.
 /// std::complex<double> is layout-compatible with double[2], so the
 /// interleaved view writes through the complex vector directly.
-inline SpectrumOut resolve_spectrum_out(std::vector<cplx>* out,
-                                        std::vector<double>* out_re,
-                                        std::vector<double>* out_im,
-                                        std::size_t bins) {
-    if (out != nullptr) {
-        out->resize(bins);
-        double* base = reinterpret_cast<double*>(out->data());
-        return {base, base + 1, 2};
-    }
-    out_re->resize(bins);
-    out_im->resize(bins);
-    return {out_re->data(), out_im->data(), 1};
+inline SpectrumOut spectrum_out(std::vector<cplx>& out, std::size_t bins) {
+    out.resize(bins);
+    double* base = reinterpret_cast<double*>(out.data());
+    return {base, base + 1, 2};
 }
 
-/// Pointer-only variant for storage that resolve_spectrum_out already sized.
-inline SpectrumOut spectrum_out_ptrs(std::vector<cplx>* out,
-                                     std::vector<double>* out_re,
-                                     std::vector<double>* out_im) {
-    if (out != nullptr) {
-        double* base = reinterpret_cast<double*>(out->data());
-        return {base, base + 1, 2};
-    }
-    return {out_re->data(), out_im->data(), 1};
+inline SpectrumOut spectrum_out(std::vector<double>& out_re,
+                                std::vector<double>& out_im, std::size_t bins) {
+    out_re.resize(bins);
+    out_im.resize(bins);
+    return {out_re.data(), out_im.data(), 1};
 }
 
 }  // namespace
@@ -204,66 +183,6 @@ void Fft::inverse_soa(double* re, double* im, FftScratch& scratch) const {
         re[k] *= scale;
         im[k] = -im[k] * scale;
     }
-}
-
-void Fft::forward_batch(std::span<double* const> re, std::span<double* const> im,
-                        FftScratch& scratch, BatchPrecision precision) const {
-    if (re.size() != im.size())
-        throw std::invalid_argument("Fft::forward_batch: plane count mismatch");
-    const std::size_t B = re.size();
-    if (B == 0) return;
-    if (B == 1) {  // degenerate batch: exactly the sequential schedule
-        forward_soa(re[0], im[0], scratch);
-        return;
-    }
-    if (!pow2_) {  // Bluestein has no lane-interleaved form; run sequentially
-        for (std::size_t b = 0; b < B; ++b)
-            bluestein_forward(re[b], im[b], scratch);
-        return;
-    }
-
-    const std::size_t nzb = kernel_->n_nonzero();
-    const kernels::BatchKernel batch(*kernel_);
-    if (precision == BatchPrecision::kFloat32) {
-        ensure_plane(scratch.fre, n_ * B);
-        ensure_plane(scratch.fim, n_ * B);
-        ensure_plane(scratch.fwre, n_ * B);
-        ensure_plane(scratch.fwim, n_ * B);
-        float* qr = scratch.fre.data();
-        float* qi = scratch.fim.data();
-        for (std::size_t i = 0; i < nzb; ++i)
-            for (std::size_t b = 0; b < B; ++b) {
-                qr[i * B + b] = static_cast<float>(re[b][i]);
-                qi[i * B + b] = static_cast<float>(im[b][i]);
-            }
-        batch.forward(B, qr, qi, scratch.fwre.data(), scratch.fwim.data());
-        for (std::size_t i = 0; i < n_; ++i)
-            for (std::size_t b = 0; b < B; ++b) {
-                re[b][i] = qr[i * B + b];
-                im[b][i] = qi[i * B + b];
-            }
-        return;
-    }
-
-    ensure_plane(scratch.qre, n_ * B);
-    ensure_plane(scratch.qim, n_ * B);
-    ensure_plane(scratch.wre, n_ * B);
-    ensure_plane(scratch.wim, n_ * B);
-    double* qr = scratch.qre.data();
-    double* qi = scratch.qim.data();
-    // Only the structurally nonzero prefix needs interleaving; the kernel
-    // never reads past it.
-    for (std::size_t i = 0; i < nzb; ++i)
-        for (std::size_t b = 0; b < B; ++b) {
-            qr[i * B + b] = re[b][i];
-            qi[i * B + b] = im[b][i];
-        }
-    batch.forward(B, qr, qi, scratch.wre.data(), scratch.wim.data());
-    for (std::size_t i = 0; i < n_; ++i)
-        for (std::size_t b = 0; b < B; ++b) {
-            re[b][i] = qr[i * B + b];
-            im[b][i] = qi[i * B + b];
-        }
 }
 
 void Fft::forward(std::vector<cplx>& data) const {
@@ -395,187 +314,13 @@ void RealFft::transform(std::span<const double> input, const double* window,
     }
     half_plan_->forward_soa(zr, zi, scratch);
 
-    untangle_half_spectrum(zr, zi, h, 1, twr_.data(), twi_.data(), out_re,
-                           out_im, out_stride);
-}
-
-namespace {
-
-/// One lane-interleaved r2c pass over B same-shape members: fused-window
-/// packing (per-member window, applied in double and rounded once for the
-/// float32 lane), one BatchKernel forward over the shared half-length
-/// plan, then a strided untangle per member. The double instantiation
-/// performs exactly the sequential transform()'s operations per member.
-template <class T>
-void r2c_batch_pass(std::span<const RealFft::BatchItem> items,
-                    const kernels::Pow2Kernel& half, std::size_t nz,
-                    std::size_t packed_nz, std::size_t h, const double* twr,
-                    const double* twi, T* zr, T* zi, T* wkr, T* wki) {
-    const std::size_t B = items.size();
-    const std::size_t pairs = nz / 2;
-    // Tile the packed index so each member's strided writes land inside an
-    // L1-resident window of the interleaved planes: an interleaved cache
-    // line is then filled by all B members while it stays hot, instead of
-    // being fetched B times across full-buffer walks (the per-member
-    // arithmetic is unchanged, only the visit order).
-    const std::size_t tile = std::max<std::size_t>(std::size_t{1}, 1024 / B);
-    for (std::size_t k0 = 0; k0 < pairs; k0 += tile) {
-        const std::size_t k1 = std::min(pairs, k0 + tile);
-        for (std::size_t b = 0; b < B; ++b) {
-            const double* in = items[b].input.data();
-            const double* win =
-                items[b].window.empty() ? nullptr : items[b].window.data();
-            if (win != nullptr) {
-                for (std::size_t k = k0; k < k1; ++k) {
-                    zr[k * B + b] = static_cast<T>(in[2 * k] * win[2 * k]);
-                    zi[k * B + b] =
-                        static_cast<T>(in[2 * k + 1] * win[2 * k + 1]);
-                }
-            } else {
-                for (std::size_t k = k0; k < k1; ++k) {
-                    zr[k * B + b] = static_cast<T>(in[2 * k]);
-                    zi[k * B + b] = static_cast<T>(in[2 * k + 1]);
-                }
-            }
-        }
-    }
-    if (nz % 2 == 1) {
-        for (std::size_t b = 0; b < B; ++b) {
-            const double* in = items[b].input.data();
-            const double* win =
-                items[b].window.empty() ? nullptr : items[b].window.data();
-            zr[(packed_nz - 1) * B + b] = static_cast<T>(
-                win != nullptr ? in[nz - 1] * win[nz - 1] : in[nz - 1]);
-            zi[(packed_nz - 1) * B + b] = T(0);
-        }
-    }
-    // Same materialization rule as the sequential path: a pruned half plan
-    // treats [packed_nz, h) as structural zero and never reads it.
-    if (packed_nz < h && half.n_nonzero() == h) {
-        std::fill(zr + packed_nz * B, zr + h * B, T(0));
-        std::fill(zi + packed_nz * B, zi + h * B, T(0));
-    }
-    kernels::BatchKernel(half).forward(B, zr, zi, wkr, wki);
-    // Tiled untangle, same cache-line reuse argument as the pack above: the
-    // per-(k, b) recombination is exactly untangle_half_spectrum's, but the
-    // k loop is chunked so the four strided read streams (both plane ends)
-    // stay L1-resident across all B members of a chunk.
-    for (std::size_t b = 0; b < B; ++b) {
-        const SpectrumOut out = resolve_spectrum_out(
-            items[b].out, items[b].out_re, items[b].out_im, h + 1);
-        const double zr0 = zr[b], zi0 = zi[b];
-        out.re[0] = zr0 + zi0;
-        out.im[0] = 0.0;
-        out.re[h * out.stride] = zr0 - zi0;
-        out.im[h * out.stride] = 0.0;
-        if (h % 2 == 0 && h >= 2) {
-            const double mr = zr[(h / 2) * B + b], mi = zi[(h / 2) * B + b];
-            out.re[(h / 2) * out.stride] = mr;
-            out.im[(h / 2) * out.stride] = -mi;
-        }
-    }
-    const std::size_t untangle_tile = std::max<std::size_t>(std::size_t{1}, 512 / B);
-    for (std::size_t k0 = 1; 2 * k0 < h; k0 += untangle_tile) {
-        const std::size_t k1 = std::min(k0 + untangle_tile, (h + 1) / 2);
-        for (std::size_t b = 0; b < B; ++b) {
-            const T* zrb = zr + b;
-            const T* zib = zi + b;
-            const SpectrumOut out =
-                spectrum_out_ptrs(items[b].out, items[b].out_re, items[b].out_im);
-            for (std::size_t k = k0; k < k1; ++k) {
-                const double ar = zrb[k * B], ai = zib[k * B];
-                const double br = zrb[(h - k) * B], bi = zib[(h - k) * B];
-                const double er = 0.5 * (ar + br);
-                const double ei = 0.5 * (ai - bi);
-                const double odr = 0.5 * (ai + bi);
-                const double odi = 0.5 * (br - ar);
-                const double tr = twr[k] * odr - twi[k] * odi;
-                const double ti = twr[k] * odi + twi[k] * odr;
-                out.re[k * out.stride] = er + tr;
-                out.im[k * out.stride] = ei + ti;
-                out.re[(h - k) * out.stride] = er - tr;
-                out.im[(h - k) * out.stride] = ti - ei;
-            }
-        }
-    }
-}
-
-}  // namespace
-
-void RealFft::transform_batch(std::span<const BatchItem> items,
-                              FftScratch& scratch,
-                              BatchPrecision precision) const {
-    const std::size_t B = items.size();
-    if (B == 0) return;
-    // Validate every member before any output mutates. A member targets
-    // either an interleaved complex vector (out) or a pair of SoA planes
-    // (out_re/out_im); exactly one of the two forms must be complete.
-    for (const BatchItem& item : items) {
-        if (item.out == nullptr && (item.out_re == nullptr || item.out_im == nullptr))
-            throw std::invalid_argument("RealFft::forward_batch: null output");
-        if (item.input.size() != nz_)
-            throw std::invalid_argument(
-                "RealFft::forward_batch: input size mismatch");
-        if (!item.window.empty() && item.window.size() != nz_)
-            throw std::invalid_argument(
-                "RealFft::forward_batch: window size mismatch");
-    }
-    if (B == 1 || !batchable()) {
-        // Degenerate batch / odd N / non-power-of-two half: the sequential
-        // schedule *is* the batched schedule (kFloat32 falls back to full
-        // double precision -- strictly inside any error budget).
-        for (const BatchItem& item : items) {
-            const SpectrumOut out = resolve_spectrum_out(
-                item.out, item.out_re, item.out_im, n_ / 2 + 1);
-            transform(item.input,
-                      item.window.empty() ? nullptr : item.window.data(),
-                      out.re, out.im, out.stride, scratch);
-        }
-        return;
-    }
-
-    const std::size_t h = n_ / 2;
-    const kernels::Pow2Kernel& half = *half_plan_->pow2_kernel();
-    if (precision == BatchPrecision::kFloat32) {
-        ensure_plane(scratch.fre, h * B);
-        ensure_plane(scratch.fim, h * B);
-        ensure_plane(scratch.fwre, h * B);
-        ensure_plane(scratch.fwim, h * B);
-        r2c_batch_pass<float>(items, half, nz_, packed_nz_, h, twr_.data(),
-                              twi_.data(), scratch.fre.data(),
-                              scratch.fim.data(), scratch.fwre.data(),
-                              scratch.fwim.data());
-        return;
-    }
-    ensure_plane(scratch.qre, h * B);
-    ensure_plane(scratch.qim, h * B);
-    ensure_plane(scratch.wre, h * B);
-    ensure_plane(scratch.wim, h * B);
-    r2c_batch_pass<double>(items, half, nz_, packed_nz_, h, twr_.data(),
-                           twi_.data(), scratch.qre.data(), scratch.qim.data(),
-                           scratch.wre.data(), scratch.wim.data());
-}
-
-void RealFft::forward_batch(std::span<const BatchItem> items,
-                            FftScratch& scratch,
-                            BatchPrecision precision) const {
-    transform_batch(items, scratch, precision);
-}
-
-void RealFft::forward_windowed_batch(std::span<const BatchItem> items,
-                                     FftScratch& scratch,
-                                     BatchPrecision precision) const {
-    for (const BatchItem& item : items)
-        if (item.window.size() != nz_)
-            throw std::invalid_argument(
-                "RealFft::forward_windowed_batch: window mismatch");
-    transform_batch(items, scratch, precision);
+    untangle_half_spectrum(zr, zi, h, twr_.data(), twi_.data(), out_re, out_im,
+                           out_stride);
 }
 
 void RealFft::forward(std::span<const double> input, std::vector<cplx>& out,
                       FftScratch& scratch) const {
-    const SpectrumOut o =
-        resolve_spectrum_out(&out, nullptr, nullptr, n_ / 2 + 1);
+    const SpectrumOut o = spectrum_out(out, n_ / 2 + 1);
     transform(input, nullptr, o.re, o.im, o.stride, scratch);
 }
 
@@ -585,8 +330,7 @@ void RealFft::forward_windowed(std::span<const double> input,
                                FftScratch& scratch) const {
     if (window.size() != nz_)
         throw std::invalid_argument("RealFft::forward_windowed: window mismatch");
-    const SpectrumOut o =
-        resolve_spectrum_out(&out, nullptr, nullptr, n_ / 2 + 1);
+    const SpectrumOut o = spectrum_out(out, n_ / 2 + 1);
     transform(input, window.data(), o.re, o.im, o.stride, scratch);
 }
 
@@ -594,8 +338,7 @@ void RealFft::forward_soa(std::span<const double> input,
                           std::vector<double>& out_re,
                           std::vector<double>& out_im,
                           FftScratch& scratch) const {
-    const SpectrumOut o =
-        resolve_spectrum_out(nullptr, &out_re, &out_im, n_ / 2 + 1);
+    const SpectrumOut o = spectrum_out(out_re, out_im, n_ / 2 + 1);
     transform(input, nullptr, o.re, o.im, o.stride, scratch);
 }
 
@@ -607,8 +350,7 @@ void RealFft::forward_windowed_soa(std::span<const double> input,
     if (window.size() != nz_)
         throw std::invalid_argument(
             "RealFft::forward_windowed_soa: window mismatch");
-    const SpectrumOut o =
-        resolve_spectrum_out(nullptr, &out_re, &out_im, n_ / 2 + 1);
+    const SpectrumOut o = spectrum_out(out_re, out_im, n_ / 2 + 1);
     transform(input, window.data(), o.re, o.im, o.stride, scratch);
 }
 

@@ -35,16 +35,7 @@ struct FftScratch {
     std::vector<double> dre, dim;  ///< deinterleave / r2c packing planes
     std::vector<double> wre, wim;  ///< kernel ping-pong work planes
     std::vector<double> bre, bim;  ///< Bluestein convolution planes
-    std::vector<double> qre, qim;  ///< lane-interleaved batch data planes
-    std::vector<float> fre, fim;    ///< float32-lane batch data planes
-    std::vector<float> fwre, fwim;  ///< float32-lane batch work planes
 };
-
-/// Arithmetic width of a batched pass. kFloat64 is the default and is
-/// bit-identical to the sequential double path; kFloat32 halves the memory
-/// traffic of the batch planes at ~1e-6 relative error and is only for
-/// consumers gated on a measured error budget (never the bit-parity paths).
-enum class BatchPrecision { kFloat64, kFloat32 };
 
 /// Planned DFT of a fixed size. Plans precompute per-stage twiddle tables
 /// (and, for non-power-of-two sizes, the Bluestein chirp spectrum), so
@@ -88,23 +79,6 @@ class Fft {
     /// forward_soa reads only the first n_nonzero() entries.
     void forward_soa(double* re, double* im, FftScratch& scratch) const;
     void inverse_soa(double* re, double* im, FftScratch& scratch) const;
-
-    /// Batched forward: transform the B same-shape SoA members (re[b],
-    /// im[b]), each size() doubles, in place through one lane-interleaved
-    /// BatchKernel pass over this plan, so every twiddle load is amortized
-    /// across the batch. re.size() must equal im.size(). Results are
-    /// bit-identical to B sequential forward_soa calls for kFloat64; the
-    /// kFloat32 lane carries an ~1e-6 relative error budget. B = 1
-    /// degenerates to exactly forward_soa; non-power-of-two plans fall
-    /// back to sequential per-member transforms.
-    void forward_batch(std::span<double* const> re, std::span<double* const> im,
-                       FftScratch& scratch,
-                       BatchPrecision precision = BatchPrecision::kFloat64) const;
-
-    /// The underlying power-of-two kernel plan, or nullptr for a Bluestein
-    /// (non-power-of-two) plan. Exposed so batched executors can group
-    /// transforms that share one kernel.
-    const kernels::Pow2Kernel* pow2_kernel() const { return kernel_.get(); }
 
     static bool is_power_of_two(std::size_t n) {
         return kernels::Pow2Kernel::is_power_of_two(n);
@@ -185,58 +159,11 @@ class RealFft {
                               std::vector<double>& out_im,
                               FftScratch& scratch) const;
 
-    /// One member of a batched r2c pass. `input` follows the forward()
-    /// contract (n_nonzero() samples); `window` is either empty (no window)
-    /// or n_nonzero() coefficients, per member. The output is either an
-    /// interleaved complex vector (`out`) or, when `out` is null, a pair of
-    /// SoA planes (`out_re`/`out_im`) -- matching forward() vs forward_soa().
-    struct BatchItem {
-        std::span<const double> input;
-        std::span<const double> window;
-        std::vector<cplx>* out = nullptr;
-        std::vector<double>* out_re = nullptr;
-        std::vector<double>* out_im = nullptr;
-    };
-
-    /// Whether this plan can execute a true lane-interleaved batch pass
-    /// (even N with a power-of-two half). When false the batch entry
-    /// points run member-by-member sequentially instead.
-    bool batchable() const {
-        return full_plan_ == nullptr && half_plan_ != nullptr &&
-               half_plan_->pow2_kernel() != nullptr;
-    }
-
-    /// Whether `other` may share a batch pass with this plan: same size,
-    /// same nonzero prefix, same underlying plans. Cache-backed plans of
-    /// one shape always qualify (they share the half plan by pointer).
-    bool batch_compatible(const RealFft& other) const {
-        return n_ == other.n_ && nz_ == other.nz_ &&
-               half_plan_ == other.half_plan_ && full_plan_ == other.full_plan_;
-    }
-
-    /// Batched forward: run every item's transform through one
-    /// lane-interleaved pass over the shared half-length kernel, packing
-    /// each member's (optional) window on the fly. Per-member results are
-    /// bit-identical to the sequential forward()/forward_windowed() calls
-    /// for kFloat64; kFloat32 carries the ~1e-6 relative error budget. A
-    /// single item -- or a plan that is not batchable() -- degenerates to
-    /// the sequential path.
-    void forward_batch(std::span<const BatchItem> items, FftScratch& scratch,
-                       BatchPrecision precision = BatchPrecision::kFloat64) const;
-
-    /// Alias of forward_batch emphasizing the fused-window contract
-    /// (every item carries a window); validates window sizes per member.
-    void forward_windowed_batch(
-        std::span<const BatchItem> items, FftScratch& scratch,
-        BatchPrecision precision = BatchPrecision::kFloat64) const;
-
   private:
     void init(std::size_t n_nonzero);
     void transform(std::span<const double> input, const double* window,
                    double* out_re, double* out_im, std::size_t out_stride,
                    FftScratch& scratch) const;
-    void transform_batch(std::span<const BatchItem> items, FftScratch& scratch,
-                         BatchPrecision precision) const;
 
     std::size_t n_ = 0;
     std::size_t nz_ = 0;                    ///< input samples consumed

@@ -76,16 +76,6 @@ void inverse_scalar(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
     run_inverse_t<simd::ScalarD>(plan, xr, xi, wr, wi);
 }
 
-void forward_batch_scalar(const Pow2Kernel& plan, std::size_t batch, double* xr,
-                          double* xi, double* wr, double* wi) {
-    run_forward_batch_t<simd::ScalarD>(plan, batch, xr, xi, wr, wi);
-}
-
-void forward_batch_f32_scalar(const Pow2Kernel& plan, std::size_t batch,
-                              float* xr, float* xi, float* wr, float* wi) {
-    run_forward_batch_t<simd::ScalarF>(plan, batch, xr, xi, wr, wi);
-}
-
 }  // namespace detail
 
 namespace {
@@ -131,36 +121,6 @@ void Pow2Kernel::inverse(double* xr, double* xi, double* wr, double* wi) const {
         case simd::Level::kScalar: break;
     }
     detail::inverse_scalar(*this, xr, xi, wr, wi);
-}
-
-void BatchKernel::forward(std::size_t batch, double* xr, double* xi, double* wr,
-                          double* wi) const {
-    if (batch == 0) return;
-    switch (simd::active()) {
-        case simd::Level::kAvx2:
-            detail::forward_batch_avx2(*plan_, batch, xr, xi, wr, wi);
-            return;
-        case simd::Level::kSse2:
-            detail::forward_batch_sse2(*plan_, batch, xr, xi, wr, wi);
-            return;
-        case simd::Level::kScalar: break;
-    }
-    detail::forward_batch_scalar(*plan_, batch, xr, xi, wr, wi);
-}
-
-void BatchKernel::forward(std::size_t batch, float* xr, float* xi, float* wr,
-                          float* wi) const {
-    if (batch == 0) return;
-    switch (simd::active()) {
-        case simd::Level::kAvx2:
-            detail::forward_batch_f32_avx2(*plan_, batch, xr, xi, wr, wi);
-            return;
-        case simd::Level::kSse2:
-            detail::forward_batch_f32_sse2(*plan_, batch, xr, xi, wr, wi);
-            return;
-        case simd::Level::kScalar: break;
-    }
-    detail::forward_batch_f32_scalar(*plan_, batch, xr, xi, wr, wi);
 }
 
 }  // namespace witrack::dsp::kernels

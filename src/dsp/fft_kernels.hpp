@@ -65,7 +65,7 @@ class Pow2Kernel {
     }
 
     /// The stage sequence and twiddle storage, exposed read-only for the
-    /// per-ISA kernel translation units and the BatchKernel view.
+    /// per-ISA kernel translation units.
     const std::vector<FftStage>& plan_stages() const { return stages_; }
     const std::vector<double>& twiddles() const { return tw_; }
 
@@ -81,42 +81,6 @@ class Pow2Kernel {
     // table (its only twiddle is 1). Inverse kernels reuse the same tables
     // with the imaginary sign folded into their butterfly expressions.
     std::vector<double> tw_;
-};
-
-/// Runs B same-shape forward transforms over one shared Pow2Kernel plan as
-/// lane-interleaved SoA planes: element i of batch member b lives at index
-/// [i * B + b], so each butterfly's operands across the whole batch are
-/// contiguous and one (broadcast) twiddle load serves all B members. A
-/// BatchKernel is a *view* over the shared plan -- no tables are copied, so
-/// batched execution of any B collapses onto the single-transform cache
-/// entry (see FftPlanCache), and a degenerate B = 1 batch is simply the
-/// sequential schedule.
-///
-/// Every batch member's result is bit-identical to a sequential
-/// Pow2Kernel::forward of that member: the lane-interleaved schedule
-/// performs exactly the same IEEE-754 operations per output element.
-class BatchKernel {
-  public:
-    explicit BatchKernel(const Pow2Kernel& plan) : plan_(&plan) {}
-
-    const Pow2Kernel& plan() const { return *plan_; }
-
-    /// Forward DFT of all `batch` members. Each plane holds
-    /// plan().size() * batch doubles, lane-interleaved; (wr, wi) are
-    /// caller-owned ping-pong work planes of the same length. The plan's
-    /// input pruning applies to every member identically.
-    void forward(std::size_t batch, double* xr, double* xi, double* wr,
-                 double* wi) const;
-
-    /// Float32 lane: the same schedule in single precision, twiddles
-    /// narrowed per butterfly. Roughly half the memory traffic at ~1e-6
-    /// relative error -- for consumers gated on a measured error budget,
-    /// never for the bit-parity paths.
-    void forward(std::size_t batch, float* xr, float* xi, float* wr,
-                 float* wi) const;
-
-  private:
-    const Pow2Kernel* plan_;
 };
 
 }  // namespace witrack::dsp::kernels

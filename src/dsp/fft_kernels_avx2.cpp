@@ -20,16 +20,6 @@ void inverse_avx2(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
     run_inverse_t<simd::AvxD>(plan, xr, xi, wr, wi);
 }
 
-void forward_batch_avx2(const Pow2Kernel& plan, std::size_t batch, double* xr,
-                        double* xi, double* wr, double* wi) {
-    run_forward_batch_t<simd::AvxD>(plan, batch, xr, xi, wr, wi);
-}
-
-void forward_batch_f32_avx2(const Pow2Kernel& plan, std::size_t batch,
-                            float* xr, float* xi, float* wr, float* wi) {
-    run_forward_batch_t<simd::AvxF>(plan, batch, xr, xi, wr, wi);
-}
-
 #else  // !__AVX2__
 
 void forward_avx2(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
@@ -40,16 +30,6 @@ void forward_avx2(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
 void inverse_avx2(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
                   double* wi) {
     inverse_sse2(plan, xr, xi, wr, wi);
-}
-
-void forward_batch_avx2(const Pow2Kernel& plan, std::size_t batch, double* xr,
-                        double* xi, double* wr, double* wi) {
-    forward_batch_sse2(plan, batch, xr, xi, wr, wi);
-}
-
-void forward_batch_f32_avx2(const Pow2Kernel& plan, std::size_t batch,
-                            float* xr, float* xi, float* wr, float* wi) {
-    forward_batch_f32_sse2(plan, batch, xr, xi, wr, wi);
 }
 
 #endif  // __AVX2__

@@ -5,22 +5,11 @@
 // IEEE-754 add/sub/mul per element as the scalar code (no FMA -- the
 // kernel translation units are additionally built with -ffp-contract=off
 // so the compiler cannot contract on wider -march targets), which is what
-// makes all dispatch levels, and batched vs. sequential execution,
-// bit-identical.
+// makes all dispatch levels bit-identical.
 //
-// Two vectorization axes:
-//   - run_forward_t / run_inverse_t (single transform): vectorize the
-//     contiguous q loop inside each butterfly group. Early stages have
-//     stride s < width and fall through to the scalar tail -- the batch
-//     kernel below is the shape that vectorizes every stage fully.
-//   - run_forward_batch_t (BatchKernel): B same-shape transforms stored
-//     lane-interleaved (element i of member b at [i*B + b]). For a fixed
-//     butterfly group p the whole (q, b) plane is one contiguous run of
-//     s*B elements whose operand offsets (n4*B) and output offsets (k*s*B)
-//     are constant and whose twiddle depends only on p, so each group is a
-//     single streaming lane_loop of length s*B -- fully vectorized at
-//     every stage for every B >= 1, unlike the single-transform kernel
-//     whose late stages have s < width.
+// run_forward_t / run_inverse_t vectorize the contiguous q loop inside each
+// butterfly group. Early stages have stride s < width and fall through to
+// the scalar tail.
 //
 // This header is included by the per-ISA translation units
 // (fft_kernels.cpp, fft_kernels_sse2.cpp, fft_kernels_avx2.cpp), each of
@@ -355,232 +344,6 @@ void run_inverse_t(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
     });
 }
 
-// ------------------------------------------------------ batched transform
-
-/// B same-shape forward transforms over lane-interleaved planes (element i
-/// of member b at [i*B + b]). T is double or float; the shared twiddle
-/// tables stay double and are narrowed at broadcast time for the float
-/// lane. The pruning bookkeeping is per *element* index, identical to the
-/// single-transform schedule, because every member shares the plan's
-/// nonzero prefix.
-template <class L>
-void run_forward_batch_t(const Pow2Kernel& plan, std::size_t batch,
-                         typename L::elem* xr, typename L::elem* xi,
-                         typename L::elem* wr, typename L::elem* wi) {
-    using T = typename L::elem;
-    const std::size_t B = batch;
-    const std::size_t n = plan.size();
-    std::size_t nzb = plan.n_nonzero();
-    const auto& stages = plan.plan_stages();
-    const double* tw = plan.twiddles().data();
-
-    T* sr = xr;
-    T* si = xi;
-    T* dr = wr;
-    T* di = wi;
-    if (stages.size() % 2 == 1) {
-        std::copy(xr, xr + nzb * B, wr);
-        std::copy(xi, xi + nzb * B, wi);
-        sr = wr;
-        si = wi;
-        dr = xr;
-        di = xi;
-    }
-
-    const std::size_t n4 = n / 4;
-    for (const FftStage& st : stages) {
-        const std::size_t s = st.stride;
-        if (st.radix == 2) {
-            const std::size_t h = n / 2;
-            const std::size_t t0 = std::min(nzb, h);
-            const std::size_t t1 = nzb > h ? nzb - h : 0;
-            const std::size_t hB = h * B;
-            lane_loop<L>(t1 * B, [&]<class V>(std::size_t i) {
-                const auto ar = V::load(sr + i), ai = V::load(si + i);
-                const auto br = V::load(sr + i + hB), bi = V::load(si + i + hB);
-                V::store(dr + i, V::add(ar, br));
-                V::store(di + i, V::add(ai, bi));
-                V::store(dr + i + hB, V::sub(ar, br));
-                V::store(di + i + hB, V::sub(ai, bi));
-            });
-            if (t0 > t1) {  // b structurally zero: plain duplication
-                std::copy(sr + t1 * B, sr + t0 * B, dr + t1 * B);
-                std::copy(si + t1 * B, si + t0 * B, di + t1 * B);
-                std::copy(sr + t1 * B, sr + t0 * B, dr + t1 * B + hB);
-                std::copy(si + t1 * B, si + t0 * B, di + t1 * B + hB);
-            }
-            nzb = t0 > 0 ? n : 0;
-            std::swap(sr, dr);
-            std::swap(si, di);
-            continue;
-        }
-
-        const std::size_t m = st.m;
-        const double* w1r = tw + st.tw_offset;
-        const double* w1i = w1r + m;
-        const double* w2r = w1i + m;
-        const double* w2i = w2r + m;
-        const double* w3r = w2i + m;
-        const double* w3i = w3r + m;
-
-        std::size_t t[4];
-        for (std::size_t k = 0; k < 4; ++k) {
-            const std::size_t cut = k * n4;
-            const std::size_t tk = nzb > cut ? nzb - cut : 0;
-            t[k] = std::min(tk, n4);
-        }
-        const std::size_t p0 = ceil_div(t[0], s);
-        const std::size_t p1 = ceil_div(t[1], s);
-        const std::size_t p2 = ceil_div(t[2], s);
-        const std::size_t p3 = ceil_div(t[3], s);
-
-        // For fixed p, index (s*p + q)*B + b sweeps one contiguous run of
-        // s*B elements as (q, b) vary, operand planes sit at fixed offsets
-        // of n4*B, and the k-th output plane at 4*s*p*B + k*s*B. So each
-        // butterfly group is one streaming loop of length s*B.
-        const std::size_t sB = s * B;
-        const std::size_t n4B = n4 * B;
-        for (std::size_t p = 0; p < p3; ++p) {  // all four operands live
-            const T u1r = static_cast<T>(w1r[p]), u1i = static_cast<T>(w1i[p]);
-            const T u2r = static_cast<T>(w2r[p]), u2i = static_cast<T>(w2i[p]);
-            const T u3r = static_cast<T>(w3r[p]), u3i = static_cast<T>(w3i[p]);
-            const T* a_r = sr + p * sB;
-            const T* a_i = si + p * sB;
-            T* y0r = dr + 4 * p * sB;
-            T* y0i = di + 4 * p * sB;
-            lane_loop<L>(sB, [&]<class V>(std::size_t i) {
-                const auto ar = V::load(a_r + i), ai = V::load(a_i + i);
-                const auto br = V::load(a_r + i + n4B);
-                const auto bi = V::load(a_i + i + n4B);
-                const auto cr = V::load(a_r + i + 2 * n4B);
-                const auto ci = V::load(a_i + i + 2 * n4B);
-                const auto er = V::load(a_r + i + 3 * n4B);
-                const auto ei = V::load(a_i + i + 3 * n4B);
-                const auto apcr = V::add(ar, cr), apci = V::add(ai, ci);
-                const auto amcr = V::sub(ar, cr), amci = V::sub(ai, ci);
-                const auto bpdr = V::add(br, er), bpdi = V::add(bi, ei);
-                const auto jr = V::sub(ei, bi), ji = V::sub(br, er);
-                V::store(y0r + i, V::add(apcr, bpdr));
-                V::store(y0i + i, V::add(apci, bpdi));
-                const auto v1r = V::set1(u1r), v1i = V::set1(u1i);
-                const auto t1r = V::sub(amcr, jr), t1i = V::sub(amci, ji);
-                V::store(y0r + i + sB, V::sub(V::mul(v1r, t1r), V::mul(v1i, t1i)));
-                V::store(y0i + i + sB, V::add(V::mul(v1r, t1i), V::mul(v1i, t1r)));
-                const auto v2r = V::set1(u2r), v2i = V::set1(u2i);
-                const auto t2r = V::sub(apcr, bpdr), t2i = V::sub(apci, bpdi);
-                V::store(y0r + i + 2 * sB,
-                         V::sub(V::mul(v2r, t2r), V::mul(v2i, t2i)));
-                V::store(y0i + i + 2 * sB,
-                         V::add(V::mul(v2r, t2i), V::mul(v2i, t2r)));
-                const auto v3r = V::set1(u3r), v3i = V::set1(u3i);
-                const auto t3r = V::add(amcr, jr), t3i = V::add(amci, ji);
-                V::store(y0r + i + 3 * sB,
-                         V::sub(V::mul(v3r, t3r), V::mul(v3i, t3i)));
-                V::store(y0i + i + 3 * sB,
-                         V::add(V::mul(v3r, t3i), V::mul(v3i, t3r)));
-            });
-        }
-        for (std::size_t p = p3; p < p2; ++p) {  // d structurally zero
-            const T u1r = static_cast<T>(w1r[p]), u1i = static_cast<T>(w1i[p]);
-            const T u2r = static_cast<T>(w2r[p]), u2i = static_cast<T>(w2i[p]);
-            const T u3r = static_cast<T>(w3r[p]), u3i = static_cast<T>(w3i[p]);
-            const T* a_r = sr + p * sB;
-            const T* a_i = si + p * sB;
-            T* y0r = dr + 4 * p * sB;
-            T* y0i = di + 4 * p * sB;
-            lane_loop<L>(sB, [&]<class V>(std::size_t i) {
-                const auto ar = V::load(a_r + i), ai = V::load(a_i + i);
-                const auto br = V::load(a_r + i + n4B);
-                const auto bi = V::load(a_i + i + n4B);
-                const auto cr = V::load(a_r + i + 2 * n4B);
-                const auto ci = V::load(a_i + i + 2 * n4B);
-                const auto apcr = V::add(ar, cr), apci = V::add(ai, ci);
-                const auto amcr = V::sub(ar, cr), amci = V::sub(ai, ci);
-                V::store(y0r + i, V::add(apcr, br));
-                V::store(y0i + i, V::add(apci, bi));
-                const auto v1r = V::set1(u1r), v1i = V::set1(u1i);
-                const auto t1r = V::add(amcr, bi), t1i = V::sub(amci, br);
-                V::store(y0r + i + sB, V::sub(V::mul(v1r, t1r), V::mul(v1i, t1i)));
-                V::store(y0i + i + sB, V::add(V::mul(v1r, t1i), V::mul(v1i, t1r)));
-                const auto v2r = V::set1(u2r), v2i = V::set1(u2i);
-                const auto t2r = V::sub(apcr, br), t2i = V::sub(apci, bi);
-                V::store(y0r + i + 2 * sB,
-                         V::sub(V::mul(v2r, t2r), V::mul(v2i, t2i)));
-                V::store(y0i + i + 2 * sB,
-                         V::add(V::mul(v2r, t2i), V::mul(v2i, t2r)));
-                const auto v3r = V::set1(u3r), v3i = V::set1(u3i);
-                const auto t3r = V::sub(amcr, bi), t3i = V::add(amci, br);
-                V::store(y0r + i + 3 * sB,
-                         V::sub(V::mul(v3r, t3r), V::mul(v3i, t3i)));
-                V::store(y0i + i + 3 * sB,
-                         V::add(V::mul(v3r, t3i), V::mul(v3i, t3r)));
-            });
-        }
-        for (std::size_t p = p2; p < p1; ++p) {  // c and d structurally zero
-            const T u1r = static_cast<T>(w1r[p]), u1i = static_cast<T>(w1i[p]);
-            const T u2r = static_cast<T>(w2r[p]), u2i = static_cast<T>(w2i[p]);
-            const T u3r = static_cast<T>(w3r[p]), u3i = static_cast<T>(w3i[p]);
-            const T* a_r = sr + p * sB;
-            const T* a_i = si + p * sB;
-            T* y0r = dr + 4 * p * sB;
-            T* y0i = di + 4 * p * sB;
-            lane_loop<L>(sB, [&]<class V>(std::size_t i) {
-                const auto ar = V::load(a_r + i), ai = V::load(a_i + i);
-                const auto br = V::load(a_r + i + n4B);
-                const auto bi = V::load(a_i + i + n4B);
-                V::store(y0r + i, V::add(ar, br));
-                V::store(y0i + i, V::add(ai, bi));
-                const auto v1r = V::set1(u1r), v1i = V::set1(u1i);
-                const auto t1r = V::add(ar, bi), t1i = V::sub(ai, br);
-                V::store(y0r + i + sB, V::sub(V::mul(v1r, t1r), V::mul(v1i, t1i)));
-                V::store(y0i + i + sB, V::add(V::mul(v1r, t1i), V::mul(v1i, t1r)));
-                const auto v2r = V::set1(u2r), v2i = V::set1(u2i);
-                const auto t2r = V::sub(ar, br), t2i = V::sub(ai, bi);
-                V::store(y0r + i + 2 * sB,
-                         V::sub(V::mul(v2r, t2r), V::mul(v2i, t2i)));
-                V::store(y0i + i + 2 * sB,
-                         V::add(V::mul(v2r, t2i), V::mul(v2i, t2r)));
-                const auto v3r = V::set1(u3r), v3i = V::set1(u3i);
-                const auto t3r = V::sub(ar, bi), t3i = V::add(ai, br);
-                V::store(y0r + i + 3 * sB,
-                         V::sub(V::mul(v3r, t3r), V::mul(v3i, t3i)));
-                V::store(y0i + i + 3 * sB,
-                         V::add(V::mul(v3r, t3i), V::mul(v3i, t3r)));
-            });
-        }
-        for (std::size_t p = p1; p < p0; ++p) {  // only a live
-            const T u1r = static_cast<T>(w1r[p]), u1i = static_cast<T>(w1i[p]);
-            const T u2r = static_cast<T>(w2r[p]), u2i = static_cast<T>(w2i[p]);
-            const T u3r = static_cast<T>(w3r[p]), u3i = static_cast<T>(w3i[p]);
-            const T* a_r = sr + p * sB;
-            const T* a_i = si + p * sB;
-            T* y0r = dr + 4 * p * sB;
-            T* y0i = di + 4 * p * sB;
-            lane_loop<L>(sB, [&]<class V>(std::size_t i) {
-                const auto ar = V::load(a_r + i), ai = V::load(a_i + i);
-                V::store(y0r + i, ar);
-                V::store(y0i + i, ai);
-                const auto v1r = V::set1(u1r), v1i = V::set1(u1i);
-                V::store(y0r + i + sB, V::sub(V::mul(v1r, ar), V::mul(v1i, ai)));
-                V::store(y0i + i + sB, V::add(V::mul(v1r, ai), V::mul(v1i, ar)));
-                const auto v2r = V::set1(u2r), v2i = V::set1(u2i);
-                V::store(y0r + i + 2 * sB,
-                         V::sub(V::mul(v2r, ar), V::mul(v2i, ai)));
-                V::store(y0i + i + 2 * sB,
-                         V::add(V::mul(v2r, ai), V::mul(v2i, ar)));
-                const auto v3r = V::set1(u3r), v3i = V::set1(u3i);
-                V::store(y0r + i + 3 * sB,
-                         V::sub(V::mul(v3r, ar), V::mul(v3i, ai)));
-                V::store(y0i + i + 3 * sB,
-                         V::add(V::mul(v3r, ai), V::mul(v3i, ar)));
-            });
-        }
-        nzb = 4 * s * p0;
-        std::swap(sr, dr);
-        std::swap(si, di);
-    }
-}
-
 // ------------------------------------------------ per-level entry points
 //
 // Each translation unit defines its level's set (fft_kernels.cpp: scalar +
@@ -601,19 +364,5 @@ void inverse_sse2(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
                   double* wi);
 void inverse_avx2(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
                   double* wi);
-
-void forward_batch_scalar(const Pow2Kernel& plan, std::size_t batch, double* xr,
-                          double* xi, double* wr, double* wi);
-void forward_batch_sse2(const Pow2Kernel& plan, std::size_t batch, double* xr,
-                        double* xi, double* wr, double* wi);
-void forward_batch_avx2(const Pow2Kernel& plan, std::size_t batch, double* xr,
-                        double* xi, double* wr, double* wi);
-
-void forward_batch_f32_scalar(const Pow2Kernel& plan, std::size_t batch,
-                              float* xr, float* xi, float* wr, float* wi);
-void forward_batch_f32_sse2(const Pow2Kernel& plan, std::size_t batch,
-                            float* xr, float* xi, float* wr, float* wi);
-void forward_batch_f32_avx2(const Pow2Kernel& plan, std::size_t batch,
-                            float* xr, float* xi, float* wr, float* wi);
 
 }  // namespace witrack::dsp::kernels::detail

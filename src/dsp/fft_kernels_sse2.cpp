@@ -19,16 +19,6 @@ void inverse_sse2(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
     run_inverse_t<simd::SseD>(plan, xr, xi, wr, wi);
 }
 
-void forward_batch_sse2(const Pow2Kernel& plan, std::size_t batch, double* xr,
-                        double* xi, double* wr, double* wi) {
-    run_forward_batch_t<simd::SseD>(plan, batch, xr, xi, wr, wi);
-}
-
-void forward_batch_f32_sse2(const Pow2Kernel& plan, std::size_t batch,
-                            float* xr, float* xi, float* wr, float* wi) {
-    run_forward_batch_t<simd::SseF>(plan, batch, xr, xi, wr, wi);
-}
-
 #else  // !__SSE2__
 
 void forward_sse2(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
@@ -39,16 +29,6 @@ void forward_sse2(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
 void inverse_sse2(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
                   double* wi) {
     inverse_scalar(plan, xr, xi, wr, wi);
-}
-
-void forward_batch_sse2(const Pow2Kernel& plan, std::size_t batch, double* xr,
-                        double* xi, double* wr, double* wi) {
-    forward_batch_scalar(plan, batch, xr, xi, wr, wi);
-}
-
-void forward_batch_f32_sse2(const Pow2Kernel& plan, std::size_t batch,
-                            float* xr, float* xi, float* wr, float* wi) {
-    forward_batch_f32_scalar(plan, batch, xr, xi, wr, wi);
 }
 
 #endif  // __SSE2__

@@ -1,7 +1,5 @@
 #include "dsp/fft_plan_cache.hpp"
 
-#include <cassert>
-
 namespace witrack::dsp {
 
 std::shared_ptr<const Fft> FftPlanCache::complex_plan(std::size_t n,
@@ -37,27 +35,6 @@ std::shared_ptr<const RealFft> FftPlanCache::real_plan(std::size_t n,
     auto [it, inserted] = real_.emplace(key, std::move(plan));
     (void)inserted;
     return it->second;
-}
-
-std::shared_ptr<const Fft> FftPlanCache::batch_plan(std::size_t n,
-                                                    std::size_t batch,
-                                                    std::size_t n_nonzero) {
-    assert(batch >= 1 && "batch width must be at least 1");
-    (void)batch;
-    auto plan = complex_plan(n, n_nonzero);
-    // The batch layout must never fork the key space: a degenerate B = 1
-    // request and a sequential request are the same shape.
-    assert(plan == complex_plan(n, n_nonzero));
-    return plan;
-}
-
-std::shared_ptr<const RealFft> FftPlanCache::batch_real_plan(
-    std::size_t n, std::size_t batch, std::size_t n_nonzero) {
-    assert(batch >= 1 && "batch width must be at least 1");
-    (void)batch;
-    auto plan = real_plan(n, n_nonzero);
-    assert(plan == real_plan(n, n_nonzero));
-    return plan;
 }
 
 std::size_t FftPlanCache::cached_plans() const {

@@ -13,13 +13,6 @@
 // dense (non-power-of-two sizes, n_nonzero of 0 or >= n) share the dense
 // entry instead of duplicating it.
 //
-// Batch layout is deliberately NOT part of the key. A BatchKernel is a
-// non-owning view over a cached Pow2Kernel plan (no tables are copied),
-// so batched execution of any width B -- including the degenerate B = 1,
-// which runs exactly the sequential schedule -- collapses onto the same
-// (size, n_nonzero) entry a sequential caller gets. The batch_* accessors
-// below make that collapse explicit (and testable by pointer equality).
-//
 // The process-global instance (FftPlanCache::global()) is the default for
 // every pipeline component; an EngineHost may carry its own cache when a
 // deployment wants per-tenant isolation of the (tiny) table memory.
@@ -54,20 +47,6 @@ class FftPlanCache {
     /// pruned Fft(2048, nz=1250) share tables.
     std::shared_ptr<const RealFft> real_plan(std::size_t n,
                                              std::size_t n_nonzero = 0);
-
-    /// Plan for a batched complex pass of width `batch` (>= 1). Batch
-    /// width is execution state, not a plan property, so this is the
-    /// *same* shared plan complex_plan(n, n_nonzero) returns -- asserted,
-    /// so a refactor that accidentally keys plans by batch width fails
-    /// loudly in Debug.
-    std::shared_ptr<const Fft> batch_plan(std::size_t n, std::size_t batch,
-                                          std::size_t n_nonzero = 0);
-
-    /// Real-input analogue of batch_plan: the shared real_plan(n,
-    /// n_nonzero) entry, for any batch width >= 1.
-    std::shared_ptr<const RealFft> batch_real_plan(std::size_t n,
-                                                   std::size_t batch,
-                                                   std::size_t n_nonzero = 0);
 
     /// Distinct plans currently cached (complex + real), for telemetry.
     std::size_t cached_plans() const;

@@ -56,7 +56,7 @@ Level force(Level level) noexcept;
 // ------------------------------------------------------------------ lanes
 //
 // A lane struct provides:
-//   elem              -- the element type (double or float)
+//   elem              -- the element type (double)
 //   reg               -- the register type holding `width` elems
 //   width             -- elements per register
 //   load / store      -- unaligned contiguous access
@@ -120,7 +120,6 @@ struct Scalar {
 };
 
 using ScalarD = Scalar<double>;
-using ScalarF = Scalar<float>;
 
 #if defined(__SSE2__)
 struct SseD {
@@ -144,32 +143,6 @@ struct SseD {
     static reg and_(reg a, reg b) noexcept { return _mm_and_pd(a, b); }
     static reg or_(reg a, reg b) noexcept { return _mm_or_pd(a, b); }
     static reg andnot(reg a, reg b) noexcept { return _mm_andnot_pd(a, b); }
-    static reg blend(reg m, reg a, reg b) noexcept {
-        return or_(and_(m, a), andnot(m, b));
-    }
-};
-
-struct SseF {
-    using elem = float;
-    using reg = __m128;
-    static constexpr std::size_t width = 4;
-    static reg load(const elem* p) noexcept { return _mm_loadu_ps(p); }
-    static void store(elem* p, reg v) noexcept { _mm_storeu_ps(p, v); }
-    static reg set1(elem v) noexcept { return _mm_set1_ps(v); }
-    static reg add(reg a, reg b) noexcept { return _mm_add_ps(a, b); }
-    static reg sub(reg a, reg b) noexcept { return _mm_sub_ps(a, b); }
-    static reg mul(reg a, reg b) noexcept { return _mm_mul_ps(a, b); }
-    static reg div(reg a, reg b) noexcept { return _mm_div_ps(a, b); }
-    static reg sqrt(reg a) noexcept { return _mm_sqrt_ps(a); }
-    static reg min(reg a, reg b) noexcept { return _mm_min_ps(a, b); }
-    static reg max(reg a, reg b) noexcept { return _mm_max_ps(a, b); }
-    static reg cmplt(reg a, reg b) noexcept { return _mm_cmplt_ps(a, b); }
-    static reg cmple(reg a, reg b) noexcept { return _mm_cmple_ps(a, b); }
-    static reg cmpgt(reg a, reg b) noexcept { return _mm_cmpgt_ps(a, b); }
-    static reg cmpge(reg a, reg b) noexcept { return _mm_cmpge_ps(a, b); }
-    static reg and_(reg a, reg b) noexcept { return _mm_and_ps(a, b); }
-    static reg or_(reg a, reg b) noexcept { return _mm_or_ps(a, b); }
-    static reg andnot(reg a, reg b) noexcept { return _mm_andnot_ps(a, b); }
     static reg blend(reg m, reg a, reg b) noexcept {
         return or_(and_(m, a), andnot(m, b));
     }
@@ -206,40 +179,6 @@ struct AvxD {
     static reg and_(reg a, reg b) noexcept { return _mm256_and_pd(a, b); }
     static reg or_(reg a, reg b) noexcept { return _mm256_or_pd(a, b); }
     static reg andnot(reg a, reg b) noexcept { return _mm256_andnot_pd(a, b); }
-    static reg blend(reg m, reg a, reg b) noexcept {
-        return or_(and_(m, a), andnot(m, b));
-    }
-};
-
-struct AvxF {
-    using elem = float;
-    using reg = __m256;
-    static constexpr std::size_t width = 8;
-    static reg load(const elem* p) noexcept { return _mm256_loadu_ps(p); }
-    static void store(elem* p, reg v) noexcept { _mm256_storeu_ps(p, v); }
-    static reg set1(elem v) noexcept { return _mm256_set1_ps(v); }
-    static reg add(reg a, reg b) noexcept { return _mm256_add_ps(a, b); }
-    static reg sub(reg a, reg b) noexcept { return _mm256_sub_ps(a, b); }
-    static reg mul(reg a, reg b) noexcept { return _mm256_mul_ps(a, b); }
-    static reg div(reg a, reg b) noexcept { return _mm256_div_ps(a, b); }
-    static reg sqrt(reg a) noexcept { return _mm256_sqrt_ps(a); }
-    static reg min(reg a, reg b) noexcept { return _mm256_min_ps(a, b); }
-    static reg max(reg a, reg b) noexcept { return _mm256_max_ps(a, b); }
-    static reg cmplt(reg a, reg b) noexcept {
-        return _mm256_cmp_ps(a, b, _CMP_LT_OQ);
-    }
-    static reg cmple(reg a, reg b) noexcept {
-        return _mm256_cmp_ps(a, b, _CMP_LE_OQ);
-    }
-    static reg cmpgt(reg a, reg b) noexcept {
-        return _mm256_cmp_ps(a, b, _CMP_GT_OQ);
-    }
-    static reg cmpge(reg a, reg b) noexcept {
-        return _mm256_cmp_ps(a, b, _CMP_GE_OQ);
-    }
-    static reg and_(reg a, reg b) noexcept { return _mm256_and_ps(a, b); }
-    static reg or_(reg a, reg b) noexcept { return _mm256_or_ps(a, b); }
-    static reg andnot(reg a, reg b) noexcept { return _mm256_andnot_ps(a, b); }
     static reg blend(reg m, reg a, reg b) noexcept {
         return or_(and_(m, a), andnot(m, b));
     }

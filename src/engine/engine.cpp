@@ -124,33 +124,7 @@ bool Engine::step() {
 
     result_ = tracker_.process_frame(frame_.sweeps, frame_.time_s,
                                      demanded_outputs());
-    complete_frame();
-    return true;
-}
 
-bool Engine::begin_step(dsp::FftBatch& batch) {
-    // Same admission logic as step(); only the pipeline execution defers.
-    if (state_ == SessionState::kFinished || state_ == SessionState::kEvicted)
-        return false;
-    if (!source_->next(frame_)) {
-        if (state_ == SessionState::kAdmitted || state_ == SessionState::kRunning)
-            state_ = SessionState::kDraining;
-        return false;
-    }
-    if (state_ == SessionState::kAdmitted) state_ = SessionState::kRunning;
-    quality_stats_.accumulate(frame_.sweeps.quality());
-
-    tracker_.stage_frame(frame_.sweeps, frame_.time_s, demanded_outputs(),
-                         batch);
-    return true;
-}
-
-void Engine::finish_step() {
-    result_ = tracker_.finish_frame();
-    complete_frame();
-}
-
-void Engine::complete_frame() {
     // Skip even constructing the event when nobody listens: a headless
     // deployment pays nothing for the publish path.
     if (bus_.subscriber_count<TrackUpdateEvent>() > 0) {
@@ -173,6 +147,7 @@ void Engine::complete_frame() {
     }
 
     ++frames_;
+    return true;
 }
 
 void Engine::run_stage(std::size_t index, EventBus& bus) {

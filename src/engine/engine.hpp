@@ -122,18 +122,6 @@ class Engine {
     /// further frames may flow once episode verdicts were delivered).
     bool step();
 
-    /// Split-step form of step() for batched FFT scheduling (what
-    /// EngineHost's batched rounds drive): begin_step() pulls the frame and
-    /// *stages* its range FFTs into `batch`; after the caller runs the
-    /// batch -- typically with other sessions' transforms gathered into the
-    /// same pass -- finish_step() completes the pipeline, publishes, and
-    /// runs the stages. Returns what step() would: false (with nothing
-    /// staged) when the source is exhausted or the session is terminal.
-    /// Exactly one finish_step() must follow every true return, with the
-    /// batch run in between; results are bit-identical to step().
-    bool begin_step(dsp::FftBatch& batch);
-    void finish_step();
-
     /// Stream until the source ends, then finish() every stage. Returns the
     /// number of frames processed by this call.
     std::size_t run();
@@ -253,10 +241,6 @@ class Engine {
     void run_stage(std::size_t index, EventBus& bus);
     void run_stages_serial();
     void run_stages_parallel();
-
-    /// Post-pipeline tail shared by step() and finish_step(): publish the
-    /// frame's TrackUpdateEvent (when subscribed) and run the stages.
-    void complete_frame();
 
     void set_session_id(std::uint64_t id) { session_id_ = id; }
     void mark_evicted() { state_ = SessionState::kEvicted; }

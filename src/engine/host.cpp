@@ -113,8 +113,6 @@ std::string to_json(const FleetStats& stats) {
                  static_cast<std::uint64_t>(stats.active_sessions));
     append_field(out, "queued_sessions",
                  static_cast<std::uint64_t>(stats.queued_sessions));
-    append_field(out, "fft_batched",
-                 static_cast<std::uint64_t>(stats.fft_batched));
     append_field(out, "sessions_restarted",
                  static_cast<std::uint64_t>(stats.sessions_restarted));
     out += ",\"net\":";
@@ -185,6 +183,7 @@ EngineHost::EngineHost(HostConfig config)
 
 SessionId EngineHost::admit(std::string name, EngineConfig config,
                             std::unique_ptr<FrameSource> source) {
+    require_round_boundary("admit");
     const bool full = active_sessions() >= config_.max_sessions;
     if (full && !config_.queue_when_full)
         throw std::runtime_error("EngineHost: admission rejected, " +
@@ -211,6 +210,7 @@ SessionId EngineHost::admit(std::string name, EngineConfig config,
 SessionId EngineHost::admit_restartable(
     std::string name, EngineConfig config, SourceFactory factory,
     const std::function<void(Engine&)>& wire_stages) {
+    require_round_boundary("admit_restartable");
     if (!factory)
         throw std::invalid_argument(
             "EngineHost: admit_restartable needs a source factory");
@@ -237,6 +237,7 @@ void EngineHost::checkpoint_session(SessionId id, std::ostream& out) const {
 SessionId EngineHost::restore_session(
     std::string name, EngineConfig config, std::unique_ptr<FrameSource> source,
     std::istream& snapshot, const std::function<void(Engine&)>& wire_stages) {
+    require_round_boundary("restore_session");
     const bool full = active_sessions() >= config_.max_sessions;
     if (full && !config_.queue_when_full)
         throw std::runtime_error("EngineHost: admission rejected, " +
@@ -294,11 +295,13 @@ SessionState EngineHost::state(SessionId id) const {
 }
 
 void EngineHost::pause(SessionId id) {
+    require_round_boundary("pause");
     Session* found = find(id);
     if (found != nullptr) found->paused = true;
 }
 
 void EngineHost::resume(SessionId id) {
+    require_round_boundary("resume");
     Session* found = find(id);
     if (found == nullptr) return;
     found->paused = false;
@@ -311,6 +314,7 @@ bool EngineHost::terminal(const Session& session) const {
 }
 
 bool EngineHost::evict(SessionId id, std::string reason) {
+    require_round_boundary("evict");
     Session* found = find(id);
     if (found == nullptr || terminal(*found)) return false;
     evict_session(*found, std::move(reason));
@@ -334,6 +338,7 @@ void EngineHost::promote_queued() {
 }
 
 std::size_t EngineHost::reap() {
+    require_round_boundary("reap");
     settle();  // count (and promote around) out-of-band finishes first
     const std::size_t before = sessions_.size();
     std::erase_if(sessions_, [this](const std::unique_ptr<Session>& session) {
@@ -372,13 +377,95 @@ void EngineHost::settle() {
     }
 }
 
+void EngineHost::require_round_boundary(const char* operation) const {
+    if (in_round_)
+        throw std::logic_error(std::string("EngineHost: ") + operation +
+                               " called inside step_all(); sessions change "
+                               "only between rounds");
+}
+
 std::size_t EngineHost::step_all() {
+    require_round_boundary("step_all");
     settle();
-    const std::size_t processed =
-        config_.batch_fft ? round_batched() : round_serial();
+    in_round_ = true;
+    struct RoundEnd {
+        bool& in_round;
+        ~RoundEnd() { in_round = false; }
+    } round_end{in_round_};
+
+    // Phase 1, serial pick: each schedulable session consumes exactly one
+    // frame per round, in a stable admission order.
+    ready_.clear();
+    for (const auto& owned : sessions_) {
+        Session& session = *owned;
+        if (session.queued || terminal(session)) continue;
+        if (session.paused) {
+            lag_session(session);
+            continue;
+        }
+        ready_.push_back(&session);
+    }
+
+    // Phase 2, parallel step: sessions share no mutable state, and each
+    // records its own outcome, so the step order does not matter.
+    if (pool_ != nullptr) {
+        pool_->parallel_for(ready_.size(),
+                            [this](std::size_t i) { step_session(*ready_[i]); });
+    } else {
+        for (Session* session : ready_) step_session(*session);
+    }
+
+    // Phase 3, serial apply in admission order: the same counters and the
+    // same lifecycle sequence at every worker count.
+    std::size_t processed = 0;
+    for (Session* session : ready_) {
+        switch (session->outcome) {
+            case Outcome::kProduced:
+                ++session->frames;
+                session->total_step_s += session->step_s;
+                session->max_step_s = std::max(session->max_step_s, session->step_s);
+                session->lag = 0;
+                ++processed;
+                ++frames_window_;
+                break;
+            case Outcome::kExhausted:
+                session->accounted = true;
+                ++finished_total_;
+                break;
+            case Outcome::kThrew:
+                // Fault isolation: the throwing session is evicted; the
+                // remaining sessions keep their slots and their state.
+                evict_session(*session, std::move(session->error));
+                break;
+        }
+    }
+    promote_queued();
     watch_health();
     ++rounds_;
     return processed;
+}
+
+void EngineHost::step_session(Session& session) {
+    const auto t0 = std::chrono::steady_clock::now();
+    try {
+        if (session.engine->step()) {
+            session.outcome = Outcome::kProduced;
+        } else {
+            // Source exhausted: Draining -> deliver the episode finish()
+            // work -> Finished; phase 3 hands the slot on.
+            session.engine->finish();
+            session.outcome = Outcome::kExhausted;
+        }
+    } catch (const std::exception& error) {
+        session.outcome = Outcome::kThrew;
+        session.error = std::string("step() threw: ") + error.what();
+    } catch (...) {
+        session.outcome = Outcome::kThrew;
+        session.error = "step() threw a non-std exception";
+    }
+    session.step_s = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
 }
 
 void EngineHost::watch_health() {
@@ -457,142 +544,7 @@ void EngineHost::lag_session(Session& session) {
                       "frame lag " + std::to_string(session.lag) +
                           " exceeded max_frame_lag " +
                           std::to_string(config_.max_frame_lag));
-        promote_queued();
     }
-}
-
-std::size_t EngineHost::round_serial() {
-    std::size_t processed = 0;
-    // Fair round-robin over a stable admission order: each schedulable
-    // session consumes exactly one frame before any session sees a second.
-    // Index loop on purpose -- step() can run stages that admit sessions.
-    for (std::size_t i = 0; i < sessions_.size(); ++i) {
-        Session& session = *sessions_[i];
-        if (session.queued || terminal(session)) continue;
-
-        if (session.paused) {
-            lag_session(session);
-            continue;
-        }
-
-        try {
-            const auto t0 = std::chrono::steady_clock::now();
-            const bool produced = session.engine->step();
-            const auto t1 = std::chrono::steady_clock::now();
-            if (produced) {
-                const double elapsed =
-                    std::chrono::duration<double>(t1 - t0).count();
-                ++session.frames;
-                session.total_step_s += elapsed;
-                session.max_step_s = std::max(session.max_step_s, elapsed);
-                session.lag = 0;
-                ++processed;
-                ++frames_window_;
-            } else {
-                // Source exhausted: Draining -> deliver the episode
-                // finish() work -> Finished, and hand the slot on.
-                session.engine->finish();
-                session.accounted = true;
-                ++finished_total_;
-                promote_queued();
-            }
-        } catch (const std::exception& error) {
-            // Fault isolation: the throwing session is evicted; the
-            // remaining sessions keep their slots and their state.
-            evict_session(session, std::string("step() threw: ") + error.what());
-            promote_queued();
-        } catch (...) {
-            evict_session(session, "step() threw a non-std exception");
-            promote_queued();
-        }
-    }
-    return processed;
-}
-
-std::size_t EngineHost::round_batched() {
-    std::size_t processed = 0;
-    // Two-phase round: every ready session begin_step()s its frame into the
-    // shared batch, the batch runs once (same-shape transforms across
-    // sessions execute as one lane-interleaved pass), then every staged
-    // session finish_step()s. Stages run during finish may admit new
-    // sessions; those land past `end` and get their own sub-round, so the
-    // fairness contract (one frame per session per round) is preserved.
-    struct Staged {
-        std::size_t index;
-        double begin_s;  ///< this session's own staging wall clock
-    };
-    std::vector<Staged> staged;
-    std::size_t start = 0;
-    while (start < sessions_.size()) {
-        const std::size_t end = sessions_.size();
-        staged.clear();
-        batch_.clear();
-
-        for (std::size_t i = start; i < end; ++i) {
-            Session& session = *sessions_[i];
-            if (session.queued || terminal(session)) continue;
-            if (session.paused) {
-                lag_session(session);
-                continue;
-            }
-            try {
-                const auto t0 = std::chrono::steady_clock::now();
-                const bool produced = session.engine->begin_step(batch_);
-                const auto t1 = std::chrono::steady_clock::now();
-                if (produced) {
-                    staged.push_back(
-                        {i, std::chrono::duration<double>(t1 - t0).count()});
-                } else {
-                    session.engine->finish();
-                    session.accounted = true;
-                    ++finished_total_;
-                    promote_queued();
-                }
-            } catch (const std::exception& error) {
-                evict_session(session,
-                              std::string("begin_step() threw: ") + error.what());
-                promote_queued();
-            } catch (...) {
-                evict_session(session, "begin_step() threw a non-std exception");
-                promote_queued();
-            }
-        }
-
-        // The shared pass. Float64 keeps fleet output bit-identical to the
-        // serial schedule; only batches of >= 2 count as shared work.
-        fft_batched_window_ += batch_.run(batch_scratch_);
-
-        for (const Staged& item : staged) {
-            Session& session = *sessions_[item.index];
-            // A sibling's finish_step may have run a stage that evicted
-            // this session after it staged; its computed spectra are simply
-            // abandoned with the rest of its state.
-            if (terminal(session)) continue;
-            try {
-                const auto t0 = std::chrono::steady_clock::now();
-                session.engine->finish_step();
-                const auto t1 = std::chrono::steady_clock::now();
-                const double elapsed =
-                    item.begin_s + std::chrono::duration<double>(t1 - t0).count();
-                ++session.frames;
-                session.total_step_s += elapsed;
-                session.max_step_s = std::max(session.max_step_s, elapsed);
-                session.lag = 0;
-                ++processed;
-                ++frames_window_;
-            } catch (const std::exception& error) {
-                evict_session(session,
-                              std::string("finish_step() threw: ") + error.what());
-                promote_queued();
-            } catch (...) {
-                evict_session(session, "finish_step() threw a non-std exception");
-                promote_queued();
-            }
-        }
-
-        start = end;
-    }
-    return processed;
 }
 
 bool EngineHost::progress_possible() const {
@@ -618,6 +570,7 @@ std::size_t EngineHost::run(std::size_t max_frames) {
 }
 
 FleetStats EngineHost::take_fleet_stats() {
+    require_round_boundary("take_fleet_stats");
     FleetStats stats;
     const double now_s = steady_seconds();
     stats.frames = frames_window_;
@@ -629,7 +582,6 @@ FleetStats EngineHost::take_fleet_stats() {
     stats.sessions_evicted = evicted_total_;
     stats.active_sessions = active_sessions();
     stats.queued_sessions = queued_sessions();
-    stats.fft_batched = fft_batched_window_;
     stats.sessions_restarted = restarts_total_;
 
     stats.sessions.reserve(sessions_.size());
@@ -657,7 +609,6 @@ FleetStats EngineHost::take_fleet_stats() {
     }
 
     frames_window_ = 0;
-    fft_batched_window_ = 0;
     window_started_s_ = now_s;
     return stats;
 }

@@ -7,19 +7,38 @@
 //      │ admit()                 ┌──────────────┐
 //      ▼                         │  EngineHost  │
 //   Session 1..N  ◄── step_all ──┤  scheduler   │
-//      │  per-RX fan-out         └──┬────────┬──┘
+//      │  session fan-out        └──┬────────┬──┘
 //      ▼                            ▼        ▼
 //   shared common::WorkerPool   FftPlanCache  FleetStats
 //
 // The scheduler is fair round-robin: every running session processes
 // exactly one frame per step_all() round, so no tenant starves another.
+// A round runs in three phases, with the same code at every worker count:
+//
+//   1. pick   (serial)   settle, then select the ready sessions in
+//                        admission order; paused sessions accrue lag.
+//   2. step   (parallel) WorkerPool::parallel_for over the ready sessions;
+//                        each steps its Engine (finish() when its source
+//                        ran dry) and records its own outcome and time.
+//   3. apply  (serial)   in admission order: counters, finishes,
+//                        evictions of sessions that threw, then promotion
+//                        of queued sessions into freed slots.
+//
+// Sessions share no mutable state, so they step concurrently; a session's
+// own per-RX and concurrent-stage fan-outs then run inline on the thread
+// stepping it (WorkerPool nesting). Lifecycle changes land at the round's
+// end, so a queued session promoted by a finish, eviction or lag eviction
+// steps from the next round on. The registry itself changes only between
+// rounds: admit, evict, pause, resume, reap and take_fleet_stats called
+// from inside step_all (a stage or subscriber) throw std::logic_error.
+//
 // Admission control (max_sessions, reject-or-queue), backpressure (a
 // session that cannot consume frames for more than max_frame_lag rounds is
 // evicted -- a live radio would have dropped those frames anyway), and
 // fault isolation (a session whose stage throws is evicted; siblings are
 // untouched) keep one misbehaving tenant from taking the fleet down.
 // Per-session output is bit-identical to the same Engine run standalone
-// (tests/test_fleet.cpp proves it under serial and shared-pool schedules).
+// (tests/test_fleet.cpp proves it at 1 and 4 workers).
 #pragma once
 
 #include <cstddef>
@@ -32,8 +51,6 @@
 #include <vector>
 
 #include "common/worker_pool.hpp"
-#include "dsp/fft.hpp"
-#include "dsp/fft_batch.hpp"
 #include "dsp/fft_plan_cache.hpp"
 #include "engine/engine.hpp"
 
@@ -42,10 +59,13 @@ namespace witrack::engine {
 using SessionId = std::uint64_t;
 
 struct HostConfig {
-    /// Shared-pool parallelism for every session (per-RX TOF fan-out and
-    /// concurrent stages). 0 = read WITRACK_WORKERS (absent -> serial);
-    /// 1 = serial. Session EngineConfig::workers is ignored inside a host:
-    /// the host owns the parallelism decision.
+    /// Threads that step a round's sessions: the host's WorkerPool steps
+    /// the ready sessions in parallel, and a session's own fan-outs (per-RX
+    /// TOF chains, concurrent stages) run inline on the thread stepping it
+    /// -- except for a lone ready session, which fans out across the pool.
+    /// 0 = read WITRACK_WORKERS (absent -> serial); 1 = serial. Session
+    /// EngineConfig::workers is ignored inside a host: the host owns the
+    /// parallelism decision.
     std::size_t workers = 0;
 
     /// Running-session cap (admission control). Sessions admitted beyond it
@@ -80,18 +100,6 @@ struct HostConfig {
     /// Watchdog restarts allowed per session before it is evicted.
     std::size_t max_restarts = 3;
 
-    /// Batched FFT scheduling: each step_all() round runs in two phases --
-    /// every ready session stages its range FFTs into one shared
-    /// dsp::FftBatch, the host runs the batch (same-shape transforms across
-    /// sessions execute as one lane-interleaved SIMD pass), then every
-    /// staged session finishes its frame. Because fleets admit sessions
-    /// with identical radio configs, the cross-session batch width is
-    /// typically active_sessions x num_rx. Per-session output stays
-    /// bit-identical to the serial schedule (tests/test_fleet.cpp proves
-    /// it); FleetStats::fft_batched counts the transforms that actually
-    /// ran batched.
-    bool batch_fft = false;
-
     // ------------------------------------------------------ fluent builder
     HostConfig& with_workers(std::size_t count) {
         workers = count;
@@ -111,10 +119,6 @@ struct HostConfig {
     }
     HostConfig& with_plan_cache(dsp::FftPlanCache* cache) {
         plan_cache = cache;
-        return *this;
-    }
-    HostConfig& with_batch_fft(bool enable = true) {
-        batch_fft = enable;
         return *this;
     }
     HostConfig& with_health_threshold(double threshold) {
@@ -171,10 +175,6 @@ struct FleetStats {
     std::size_t sessions_evicted = 0;  ///< lifetime
     std::size_t active_sessions = 0;   ///< currently holding a slot
     std::size_t queued_sessions = 0;   ///< waiting for a slot
-    /// Range transforms executed inside a cross-session batch of >= 2 this
-    /// window (0 unless HostConfig::batch_fft; a window where every round
-    /// had only one ready session also reads 0 -- no sharing happened).
-    std::size_t fft_batched = 0;
     /// Sum of the network ingestion counters over every currently
     /// registered network-fed session (cumulative, like the per-session
     /// counters -- reaped sessions leave the sum).
@@ -256,9 +256,11 @@ class EngineHost {
     /// id is unknown or the session already reached a terminal state.
     bool evict(SessionId id, std::string reason = "operator eviction");
 
-    /// One fair round: every running session processes exactly one frame.
-    /// Draining sessions are finished, faulting sessions evicted, queued
-    /// sessions promoted into freed slots. Returns frames processed.
+    /// One fair round: every running session processes exactly one frame,
+    /// the ready sessions stepping in parallel on the host's pool. At the
+    /// round's end, draining sessions are finished, faulting sessions
+    /// evicted and queued sessions promoted into freed slots (they step
+    /// from the next round). Returns frames processed.
     std::size_t step_all();
 
     /// Round-robin until every session is Finished/Evicted, or until at
@@ -319,6 +321,10 @@ class EngineHost {
     std::size_t sessions_restarted() const { return restarts_total_; }
 
   private:
+    /// What one session's step did in the current round. Written only by
+    /// the thread stepping that session (phase 2), read in phase 3.
+    enum class Outcome : std::uint8_t { kProduced, kExhausted, kThrew };
+
     struct Session {
         SessionId id = 0;
         std::string name;
@@ -331,6 +337,9 @@ class EngineHost {
         double total_step_s = 0.0;     ///< window counter
         double max_step_s = 0.0;       ///< window counter
         std::string fault;
+        Outcome outcome = Outcome::kProduced;  ///< this round's step
+        double step_s = 0.0;                   ///< this round's step time
+        std::string error;                     ///< kThrew: the reason
         /// Self-healing wiring: empty factory = not restartable.
         EngineConfig engine_config;
         SourceFactory factory;
@@ -353,12 +362,12 @@ class EngineHost {
     void settle();
     bool progress_possible() const;
 
-    /// One scheduler round, minus the settle()/rounds_ bookkeeping that
-    /// step_all() wraps around either variant.
-    std::size_t round_serial();
-    std::size_t round_batched();
-    /// Backpressure accounting for a paused session (shared by both round
-    /// variants); may evict the session past max_frame_lag.
+    /// Throws std::logic_error when called from inside step_all().
+    void require_round_boundary(const char* operation) const;
+    /// Phase 2 body: step one ready session and record its outcome.
+    static void step_session(Session& session);
+    /// Backpressure accounting for a paused session (phase 1); may evict
+    /// the session past max_frame_lag.
     void lag_session(Session& session);
     /// Roll every session's engine quality deltas into its watchdog window
     /// and trigger restarts/evictions; runs once per step_all() round.
@@ -372,12 +381,11 @@ class EngineHost {
     std::unique_ptr<common::WorkerPool> pool_;  ///< shared; only workers_ > 1
     dsp::FftPlanCache* plans_;                  ///< config's or the global one
     std::vector<std::unique_ptr<Session>> sessions_;  ///< admission order
+    std::vector<Session*> ready_;      ///< this round's picks, reused
+    bool in_round_ = false;            ///< step_all() is running
     SessionId next_id_ = 1;
-    dsp::FftBatch batch_;              ///< reused across batched rounds
-    dsp::FftScratch batch_scratch_;
     std::size_t rounds_ = 0;
     std::size_t frames_window_ = 0;
-    std::size_t fft_batched_window_ = 0;
     double window_started_s_ = 0.0;    ///< steady-clock origin of the window
     std::size_t admitted_total_ = 0;
     std::size_t finished_total_ = 0;

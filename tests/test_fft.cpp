@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "dsp/fft.hpp"
-#include "dsp/fft_batch.hpp"
 #include "dsp/fft_plan_cache.hpp"
 #include "dsp/simd.hpp"
 
@@ -445,7 +444,7 @@ constexpr simd::Level kAllLevels[] = {simd::Level::kScalar, simd::Level::kSse2,
                                       simd::Level::kAvx2};
 
 /// The shapes the production pipeline actually plans (the pruned-kernel
-/// suite above), reused by the dispatch-level and batch gates.
+/// suite above), reused by the dispatch-level gates.
 constexpr PrunedCase kKernelShapes[] = {{64, 40},     {256, 17},
                                         {2048, 1250}, {4096, 2500},
                                         {8192, 2500}, {4096, 1},
@@ -543,179 +542,6 @@ TEST(SimdDispatch, RealWindowedPathBitIdenticalAcrossLevels) {
             ASSERT_EQ(out[k].imag(), reference[k].imag()) << "k=" << k;
         }
     }
-}
-
-// --------------------------------------------------------- batched passes
-
-TEST(FftBatchSuite, ComplexBatchMatchesSequentialBitForBit) {
-    // forward_batch must be a scheduling change only: B members through one
-    // lane-interleaved pass == B sequential forward_soa calls, exactly.
-    constexpr std::size_t kBatch = 5;
-    for (const auto& [n, nz] : kKernelShapes) {
-        SCOPED_TRACE("N" + std::to_string(n) + "nz" + std::to_string(nz));
-        const Fft plan(n, nz);
-        std::vector<std::vector<double>> seq_re(kBatch), seq_im(kBatch);
-        std::vector<std::vector<double>> bat_re(kBatch), bat_im(kBatch);
-        for (std::size_t b = 0; b < kBatch; ++b) {
-            const auto in =
-                random_signal(nz, static_cast<unsigned>(n + nz + 7 * b));
-            seq_re[b].assign(n, 0.0);
-            seq_im[b].assign(n, 0.0);
-            for (std::size_t i = 0; i < nz; ++i) {
-                seq_re[b][i] = in[i].real();
-                seq_im[b][i] = in[i].imag();
-            }
-            bat_re[b] = seq_re[b];
-            bat_im[b] = seq_im[b];
-        }
-        FftScratch scratch;
-        for (std::size_t b = 0; b < kBatch; ++b)
-            plan.forward_soa(seq_re[b].data(), seq_im[b].data(), scratch);
-        std::vector<double*> re_ptrs, im_ptrs;
-        for (std::size_t b = 0; b < kBatch; ++b) {
-            re_ptrs.push_back(bat_re[b].data());
-            im_ptrs.push_back(bat_im[b].data());
-        }
-        plan.forward_batch(re_ptrs, im_ptrs, scratch);
-        for (std::size_t b = 0; b < kBatch; ++b)
-            for (std::size_t k = 0; k < n; ++k) {
-                ASSERT_EQ(bat_re[b][k], seq_re[b][k]) << "b=" << b << " k=" << k;
-                ASSERT_EQ(bat_im[b][k], seq_im[b][k]) << "b=" << b << " k=" << k;
-            }
-    }
-}
-
-TEST(FftBatchSuite, RealWindowedBatchMatchesSequentialBitForBit) {
-    constexpr std::size_t kBatch = 4;
-    const std::size_t n = 4096, nz = 2500;
-    const RealFft plan(n, nz);
-    ASSERT_TRUE(plan.batchable());
-    std::mt19937 rng(31);
-    std::uniform_real_distribution<double> dist(-1.0, 1.0);
-    std::vector<std::vector<double>> x(kBatch), w(kBatch);
-    std::vector<std::vector<cplx>> seq(kBatch), bat(kBatch);
-    FftScratch scratch;
-    std::vector<RealFft::BatchItem> items;
-    for (std::size_t b = 0; b < kBatch; ++b) {
-        x[b].resize(nz);
-        w[b].resize(nz);
-        for (std::size_t i = 0; i < nz; ++i) {
-            x[b][i] = dist(rng);
-            w[b][i] = 0.5 + 0.5 * dist(rng);
-        }
-        plan.forward_windowed(x[b], w[b], seq[b], scratch);
-        items.push_back({x[b], w[b], &bat[b]});
-    }
-    plan.forward_windowed_batch(items, scratch);
-    for (std::size_t b = 0; b < kBatch; ++b) {
-        ASSERT_EQ(bat[b].size(), seq[b].size());
-        for (std::size_t k = 0; k < seq[b].size(); ++k) {
-            ASSERT_EQ(bat[b][k].real(), seq[b][k].real()) << "b=" << b << " k=" << k;
-            ASSERT_EQ(bat[b][k].imag(), seq[b][k].imag()) << "b=" << b << " k=" << k;
-        }
-    }
-}
-
-TEST(FftBatchSuite, Float32LaneStaysWithinErrorBudget) {
-    // The float32 batch lane trades the double-precision guarantee for half
-    // the memory traffic; this pins its error budget (relative to the
-    // float64 result) so consumers can gate on a measured bound.
-    constexpr std::size_t kBatch = 4;
-    const std::size_t n = 4096, nz = 2500;
-    const RealFft plan(n, nz);
-    std::mt19937 rng(37);
-    std::uniform_real_distribution<double> dist(-1.0, 1.0);
-    std::vector<std::vector<double>> x(kBatch), w(kBatch);
-    std::vector<std::vector<cplx>> f64(kBatch), f32(kBatch);
-    std::vector<RealFft::BatchItem> items64, items32;
-    for (std::size_t b = 0; b < kBatch; ++b) {
-        x[b].resize(nz);
-        w[b].resize(nz);
-        for (std::size_t i = 0; i < nz; ++i) {
-            x[b][i] = dist(rng);
-            w[b][i] = 0.5 + 0.5 * dist(rng);
-        }
-        items64.push_back({x[b], w[b], &f64[b]});
-        items32.push_back({x[b], w[b], &f32[b]});
-    }
-    FftScratch scratch;
-    plan.forward_windowed_batch(items64, scratch, BatchPrecision::kFloat64);
-    plan.forward_windowed_batch(items32, scratch, BatchPrecision::kFloat32);
-    for (std::size_t b = 0; b < kBatch; ++b) {
-        double peak = 0.0, err = 0.0;
-        for (std::size_t k = 0; k < f64[b].size(); ++k) {
-            peak = std::max(peak, std::abs(f64[b][k]));
-            err = std::max(err, std::abs(f64[b][k] - f32[b][k]));
-        }
-        ASSERT_GT(peak, 0.0);
-        EXPECT_LT(err / peak, 1e-5) << "b=" << b;
-        EXPECT_GT(err, 0.0) << "b=" << b;  // it really ran the float32 lane
-    }
-}
-
-TEST(FftBatchSuite, CollectorGroupsCompatibleShapesOnly) {
-    // The deferred collector must group exactly the transforms that share a
-    // plan shape, preserve per-member outputs bit for bit, and report only
-    // genuinely shared work (groups of >= 2) as batched.
-    FftPlanCache cache;
-    const auto plan_a = cache.real_plan(4096, 2500);  // three members
-    const auto plan_a2 = cache.real_plan(4096, 2500); // same shared entry
-    const auto plan_b = cache.real_plan(2048);        // lone member
-    std::mt19937 rng(41);
-    std::uniform_real_distribution<double> dist(-1.0, 1.0);
-    std::vector<std::vector<double>> x(4);
-    for (std::size_t m = 0; m < 3; ++m) {
-        x[m].resize(2500);
-        for (auto& v : x[m]) v = dist(rng);
-    }
-    x[3].resize(2048);
-    for (auto& v : x[3]) v = dist(rng);
-
-    FftScratch scratch;
-    std::vector<cplx> seq[4];
-    plan_a->forward(x[0], seq[0], scratch);
-    plan_a->forward(x[1], seq[1], scratch);
-    plan_a2->forward(x[2], seq[2], scratch);
-    plan_b->forward(x[3], seq[3], scratch);
-
-    FftBatch batch;
-    std::vector<cplx> out[4];
-    batch.enqueue(*plan_a, x[0], {}, out[0]);
-    batch.enqueue(*plan_b, x[3], {}, out[3]);  // interleaved on purpose
-    batch.enqueue(*plan_a2, x[1], {}, out[1]);
-    batch.enqueue(*plan_a, x[2], {}, out[2]);
-    EXPECT_EQ(batch.pending(), 4u);
-    // Only the three shape-A members ran as a shared pass; the lone shape-B
-    // transform executed sequentially and does not count.
-    EXPECT_EQ(batch.run(scratch), 3u);
-    EXPECT_EQ(batch.pending(), 0u);
-    for (std::size_t m = 0; m < 4; ++m) {
-        ASSERT_EQ(out[m].size(), seq[m].size()) << "m=" << m;
-        for (std::size_t k = 0; k < seq[m].size(); ++k) {
-            ASSERT_EQ(out[m][k].real(), seq[m][k].real()) << "m=" << m << " k=" << k;
-            ASSERT_EQ(out[m][k].imag(), seq[m][k].imag()) << "m=" << m << " k=" << k;
-        }
-    }
-}
-
-TEST(FftPlanCacheSuite, BatchRequestsCollapseOntoSingleTransformEntries) {
-    // Batch width is execution state, not a plan property: a B-wide request
-    // must land on the same shared entry as the single-transform one, for
-    // any B >= 1 (asserted inside batch_plan too; this pins the contract).
-    FftPlanCache cache;
-    EXPECT_EQ(cache.batch_plan(4096, 8, 2500).get(),
-              cache.complex_plan(4096, 2500).get());
-    EXPECT_EQ(cache.batch_plan(4096, 1, 2500).get(),
-              cache.complex_plan(4096, 2500).get());
-    EXPECT_EQ(cache.batch_real_plan(4096, 8, 2500).get(),
-              cache.real_plan(4096, 2500).get());
-    EXPECT_EQ(cache.batch_real_plan(2048, 16).get(),
-              cache.real_plan(2048).get());
-    // No extra entries appeared for any width.
-    const std::size_t cached = cache.cached_plans();
-    (void)cache.batch_plan(4096, 32, 2500);
-    (void)cache.batch_real_plan(4096, 32, 2500);
-    EXPECT_EQ(cache.cached_plans(), cached);
 }
 
 }  // namespace

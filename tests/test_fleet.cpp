@@ -1,10 +1,12 @@
 // Fleet runtime suite. The contract under test: an EngineHost multiplexing
-// heterogeneous sessions (sim + replay, different demand masks) over one
-// shared WorkerPool produces per-session output bit-identical to the same
-// sessions run standalone on dedicated Engines -- under the serial and the
-// shared-pool schedules -- while admission control, backpressure eviction
-// and fault isolation keep tenants from hurting each other. Plus the
-// FftPlanCache sharing proof and WorkerPool multi-client semantics.
+// heterogeneous sessions (sim + replay, different demand masks, faulted
+// 4-RX radios) over one shared WorkerPool produces per-session output
+// bit-identical to the same sessions run standalone on dedicated Engines --
+// with sessions stepped serially or in parallel -- and the same lifecycle
+// sequence at every worker count, while admission control, backpressure
+// eviction, fault isolation and the round-boundary contract keep tenants
+// from hurting each other. Plus the FftPlanCache sharing proof and
+// WorkerPool multi-client and nesting semantics.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -23,6 +25,7 @@
 #include "engine/host.hpp"
 #include "engine/replay.hpp"
 #include "engine/sim_source.hpp"
+#include "hw/fault_injector.hpp"
 
 namespace witrack {
 namespace {
@@ -38,9 +41,10 @@ engine::EngineConfig walk_config(std::uint64_t seed) {
     return config;
 }
 
-std::unique_ptr<sim::LineWalkScript> walk_script(double x0 = -1.0, double x1 = 1.0) {
+std::unique_ptr<sim::LineWalkScript> walk_script(double x0 = -1.0, double x1 = 1.0,
+                                                 double duration_s = 2.0) {
     return std::make_unique<sim::LineWalkScript>(Vec3{x0, 5, 0}, Vec3{x1, 5, 0},
-                                                 2.0, 1.0);
+                                                 duration_s, 1.0);
 }
 
 void expect_same_track(const std::vector<core::TrackPoint>& a,
@@ -71,9 +75,10 @@ void expect_same_tof(const core::TofFrame& a, const core::TofFrame& b) {
 }
 
 /// Record a deterministic sim episode to `path` once.
-void record_episode(const std::string& path, std::uint64_t seed) {
+void record_episode(const std::string& path, std::uint64_t seed,
+                    double duration_s = 2.0) {
     auto config = walk_config(seed);
-    engine::SimSource live(config, walk_script());
+    engine::SimSource live(config, walk_script(-1.0, 1.0, duration_s));
     engine::Recorder recorder(path, live.fmcw(), live.array());
     engine::Frame frame;
     while (live.next(frame)) recorder.write(frame);
@@ -136,7 +141,7 @@ class FaultyStage : public engine::AppStage {
 /// Run the canonical 3-session heterogeneous fleet (full-demand sim walk,
 /// TOF-only sim walk, localize-only replay) on one EngineHost and compare
 /// every session's output bit for bit against dedicated standalone Engines.
-void run_fleet_parity(std::size_t host_workers, bool batch_fft = false) {
+void run_fleet_parity(std::size_t host_workers) {
     const std::string path = testing::TempDir() + "witrack_fleet_parity.wtrk";
     record_episode(path, 407);
 
@@ -167,8 +172,7 @@ void run_fleet_parity(std::size_t host_workers, bool batch_fft = false) {
     // --- the same three sessions multiplexed on one host ------------------
     engine::EngineHost host(engine::HostConfig{}
                                 .with_workers(host_workers)
-                                .with_max_sessions(8)
-                                .with_batch_fft(batch_fft));
+                                .with_max_sessions(8));
     const auto full_id = host.admit("home-a", walk_config(401),
                                     std::make_unique<engine::SimSource>(
                                         walk_config(401), walk_script()));
@@ -218,49 +222,275 @@ TEST(Fleet, HeterogeneousSessionsBitIdenticalDefaultWorkers) {
     run_fleet_parity(0);
 }
 
-TEST(Fleet, HeterogeneousSessionsBitIdenticalBatchedHost) {
-    // batch_fft gathers the three sessions' range FFTs into shared
-    // lane-interleaved passes each round; output must not move a bit.
-    run_fleet_parity(1, /*batch_fft=*/true);
+// ------------------------------------ mixed fleet: parity and round order
+
+/// One tenant of the mixed fleet. A host session and its standalone
+/// reference are built from the same Tenant, so they see identical input.
+struct Tenant {
+    std::string name;
+    std::uint64_t seed = 0;
+    bool faulted = false;      ///< 4-RX radio with a seeded hw::FaultInjector
+    std::size_t fail_at = 0;   ///< FaultyStage throws at this frame (0 = never)
+    std::string replay;        ///< recording to replay ("" = simulate)
+};
+
+engine::EngineConfig tenant_config(const Tenant& tenant) {
+    auto config = walk_config(tenant.seed);
+    config.with_cross_array(tenant.faulted).with_outputs(PipelineOutputs::kAll);
+    return config;
 }
 
-TEST(Fleet, HeterogeneousSessionsBitIdenticalBatchedSharedPoolHost) {
-    run_fleet_parity(4, /*batch_fft=*/true);
-}
-
-TEST(Fleet, BatchedHostSharesCrossSessionFftWork) {
-    // Two same-config sessions: every batched round fuses their range FFTs
-    // (one per antenna per session) into cross-session batches, and the
-    // telemetry window reports exactly how many transforms ran shared.
-    engine::EngineHost host(engine::HostConfig{}.with_batch_fft(true));
-    const auto a = host.admit("a", walk_config(421),
-                              std::make_unique<engine::SimSource>(
-                                  walk_config(421), walk_script()));
-    const auto b = host.admit("b", walk_config(422),
-                              std::make_unique<engine::SimSource>(
-                                  walk_config(422), walk_script()));
-    const std::size_t num_rx =
-        host.session(a)->array().rx.size();
-    for (int round = 0; round < 5; ++round) EXPECT_EQ(host.step_all(), 2u);
-
-    auto stats = host.take_fleet_stats();
-    EXPECT_EQ(stats.frames, 10u);
-    // Both sessions' transforms share every round's pass: 2 sessions x
-    // num_rx antennas x 5 rounds all ran inside batches of >= 2. Under a
-    // WITRACK_HW_FAULTS campaign (the CI fault-matrix lane) dropped lanes
-    // skip their FFT entirely, so the shared count can only shrink.
-    if (std::getenv("WITRACK_HW_FAULTS") == nullptr) {
-        EXPECT_EQ(stats.fft_batched, 2u * num_rx * 5u);
-    } else {
-        EXPECT_GT(stats.fft_batched, 0u);
-        EXPECT_LE(stats.fft_batched, 2u * num_rx * 5u);
+std::unique_ptr<engine::FrameSource> tenant_source(const Tenant& tenant) {
+    if (!tenant.replay.empty())
+        return std::make_unique<engine::ReplaySource>(tenant.replay);
+    auto source = std::make_unique<engine::SimSource>(
+        tenant_config(tenant), walk_script(-1.0, 1.0, /*duration_s=*/1.0));
+    if (tenant.faulted) {
+        hw::FaultConfig faults;
+        faults.dropout_rate = 0.05;
+        faults.saturation_rate = 0.05;
+        faults.seed = tenant.seed;
+        source->set_fault_injector(std::make_unique<hw::FaultInjector>(faults));
     }
-    EXPECT_NE(engine::to_json(stats).find("\"fft_batched\":"), std::string::npos);
+    return source;
+}
 
-    // The counter is a window aggregate: it resets with the window and
-    // stays zero for a serial-configured host.
-    EXPECT_EQ(host.take_fleet_stats().fft_batched, 0u);
-    EXPECT_EQ(host.state(b), engine::SessionState::kRunning);
+void wire_tenant(const Tenant& tenant, engine::Engine& engine) {
+    if (tenant.fail_at > 0) engine.emplace_stage<FaultyStage>(tenant.fail_at);
+}
+
+/// What one host run of the mixed fleet leaves behind.
+struct MixedFleetRun {
+    std::vector<std::vector<core::TrackPoint>> tracks, raw_tracks;
+    std::vector<QualityStats> quality;
+    std::vector<std::size_t> rx;
+    /// Every lifecycle change, one line per change, tagged with its round.
+    std::vector<std::string> lifecycle;
+    engine::FleetStats stats;
+};
+
+MixedFleetRun run_mixed_fleet(const std::vector<Tenant>& tenants,
+                              std::size_t workers) {
+    // One slot fewer than tenants: the last one admitted waits in the queue.
+    engine::EngineHost host(engine::HostConfig{}
+                                .with_workers(workers)
+                                .with_max_sessions(tenants.size() - 1));
+    std::vector<engine::SessionId> ids;
+    for (const Tenant& tenant : tenants) {
+        ids.push_back(host.admit(tenant.name, tenant_config(tenant),
+                                 tenant_source(tenant)));
+        wire_tenant(tenant, *host.session(ids.back()));
+    }
+    EXPECT_EQ(host.queued_sessions(), 1u);
+
+    MixedFleetRun run;
+    std::vector<engine::SessionState> last(ids.size(),
+                                           engine::SessionState::kAdmitted);
+    std::size_t queued = host.queued_sessions();
+    while (host.active_sessions() + host.queued_sessions() > 0) {
+        host.step_all();
+        const std::string round = "round " + std::to_string(host.rounds()) + ": ";
+        for (std::size_t i = 0; i < ids.size(); ++i) {
+            const auto state = host.state(ids[i]);
+            if (state == last[i]) continue;
+            last[i] = state;
+            run.lifecycle.push_back(round + tenants[i].name + " " +
+                                    engine::to_string(state) + " at frame " +
+                                    std::to_string(host.session(ids[i])->frames_processed()));
+        }
+        if (host.queued_sessions() != queued) {
+            queued = host.queued_sessions();
+            run.lifecycle.push_back(round + "promoted, " + std::to_string(queued) +
+                                    " queued, " + tenants.back().name + " at frame " +
+                                    std::to_string(host.session(ids.back())->frames_processed()));
+        }
+    }
+    for (const auto id : ids) {
+        const engine::Engine& session = *host.session(id);
+        run.tracks.push_back(session.tracker().track());
+        run.raw_tracks.push_back(session.tracker().raw_track());
+        run.quality.push_back(session.quality_stats());
+        run.rx.push_back(session.array().rx.size());
+    }
+    run.stats = host.take_fleet_stats();
+    return run;
+}
+
+void expect_same_quality(const QualityStats& a, const QualityStats& b) {
+    EXPECT_EQ(a.frames, b.frames);
+    EXPECT_EQ(a.degraded_frames, b.degraded_frames);
+    EXPECT_EQ(a.rx_dropouts, b.rx_dropouts);
+    EXPECT_EQ(a.saturated_rx, b.saturated_rx);
+    EXPECT_EQ(a.health_sum, b.health_sum);
+}
+
+TEST(Fleet, MixedFleetParityAndRoundOrderAtOneAndFourWorkers) {
+    const std::string path = testing::TempDir() + "witrack_fleet_short.wtrk";
+    record_episode(path, 471, /*duration_s=*/0.4);
+
+    // Eight tenants -- more than the four-worker pool's threads: 3-RX sims,
+    // faulted 4-RX sims, a session whose stage throws at frame 12, a short
+    // replay that runs dry mid-run, and a last tenant that starts queued.
+    const std::vector<Tenant> tenants = {
+        {"sim-a", 472, false, 0, ""},
+        {"faulted-b", 473, /*faulted=*/true, 0, ""},
+        {"throws-c", 474, false, /*fail_at=*/12, ""},
+        {"replay-d", 475, false, 0, path},
+        {"faulted-e", 476, /*faulted=*/true, 0, ""},
+        {"sim-f", 477, false, 0, ""},
+        {"sim-g", 478, false, 0, ""},
+        {"queued-h", 479, false, 0, ""},
+    };
+    const MixedFleetRun serial = run_mixed_fleet(tenants, 1);
+    const MixedFleetRun parallel = run_mixed_fleet(tenants, 4);
+
+    // Every session, at both worker counts, bit-identical to a standalone
+    // Engine -- up to the throwing frame for the evicted tenant.
+    for (std::size_t i = 0; i < tenants.size(); ++i) {
+        SCOPED_TRACE(tenants[i].name);
+        engine::Engine reference(tenant_config(tenants[i]),
+                                 tenant_source(tenants[i]));
+        wire_tenant(tenants[i], reference);
+        if (tenants[i].fail_at > 0) {
+            EXPECT_THROW(reference.run(), std::runtime_error);
+        } else {
+            reference.run();
+        }
+        ASSERT_FALSE(reference.tracker().raw_track().empty());
+        for (const MixedFleetRun* run : {&serial, &parallel}) {
+            expect_same_track(reference.tracker().track(), run->tracks[i]);
+            expect_same_track(reference.tracker().raw_track(), run->raw_tracks[i]);
+            expect_same_quality(reference.quality_stats(), run->quality[i]);
+        }
+        EXPECT_EQ(serial.rx[i], tenants[i].faulted ? 4u : 3u);
+        if (tenants[i].faulted) {
+            EXPECT_GT(serial.quality[i].rx_dropouts, 0u);
+        }
+    }
+
+    // The same lifecycle, round for round, at both worker counts.
+    EXPECT_EQ(serial.lifecycle, parallel.lifecycle);
+    // The throwing tenant frees its slot at the end of round 12 (its 12th
+    // frame never completes); the queued tenant is promoted then and steps
+    // its first frame in round 13.
+    const std::vector<std::string> expected_head = {
+        "round 1: sim-a running at frame 1",
+        "round 1: faulted-b running at frame 1",
+        "round 1: throws-c running at frame 1",
+        "round 1: replay-d running at frame 1",
+        "round 1: faulted-e running at frame 1",
+        "round 1: sim-f running at frame 1",
+        "round 1: sim-g running at frame 1",
+        "round 12: throws-c evicted at frame 11",
+        "round 12: promoted, 0 queued, queued-h at frame 0",
+        "round 13: queued-h running at frame 1",
+    };
+    ASSERT_GE(serial.lifecycle.size(), expected_head.size());
+    for (std::size_t i = 0; i < expected_head.size(); ++i)
+        EXPECT_EQ(serial.lifecycle[i], expected_head[i]);
+
+    // Identical FleetStats counters.
+    const auto& a = serial.stats;
+    const auto& b = parallel.stats;
+    EXPECT_EQ(a.sessions_admitted, 8u);
+    EXPECT_EQ(a.sessions_finished, 7u);
+    EXPECT_EQ(a.sessions_evicted, 1u);
+    EXPECT_EQ(a.frames, b.frames);
+    EXPECT_EQ(a.sessions_admitted, b.sessions_admitted);
+    EXPECT_EQ(a.sessions_finished, b.sessions_finished);
+    EXPECT_EQ(a.sessions_evicted, b.sessions_evicted);
+    EXPECT_EQ(a.active_sessions, b.active_sessions);
+    EXPECT_EQ(a.queued_sessions, b.queued_sessions);
+    expect_same_quality(a.quality, b.quality);
+    ASSERT_EQ(a.sessions.size(), b.sessions.size());
+    for (std::size_t i = 0; i < a.sessions.size(); ++i) {
+        EXPECT_EQ(a.sessions[i].id, b.sessions[i].id);
+        EXPECT_EQ(a.sessions[i].state, b.sessions[i].state);
+        EXPECT_EQ(a.sessions[i].frames, b.sessions[i].frames);
+        EXPECT_EQ(a.sessions[i].fault, b.sessions[i].fault);
+    }
+    EXPECT_NE(a.sessions[2].fault.find("tenant bug"), std::string::npos);
+    std::remove(path.c_str());
+}
+
+// ------------------------------------------------------ round boundary
+
+/// Calls back into the host from inside a round: a contract violation that
+/// must turn into a clean eviction of the calling session.
+class AdmittingStage : public engine::AppStage {
+  public:
+    explicit AdmittingStage(engine::EngineHost& host) : host_(&host) {}
+    std::string_view name() const override { return "admitting"; }
+    engine::Inputs required_inputs() const override {
+        return engine::Inputs::kTof;
+    }
+    void on_frame(const engine::Frame&,
+                  const core::WiTrackTracker::FrameResult&,
+                  engine::EventBus&) override {
+        host_->admit("nested", walk_config(499),
+                     std::make_unique<engine::SimSource>(walk_config(499),
+                                                         walk_script()));
+    }
+
+  private:
+    engine::EngineHost* host_;
+};
+
+TEST(Fleet, AdmitInsideRoundThrowsAndEvictsOnlyThatSession) {
+    engine::EngineHost host;
+    const auto bad = host.admit("bad", walk_config(491),
+                                std::make_unique<engine::SimSource>(
+                                    walk_config(491), walk_script()));
+    const auto good = host.admit("good", walk_config(492),
+                                 std::make_unique<engine::SimSource>(
+                                     walk_config(492), walk_script()));
+    host.session(bad)->emplace_stage<AdmittingStage>(host);
+
+    host.run();
+    EXPECT_EQ(host.state(bad), engine::SessionState::kEvicted);
+    EXPECT_EQ(host.session(bad)->frames_processed(), 0u);  // frame 1 never completed
+    EXPECT_EQ(host.state(good), engine::SessionState::kFinished);
+    EXPECT_EQ(host.total_sessions(), 2u);  // the nested admit registered nothing
+    const auto stats = host.take_fleet_stats();
+    EXPECT_NE(stats.sessions[0].fault.find("inside step_all"), std::string::npos);
+
+    auto ref_config = walk_config(492);
+    engine::Engine ref(ref_config, std::make_unique<engine::SimSource>(
+                                       ref_config, walk_script()));
+    ref.run();
+    expect_same_track(ref.tracker().track(), host.session(good)->tracker().track());
+}
+
+TEST(Fleet, RegistryCallsInsideRoundAreRefused) {
+    engine::EngineHost host;
+    const auto id = host.admit("s", walk_config(493),
+                               std::make_unique<engine::SimSource>(
+                                   walk_config(493), walk_script()));
+    std::vector<std::string> refused;
+    host.session(id)->bus().subscribe<engine::TrackUpdateEvent>(
+        [&](const engine::TrackUpdateEvent&) {
+            const auto attempt = [&](const char* what, const auto& call) {
+                try {
+                    call();
+                } catch (const std::logic_error&) {
+                    refused.push_back(what);
+                }
+            };
+            attempt("evict", [&] { host.evict(id); });
+            attempt("pause", [&] { host.pause(id); });
+            attempt("resume", [&] { host.resume(id); });
+            attempt("reap", [&] { host.reap(); });
+            attempt("take_fleet_stats", [&] { host.take_fleet_stats(); });
+            attempt("step_all", [&] { host.step_all(); });
+        });
+    EXPECT_EQ(host.step_all(), 1u);
+    EXPECT_EQ(refused, (std::vector<std::string>{"evict", "pause", "resume", "reap",
+                                                 "take_fleet_stats", "step_all"}));
+    // The subscriber swallowed every refusal: the session is untouched, and
+    // the same calls work between rounds.
+    EXPECT_EQ(host.state(id), engine::SessionState::kRunning);
+    EXPECT_EQ(host.take_fleet_stats().frames, 1u);
+    EXPECT_TRUE(host.evict(id));
 }
 
 // ------------------------------------------------------ round-robin fairness
@@ -645,6 +875,31 @@ TEST(WorkerPoolFleet, InterleavedParallelForFromTwoClients) {
         EXPECT_EQ(hits_a[i].load(), kRounds);
         EXPECT_EQ(hits_b[i].load(), kRounds);
     }
+}
+
+TEST(WorkerPoolFleet, NestedParallelForRunsInlineAndVisitsEveryPair) {
+    // A parallel_for started from inside a share -- on a pool worker or on
+    // the calling thread -- runs inline on that thread instead of queueing
+    // behind its own pool.
+    common::WorkerPool pool(3);
+    constexpr std::size_t kOuter = 16, kInner = 64;
+    std::vector<std::atomic<int>> hits(kOuter * kInner);
+    std::atomic<int> migrated{0};
+    pool.parallel_for(kOuter, [&](std::size_t i) {
+        const auto outer_thread = std::this_thread::get_id();
+        pool.parallel_for(kInner, [&](std::size_t j) {
+            if (std::this_thread::get_id() != outer_thread) migrated.fetch_add(1);
+            hits[i * kInner + j].fetch_add(1, std::memory_order_relaxed);
+        });
+    });
+    for (std::size_t k = 0; k < hits.size(); ++k)
+        EXPECT_EQ(hits[k].load(), 1) << "i=" << k / kInner << " j=" << k % kInner;
+    EXPECT_EQ(migrated.load(), 0);
+
+    // Outside any share the pool fans out again.
+    std::atomic<int> ran{0};
+    pool.parallel_for(8, [&](std::size_t) { ran.fetch_add(1); });
+    EXPECT_EQ(ran.load(), 8);
 }
 
 TEST(WorkerPoolFleet, ExceptionInOneClientDoesNotPoisonTheOther) {

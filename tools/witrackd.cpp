@@ -34,8 +34,10 @@
 // SIGINT is a clean DRAIN: in-flight sessions finish, stats are printed,
 // the process exits 0. Note one scheduling tradeoff inherited from the
 // blocking FrameSource contract: a net tenant whose sender goes silent
-// holds its step_all() slot until --net-idle-timeout expires (once; the
-// session then ends with the silence counted in idle_timeouts).
+// holds the one thread stepping it until --net-idle-timeout expires (once;
+// the session then ends with the silence counted in idle_timeouts). Its
+// siblings keep stepping on the other threads, but the round ends only
+// when it returns.
 #include <chrono>
 #include <csignal>
 #include <cstdint>
