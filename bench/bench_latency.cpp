@@ -7,9 +7,9 @@
 // individual stages.
 // Scheduler comparison mode: `bench_latency --scheduler-json <path>` skips
 // google-benchmark and instead times the demand-driven scheduler's
-// configurations (full serial, lazy TOF-only, lazy localize-only, 2- and
-// 4-worker parallel) over the same captured frames, writing the JSON
-// consumed as bench/scheduler_latency.json.
+// configurations (full, lazy TOF-only, lazy localize-only) over the same
+// captured frames, writing the JSON consumed as
+// bench/scheduler_latency.json.
 // Kernel comparison mode: `bench_latency --kernel-json <path>` times the
 // serial DSP hot path (per-antenna range FFT, paper-literal Bluestein FFT,
 // full pipeline frame) against the pre-SoA-kernel numbers recorded in
@@ -27,11 +27,9 @@
 #include <cstring>
 #include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
-#include "common/worker_pool.hpp"
 #include "core/pipeline_steps.hpp"
 #include "core/tracker.hpp"
 #include "dsp/fft.hpp"
@@ -80,27 +78,6 @@ void BM_PipelineFrameTofOnly(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_PipelineFrameTofOnly)->Unit(benchmark::kMillisecond);
-
-void BM_FullPipelineFrameWorkers(benchmark::State& state) {
-    // Parallel schedule: per-RX TOF fan-out across a worker pool
-    // (bit-identical to serial; speedup needs >= 2 hardware cores).
-    const auto& frames = captured_frames();
-    core::PipelineConfig pipeline;
-    const auto array = geom::make_t_array({0, 0, 1.3}, 1.0);
-    common::WorkerPool pool(static_cast<std::size_t>(state.range(0)));
-    core::WiTrackTracker tracker(pipeline, array);
-    tracker.set_worker_pool(&pool);
-    std::size_t i = 0;
-    double t = 0.0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            tracker.process_frame(frames[i % frames.size()].sweeps, t));
-        ++i;
-        t += 0.0125;
-    }
-    state.counters["workers"] = static_cast<double>(state.range(0));
-}
-BENCHMARK(BM_FullPipelineFrameWorkers)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 
 void BM_FullPipelineFrame(benchmark::State& state) {
     const auto& frames = captured_frames();
@@ -208,7 +185,7 @@ struct SchedulerTiming {
 /// `reps` times on a fresh tracker (first repetition warms caches and is
 /// discarded from the mean).
 SchedulerTiming time_configuration(const char* name, core::PipelineOutputs outputs,
-                                   std::size_t workers, int reps) {
+                                   int reps) {
     const auto& frames = captured_frames();
     const auto array = geom::make_t_array({0, 0, 1.3}, 1.0);
     core::PipelineConfig pipeline;
@@ -217,12 +194,7 @@ SchedulerTiming time_configuration(const char* name, core::PipelineOutputs outpu
     double total_s = 0.0;
     std::size_t timed_frames = 0;
     for (int rep = 0; rep < reps; ++rep) {
-        std::unique_ptr<common::WorkerPool> pool;
         core::WiTrackTracker tracker(pipeline, array);
-        if (workers > 1) {
-            pool = std::make_unique<common::WorkerPool>(workers);
-            tracker.set_worker_pool(pool.get());
-        }
         double t = 0.0;
         for (const auto& frame : frames) {
             const auto t0 = std::chrono::steady_clock::now();
@@ -245,33 +217,24 @@ SchedulerTiming time_configuration(const char* name, core::PipelineOutputs outpu
     return timing;
 }
 
-/// Serial vs lazy vs parallel over identical frames, written as JSON next
-/// to baseline_frame_latency.json. A host with a single hardware core
-/// cannot show a parallel win (the fan-out only adds dispatch overhead
-/// there); the shared report writer records the machine the numbers came
-/// from.
+/// Full vs lazy schedules over identical frames, written as JSON next to
+/// baseline_frame_latency.json; the shared report writer records the
+/// machine the numbers came from.
 int write_scheduler_json(const char* path) {
     constexpr int kReps = 4;
     std::printf("scheduler latency comparison (%d timed repetitions):\n",
                 kReps - 1);
     const std::vector<SchedulerTiming> timings = {
-        time_configuration("serial_full", core::PipelineOutputs::kAll, 1, kReps),
-        time_configuration("lazy_tof_only", core::PipelineOutputs::kTof, 1, kReps),
+        time_configuration("serial_full", core::PipelineOutputs::kAll, kReps),
+        time_configuration("lazy_tof_only", core::PipelineOutputs::kTof, kReps),
         time_configuration("lazy_localize_only",
-                           core::PipelineOutputs::kRawPosition, 1, kReps),
-        time_configuration("workers_2", core::PipelineOutputs::kAll, 2, kReps),
-        time_configuration("workers_4", core::PipelineOutputs::kAll, 4, kReps),
+                           core::PipelineOutputs::kRawPosition, kReps),
     };
 
     bench::JsonReport report(path, "bench_latency --scheduler-json",
                              "LineWalkScript through-wall, 3 rx, 5 "
                              "sweeps/frame, fft_size 4096");
     if (!report.ok()) return 1;
-    report.single_core_caveat(
-        "the worker configurations can only add dispatch overhead here (no "
-        "parallel hardware); rerun on a multi-core machine for the parallel "
-        "speedup -- tests/test_scheduler.cpp proves the schedules "
-        "bit-identical regardless");
     std::FILE* out = report.stream();
     std::fprintf(out, "  \"configurations\": {\n");
     for (std::size_t i = 0; i < timings.size(); ++i) {
@@ -314,9 +277,8 @@ std::pair<double, double> time_calls(int reps, Fn&& fn) {
 /// Serial DSP hot-path timings for the SoA/pruned/half-spectrum kernel
 /// engine, compared against the previous engine's numbers recorded in
 /// bench/baseline_frame_latency.json. These are single-threaded
-/// measurements: unlike the worker-pool comparisons they are meaningful on
-/// a single-core host, which is exactly why the kernel rewrite is the lever
-/// for per-session frame rate there.
+/// measurements, meaningful on a single-core host too, which is exactly
+/// why the kernel rewrite is the lever for per-session frame rate there.
 int write_kernel_json(const char* path) {
     // Pre-kernel-rewrite numbers from bench/baseline_frame_latency.json
     // ("after" of the FrameBuffer PR, measured on this host).
@@ -368,9 +330,8 @@ int write_kernel_json(const char* path) {
     if (!report.ok()) return 1;
     report.note(
         "serial single-thread timings: the kernel rewrite is a per-core win, "
-        "so unlike the worker-pool numbers these are meaningful on a "
-        "single-core host; multi-core machines bank the same per-lane saving "
-        "times the fan-out");
+        "so these are meaningful on a single-core host; multi-core fleets "
+        "bank the same per-session saving on every core");
     std::FILE* out = report.stream();
     std::fprintf(out, "  \"simd_level\": \"%s\",\n",
                  dsp::simd::to_string(dsp::simd::active()));

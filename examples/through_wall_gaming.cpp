@@ -42,11 +42,7 @@ void render_map(const geom::Vec3& estimate, const geom::Vec3& truth) {
 
 int main() {
     engine::EngineConfig config;
-    // A gaming renderer wants the lowest frame latency the host offers:
-    // run the per-RX TOF chains on a 2-thread worker pool. The parallel
-    // schedule is bit-identical to serial, so the minimap (and the error
-    // statistics below) are unchanged -- only the wall clock moves.
-    config.with_through_wall(true).with_seed(55).with_workers(2);
+    config.with_through_wall(true).with_seed(55);
     const auto env = sim::make_through_wall_lab();
     engine::Engine eng(config, std::make_unique<engine::SimSource>(
                                    config, std::make_unique<sim::RandomWaypointWalk>(
@@ -66,8 +62,8 @@ int main() {
         });
     eng.run();
 
-    std::printf("\nTracked %zu frames through the wall on %zu workers; "
+    std::printf("\nTracked %zu frames through the wall; "
                 "median 3D error %.0f cm (paper: ~13/10/21 cm per axis)\n",
-                errors.size(), eng.workers(), dsp::median(errors) * 100.0);
+                errors.size(), dsp::median(errors) * 100.0);
     return 0;
 }

@@ -1,8 +1,8 @@
-// Fixed-size worker pool with a bounded job queue: the engine's parallel
-// substrate for the per-RX TOF fan-out and concurrent app stages. Bounded
-// on purpose -- a producer that outruns the workers blocks instead of
-// growing an unbounded queue, so a realtime deployment degrades to
-// backpressure rather than memory growth.
+// Fixed-size worker pool with a bounded job queue: the fleet's parallel
+// substrate, on which an EngineHost steps its ready sessions (and tools
+// fan out independent jobs). Bounded on purpose -- a producer that
+// outruns the workers blocks instead of growing an unbounded queue, so a
+// realtime deployment degrades to backpressure rather than memory growth.
 //
 // parallel_for is the main entry point: the calling thread participates in
 // the work (no idle handoff for small fan-outs), the call returns only
@@ -11,10 +11,10 @@
 //
 // Nesting is safe and runs inline: while a thread runs its share of a
 // fan-out -- as a pool worker or as the calling thread -- a parallel_for
-// it starts (on any pool) runs the whole body on that thread. So when the
-// fleet host steps sessions in parallel, each session's own per-RX and
-// concurrent-stage fan-outs run on the thread stepping it, and no job ever
-// blocks on a queue its own pool must drain. A fan-out of one index is not
+// it starts (on any pool) runs the whole body on that thread, so no job
+// ever blocks on a queue its own pool must drain. This guard is the pool's
+// deadlock protection: code reached from a session step (a stage, a
+// subscriber) may call parallel_for safely. A fan-out of one index is not
 // a share: it runs inline without marking the thread, so its body may
 // still fan out. submit() from inside a pool job stays unsafe (a job
 // blocking on its own full queue can deadlock).

@@ -24,8 +24,8 @@ struct ContourPoint {
     double extent_m = 0.0;
 };
 
-/// Preallocated workspace for one extraction lane (one antenna's contour
-/// calls within one frame). Owns every buffer the extraction entry points
+/// Preallocated workspace for contour extraction (one antenna's contour
+/// calls within one frame; reused across antennas). Owns every buffer the extraction entry points
 /// need -- there are no band copies and no per-call allocations once the
 /// buffers are warm -- plus the per-frame noise-floor cache: the first
 /// extraction of a frame computes the usable-band floor, and every later

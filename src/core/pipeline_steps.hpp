@@ -19,7 +19,6 @@
 #include "geom/array_geometry.hpp"
 
 namespace witrack::common {
-class WorkerPool;
 class StateWriter;
 class StateReader;
 }  // namespace witrack::common
@@ -67,22 +66,18 @@ constexpr PipelineOutputs with_dependencies(PipelineOutputs v) {
 std::string to_string(PipelineOutputs v);
 
 /// Step 1: raw sweeps -> per-antenna TOF observations (Section 4 end to
-/// end). Owns the TofEstimator; attach a WorkerPool to fan the per-RX
-/// FFT/contour/denoise chains out across threads (bit-identical to serial).
+/// end). Owns the TofEstimator, which runs the per-RX FFT/contour/denoise
+/// chains one antenna after another.
 class TofStep {
   public:
     /// `plans` is the FFT plan cache shared by the range transforms
-    /// (nullptr = process-global), threaded down to the SweepProcessorBank.
+    /// (nullptr = process-global), threaded down to the SweepProcessor.
     TofStep(const PipelineConfig& config, std::size_t num_rx,
             dsp::FftPlanCache* plans = nullptr)
         : estimator_(config, num_rx, plans) {}
 
     void run(const FrameBuffer& frame, double time_s, TofFrame& out) {
         out = estimator_.process_frame(frame, time_s);
-    }
-
-    void set_worker_pool(common::WorkerPool* pool) {
-        estimator_.set_worker_pool(pool);
     }
 
     TofEstimator& estimator() { return estimator_; }

@@ -76,18 +76,4 @@ void SweepProcessor::process_frame_into(const FrameBuffer& frame,
         process_into(frame.antenna(rx), frame.num_sweeps(), out[rx]);
 }
 
-SweepProcessorBank::SweepProcessorBank(const FmcwParams& fmcw,
-                                       dsp::WindowType window,
-                                       std::size_t fft_size, std::size_t lanes,
-                                       dsp::FftPlanCache* plans)
-    : fmcw_(fmcw), window_(window), fft_size_(fft_size), plans_(plans) {
-    ensure_lanes(lanes == 0 ? 1 : lanes);
-}
-
-void SweepProcessorBank::ensure_lanes(std::size_t count) {
-    lanes_.reserve(count);
-    while (lanes_.size() < count)
-        lanes_.emplace_back(fmcw_, window_, fft_size_, plans_);
-}
-
 }  // namespace witrack::core

@@ -54,7 +54,7 @@ struct RangeProfile {
 /// Not const-callable and not thread-safe: both entry points reuse the
 /// owned averaging buffer and FFT scratch. Use one SweepProcessor per
 /// thread; the FFT *plan* itself is immutable and shared through an
-/// FftPlanCache, so any number of processors (lanes, sessions) transform
+/// FftPlanCache, so any number of processors (one per session) transform
 /// with one set of twiddle tables.
 class SweepProcessor {
   public:
@@ -100,37 +100,6 @@ class SweepProcessor {
     std::shared_ptr<const dsp::RealFft> rfft_;  ///< shared via FftPlanCache,
                                                 ///< pruned to the sweep length
     dsp::FftScratch scratch_;
-};
-
-/// A bank of identically-configured SweepProcessors, one per concurrency
-/// lane: the unit of the engine's per-RX fan-out. Since a SweepProcessor
-/// owns its averaging buffer and FFT scratch it cannot be shared across
-/// threads, so parallel per-antenna processing uses lane(rx) per worker;
-/// identical construction makes every lane's arithmetic -- and therefore
-/// the parallel output -- bit-identical to lane 0 running alone.
-class SweepProcessorBank {
-  public:
-    /// `plans` is threaded through to every lane (nullptr = the global
-    /// cache), so all lanes of all banks share one plan per size.
-    SweepProcessorBank(const FmcwParams& fmcw, dsp::WindowType window,
-                       std::size_t fft_size = 0, std::size_t lanes = 1,
-                       dsp::FftPlanCache* plans = nullptr);
-
-    SweepProcessor& lane(std::size_t i) { return lanes_[i]; }
-    const SweepProcessor& lane(std::size_t i) const { return lanes_[i]; }
-    std::size_t lanes() const { return lanes_.size(); }
-
-    /// Grow the bank to at least `count` lanes (never shrinks).
-    void ensure_lanes(std::size_t count);
-
-    const FmcwParams& params() const { return lanes_.front().params(); }
-
-  private:
-    FmcwParams fmcw_;
-    dsp::WindowType window_;
-    std::size_t fft_size_;
-    dsp::FftPlanCache* plans_;
-    std::vector<SweepProcessor> lanes_;
 };
 
 }  // namespace witrack::core

@@ -1,11 +1,10 @@
 // Lightweight per-pipeline-step cycle profiling for the realtime frame
 // path. The hot path records raw timestamp-counter deltas (one rdtsc pair
 // per step, ~tens of cycles of overhead against a multi-microsecond step)
-// into per-lane counters; conversion to seconds happens only when the
+// into plain counters; conversion to seconds happens only when the
 // counters are harvested, using a once-per-process calibration against
-// steady_clock. Counters are plain accumulators with no locks: each
-// concurrency lane (per-RX worker) owns its own StepCounter set and the
-// owner merges after the join, so the hot path is race-free by structure.
+// steady_clock. Counters are lock-free accumulators owned by the one
+// thread stepping the session.
 #pragma once
 
 #include <chrono>
@@ -57,11 +56,6 @@ struct StepCounter {
         ++frames;
         ticks += t;
         if (t > max_ticks) max_ticks = t;
-    }
-    void merge(const StepCounter& other) {
-        frames += other.frames;
-        ticks += other.ticks;
-        if (other.max_ticks > max_ticks) max_ticks = other.max_ticks;
     }
     void reset() { frames = 0; ticks = 0; max_ticks = 0; }
 

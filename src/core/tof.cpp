@@ -5,22 +5,17 @@
 #include <utility>
 
 #include "common/serialize.hpp"
-#include "common/worker_pool.hpp"
 
 namespace witrack::core {
 
 TofEstimator::TofEstimator(const PipelineConfig& config, std::size_t num_rx,
                            dsp::FftPlanCache* plans)
     : config_(config),
-      processors_(config.fmcw, config.window, config.fft_size, 1, plans),
+      processor_(config.fmcw, config.window, config.fft_size, plans),
       contour_(config) {
     if (num_rx == 0) throw std::invalid_argument("TofEstimator: need >= 1 antenna");
     per_rx_.reserve(num_rx);
     for (std::size_t i = 0; i < num_rx; ++i) per_rx_.emplace_back(config_);
-    profiles_.resize(num_rx);
-    magnitude_.resize(num_rx);
-    contour_scratch_.resize(num_rx);
-    step_slots_.resize(num_rx);
     lane_flags_.resize(num_rx, kLaneOk);
 }
 
@@ -33,17 +28,9 @@ void TofEstimator::train_background(const FrameBuffer& frame) {
     if (frame.num_rx() < per_rx_.size())
         throw std::invalid_argument("TofEstimator: missing antenna in sweep data");
     for (std::size_t rx = 0; rx < per_rx_.size(); ++rx) {
-        processors_.lane(0).process_into(frame.antenna(rx), frame.num_sweeps(),
-                                         profiles_[rx]);
-        per_rx_[rx].background.train(profiles_[rx]);
+        processor_.process_into(frame.antenna(rx), frame.num_sweeps(), profile_);
+        per_rx_[rx].background.train(profile_);
     }
-}
-
-void TofEstimator::set_worker_pool(common::WorkerPool* pool) {
-    pool_ = pool;
-    // One FFT lane per antenna: a SweepProcessor owns its scratch and must
-    // not be shared across threads.
-    if (pool_ != nullptr) processors_.ensure_lanes(per_rx_.size());
 }
 
 void TofEstimator::latch_quality(const FrameBuffer& frame) {
@@ -66,30 +53,25 @@ void TofEstimator::mark_dead(AntennaFrame& out) {
     out.hw_valid = false;
 }
 
-void TofEstimator::process_rx(std::size_t rx, SweepProcessor& processor,
-                              const FrameBuffer& frame, double dt,
-                              AntennaFrame& out) {
+void TofEstimator::process_rx(std::size_t rx, const FrameBuffer& frame,
+                              double dt, AntennaFrame& out) {
     if (lane_flags_[rx] == kLaneDead) {
         mark_dead(out);
         return;
     }
     auto& antenna_state = per_rx_[rx];
-    auto& profile = profiles_[rx];
-    auto& magnitude = magnitude_[rx];
-    auto& scratch = contour_scratch_[rx];
-    auto& slot = step_slots_[rx];
     {
-        ScopedStepTimer timer(slot.fft);
-        processor.process_into(frame.antenna(rx), frame.num_sweeps(), profile);
+        ScopedStepTimer timer(step_stats_.fft);
+        processor_.process_into(frame.antenna(rx), frame.num_sweeps(), profile_);
     }
     {
         // A saturated lane still localizes off its subtracted profile, but
         // the clipped spectrum must not poison the background history the
         // next frames subtract against (kFrameDiff previous frame /
         // kStaticTraining running model): read-only subtraction.
-        ScopedStepTimer timer(slot.subtract);
+        ScopedStepTimer timer(step_stats_.subtract);
         antenna_state.background.subtract_into(
-            profile, magnitude,
+            profile_, magnitude_,
             /*update_history=*/lane_flags_[rx] != kLaneSaturated);
     }
 
@@ -98,18 +80,18 @@ void TofEstimator::process_rx(std::size_t rx, SweepProcessor& processor,
     out.hw_valid = true;
     out.contour = ContourPoint{};
     out.peaks.clear();
-    scratch.start_frame();  // new profile: invalidate the noise-floor cache
+    contour_scratch_.start_frame();  // new profile: drop the noise-floor cache
 
-    if (!magnitude.empty()) {
-        ScopedStepTimer timer(slot.contour);
+    if (!magnitude_.empty()) {
+        ScopedStepTimer timer(step_stats_.contour);
         if (config_.contour_peaks > 1) {
-            contour_.extract_peaks_into(magnitude, profile.bin_round_trip_m,
-                                        config_.contour_peaks, scratch,
+            contour_.extract_peaks_into(magnitude_, profile_.bin_round_trip_m,
+                                        config_.contour_peaks, contour_scratch_,
                                         out.peaks);
             out.contour = out.peaks.empty() ? ContourPoint{} : out.peaks.front();
         } else {
-            out.contour =
-                contour_.extract(magnitude, profile.bin_round_trip_m, scratch);
+            out.contour = contour_.extract(magnitude_, profile_.bin_round_trip_m,
+                                           contour_scratch_);
         }
 
         // Gated re-detection: if the global contour missed (weak echo)
@@ -125,8 +107,8 @@ void TofEstimator::process_rx(std::size_t rx, SweepProcessor& processor,
                 antenna_state.gated_streak = 0;
             } else if (antenna_state.gated_streak < config_.gate_max_streak) {
                 const auto gated = contour_.extract_near(
-                    magnitude, profile.bin_round_trip_m, *last,
-                    config_.gate_window_m, scratch, config_.gate_relax);
+                    magnitude_, profile_.bin_round_trip_m, *last,
+                    config_.gate_window_m, contour_scratch_, config_.gate_relax);
                 if (gated.detected) {
                     out.contour = gated;
                     ++antenna_state.gated_streak;
@@ -135,20 +117,13 @@ void TofEstimator::process_rx(std::size_t rx, SweepProcessor& processor,
         }
     }
     {
-        ScopedStepTimer timer(slot.denoise);
+        ScopedStepTimer timer(step_stats_.denoise);
         out.denoised_m = antenna_state.denoiser.update(out.contour, dt);
     }
     if (config_.record_profiles)
-        out.profile = magnitude;
+        out.profile = magnitude_;
     else
         out.profile.clear();
-}
-
-void TofEstimator::roll_up_steps() {
-    for (auto& slot : step_slots_) {
-        step_stats_.merge(slot);
-        slot.reset();
-    }
 }
 
 const TofFrame& TofEstimator::process_frame(const FrameBuffer& frame,
@@ -162,20 +137,8 @@ const TofFrame& TofEstimator::process_frame(const FrameBuffer& frame,
 
     const double dt = config_.fmcw.frame_duration_s();
 
-    if (pool_ != nullptr && per_rx_.size() > 1) {
-        // Per-RX fan-out: every lane's state is rx-disjoint (including its
-        // step-counter slot), so the only coordination needed is the
-        // parallel_for join.
-        pool_->parallel_for(per_rx_.size(), [&](std::size_t rx) {
-            process_rx(rx, processors_.lane(rx), frame, dt,
-                       frame_out_.antennas[rx]);
-        });
-    } else {
-        for (std::size_t rx = 0; rx < per_rx_.size(); ++rx)
-            process_rx(rx, processors_.lane(0), frame, dt,
-                       frame_out_.antennas[rx]);
-    }
-    roll_up_steps();
+    for (std::size_t rx = 0; rx < per_rx_.size(); ++rx)
+        process_rx(rx, frame, dt, frame_out_.antennas[rx]);
     return frame_out_;
 }
 

@@ -1,10 +1,9 @@
 // Per-antenna TOF estimation chain (paper Section 4 end to end): sweep
 // averaging + range FFT -> background subtraction -> bottom-contour
-// extraction -> denoising, for each receive antenna independently. Attach
-// a WorkerPool to fan the per-RX chains out across threads: every antenna's
-// state (background model, denoiser, FFT lane, scratch profiles) is
-// rx-disjoint and the ContourTracker is stateless, so the parallel output
-// is bit-identical to the serial one.
+// extraction -> denoising, for each receive antenna independently. The
+// antennas run one after another on one SweepProcessor and one set of
+// scratch buffers; only the background model, denoiser and gate streak
+// are kept per antenna.
 #pragma once
 
 #include <cstddef>
@@ -21,7 +20,6 @@
 #include "core/step_profiler.hpp"
 
 namespace witrack::common {
-class WorkerPool;
 class StateWriter;
 class StateReader;
 }  // namespace witrack::common
@@ -97,18 +95,12 @@ class TofEstimator {
     const TofFrame& process_frame(const FrameBuffer& frame, double time_s);
 
     /// Accumulated per-step cycle counters of the analysis chain (range
-    /// FFT, background subtract, contour+gating, denoise), rolled up
-    /// across antennas after every frame. take_step_stats() returns and
-    /// resets the accumulation window.
+    /// FFT, background subtract, contour+gating, denoise), one sample per
+    /// antenna per frame. take_step_stats() returns and resets the
+    /// accumulation window.
     struct StepStats {
         StepCounter fft, subtract, contour, denoise;
 
-        void merge(const StepStats& other) {
-            fft.merge(other.fft);
-            subtract.merge(other.subtract);
-            contour.merge(other.contour);
-            denoise.merge(other.denoise);
-        }
         void reset() {
             fft.reset();
             subtract.reset();
@@ -127,23 +119,17 @@ class TofEstimator {
     void enable_static_training();
     void train_background(const FrameBuffer& frame);
 
-    /// Fan the per-antenna chains out across `pool` on subsequent
-    /// process_frame calls (nullptr restores the serial path). The pool is
-    /// borrowed and must outlive the estimator; output is bit-identical to
-    /// serial either way.
-    void set_worker_pool(common::WorkerPool* pool);
-
     const PipelineConfig& config() const { return config_; }
     std::size_t num_rx() const { return per_rx_.size(); }
 
-    /// The FFT lane bank (exposes the shared plan for sharing proofs).
-    const SweepProcessorBank& processors() const { return processors_; }
+    /// The range transform (exposes the shared plan for sharing proofs).
+    const SweepProcessor& processor() const { return processor_; }
 
     void reset();
 
     /// Serialize per-antenna training/streak state (background model,
-    /// denoiser, gate streak). Scratch buffers and FFT lanes are rebuilt
-    /// per frame and are not part of the state.
+    /// denoiser, gate streak). Scratch buffers and the FFT processor are
+    /// rebuilt per frame and are not part of the state.
     void save_state(common::StateWriter& writer) const;
     void load_state(common::StateReader& reader);
 
@@ -156,35 +142,28 @@ class TofEstimator {
             : background(BackgroundMode::kFrameDiff), denoiser(config) {}
     };
 
-    /// One antenna's full chain: range FFT (on `processor`) -> background
-    /// subtraction -> contour -> gating -> denoise. Touches only rx-indexed
-    /// state, so distinct rx may run concurrently on distinct processors.
-    void process_rx(std::size_t rx, SweepProcessor& processor,
-                    const FrameBuffer& frame, double dt, AntennaFrame& out);
+    /// One antenna's full chain: range FFT -> background subtraction ->
+    /// contour -> gating -> denoise.
+    void process_rx(std::size_t rx, const FrameBuffer& frame, double dt,
+                    AntennaFrame& out);
 
-    /// Latch the frame's quality plane into lane_flags_ (done once per
-    /// frame, before any per-RX work, so the parallel fan-out only reads).
+    /// Latch the frame's quality plane into lane_flags_ (once per frame,
+    /// before any per-RX work).
     void latch_quality(const FrameBuffer& frame);
 
     /// Emit the dead-lane observation: empty, hw_valid=false, per-antenna
     /// state untouched (background and denoiser hold across the dropout).
     static void mark_dead(AntennaFrame& out);
 
-    /// Merge every per-RX step-counter slot into the rolled-up stats
-    /// (called after the per-frame join; the slots are then zeroed).
-    void roll_up_steps();
-
     PipelineConfig config_;
-    SweepProcessorBank processors_;               ///< lane per rx when pooled
+    SweepProcessor processor_;
     ContourTracker contour_;
-    common::WorkerPool* pool_ = nullptr;
     std::vector<PerAntenna> per_rx_;
-    std::vector<RangeProfile> profiles_;          ///< reused per-rx spectra
-    std::vector<std::vector<double>> magnitude_;  ///< reused per-rx profiles
-    std::vector<ContourScratch> contour_scratch_; ///< reused per-rx workspace
-    std::vector<StepStats> step_slots_;           ///< per-rx, race-free lanes
-    StepStats step_stats_;                        ///< rolled up across rx
-    TofFrame frame_out_;                          ///< persistent result frame
+    RangeProfile profile_;            ///< reused across antennas and frames
+    std::vector<double> magnitude_;   ///< subtracted profile, reused
+    ContourScratch contour_scratch_;  ///< contour workspace, reused
+    StepStats step_stats_;
+    TofFrame frame_out_;              ///< persistent result frame
 
     /// Per-lane quality latched from the current frame: kLaneOk runs the
     /// unchanged chain, kLaneSaturated excludes the frame from background

@@ -81,13 +81,6 @@ class WiTrackTracker {
         return stats;
     }
 
-    /// Fan the per-antenna TOF chains out across `pool` (nullptr = serial).
-    /// Parallel output is bit-identical to serial; the pool is borrowed and
-    /// must outlive the tracker.
-    void set_worker_pool(common::WorkerPool* pool) {
-        tof_step_.set_worker_pool(pool);
-    }
-
     /// All smoothed track points so far (bounded by
     /// PipelineConfig::max_track_history when a cap is set).
     const std::vector<TrackPoint>& track() const { return track_; }

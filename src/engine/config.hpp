@@ -17,14 +17,6 @@
 
 namespace witrack::engine {
 
-/// Resolve a configured worker count to the schedule actually used:
-/// 0 defers to the WITRACK_WORKERS environment variable so CI (and
-/// operators) can flip a whole binary to the parallel schedule without
-/// touching call sites; absent, malformed or absurd (> 256) values mean
-/// serial (1). The one definition shared by the standalone Engine and
-/// EngineHost, so both resolve identically.
-std::size_t resolve_worker_count(std::size_t configured);
-
 struct EngineConfig {
     /// FMCW sweep geometry: the single source of truth shared by the
     /// simulator, the hardware front end and the processing pipeline.
@@ -50,12 +42,6 @@ struct EngineConfig {
     /// Processing-pipeline tuning. `pipeline.fmcw` is overwritten by
     /// pipeline_config() so the sweep geometry can never diverge.
     core::PipelineConfig pipeline;
-
-    /// Scheduler parallelism: number of worker threads for the per-RX TOF
-    /// fan-out and concurrent app stages. 0 = read the WITRACK_WORKERS
-    /// environment variable (absent -> serial); 1 = serial. Parallel output
-    /// is bit-identical to serial.
-    std::size_t workers = 0;
 
     /// Demand override for the scheduler. Unset (the default), the Engine
     /// unions AppStage::required_inputs() with event-bus subscriptions and
@@ -102,10 +88,6 @@ struct EngineConfig {
     }
     EngineConfig& with_noise(const rf::NoiseModel& model) {
         noise = model;
-        return *this;
-    }
-    EngineConfig& with_workers(std::size_t count) {
-        workers = count;
         return *this;
     }
     EngineConfig& with_outputs(core::PipelineOutputs demanded) {

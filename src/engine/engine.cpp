@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -11,19 +10,6 @@
 #include "common/serialize.hpp"
 
 namespace witrack::engine {
-
-std::size_t resolve_worker_count(std::size_t configured) {
-    if (configured > 0) return configured;
-    const char* env = std::getenv("WITRACK_WORKERS");
-    if (env == nullptr) return 1;
-    char* end = nullptr;
-    const unsigned long value = std::strtoul(env, &end, 10);
-    // Malformed, negative (strtoul wraps a leading minus), or absurd values
-    // fall back to serial rather than crash spawning threads at startup.
-    constexpr unsigned long kMaxWorkers = 256;
-    if (end == env || *end != '\0' || value == 0 || value > kMaxWorkers) return 1;
-    return static_cast<std::size_t>(value);
-}
 
 const char* to_string(SessionState state) {
     switch (state) {
@@ -36,18 +22,10 @@ const char* to_string(SessionState state) {
     return "unknown";
 }
 
-Engine::Engine(EngineConfig config, std::unique_ptr<FrameSource> source)
-    : Engine(std::move(config), std::move(source), nullptr, false, nullptr) {}
-
 Engine::Engine(EngineConfig config, std::unique_ptr<FrameSource> source,
-               common::WorkerPool* shared_pool, dsp::FftPlanCache* plans)
-    : Engine(std::move(config), std::move(source), shared_pool, true, plans) {}
-
-Engine::Engine(EngineConfig config, std::unique_ptr<FrameSource> owned,
-               common::WorkerPool* shared_pool, bool pool_injected,
                dsp::FftPlanCache* plans)
     : config_(std::move(config)),
-      owned_source_(std::move(owned)),
+      owned_source_(std::move(source)),
       source_([&]() -> FrameSource* {
           if (owned_source_ == nullptr)
               throw std::invalid_argument("Engine: null FrameSource");
@@ -62,31 +40,17 @@ Engine::Engine(EngineConfig config, std::unique_ptr<FrameSource> owned,
           pipeline.fmcw = source_->fmcw();
           return pipeline;
       }()),
-      workers_(pool_injected
-                   ? (shared_pool != nullptr ? shared_pool->size() : 1)
-                   : resolve_worker_count(config_.workers)),
       tracker_(pipeline_, source_->array(), plans) {
     // Keep the stored config coherent with the resolved pipeline: stages
     // and subscribers reading config().fmcw must see what the pipeline
     // actually runs with.
     config_.fmcw = pipeline_.fmcw;
-    if (pool_injected) {
-        active_pool_ = shared_pool;  // host-owned; possibly nullptr = serial
-    } else if (workers_ > 1) {
-        pool_ = std::make_unique<common::WorkerPool>(workers_);
-        active_pool_ = pool_.get();
-    }
-    if (active_pool_ != nullptr) tracker_.set_worker_pool(active_pool_);
 }
 
 void Engine::add_stage(std::unique_ptr<AppStage> stage) {
     const StageContext context{config_, pipeline_, source_->array()};
     stage->attach(context, bus_);
     stage_stats_.push_back(StageStats{std::string(stage->name()), 0, 0.0, 0.0, 0.0});
-    auto slot = std::make_unique<StageSlot>();
-    slot->staging.capture_into(&slot->pending);
-    slot->staging.mirror_counts_from(&bus_);
-    slots_.push_back(std::move(slot));
     stages_.push_back(std::move(stage));
 }
 
@@ -140,70 +104,22 @@ bool Engine::step() {
         ++track_updates_published_;
     }
 
-    if (active_pool_ != nullptr && stages_.size() > 1) {
-        run_stages_parallel();
-    } else {
-        run_stages_serial();
-    }
+    run_stages();
 
     ++frames_;
     return true;
 }
 
-void Engine::run_stage(std::size_t index, EventBus& bus) {
-    const auto t0 = std::chrono::steady_clock::now();
-    stages_[index]->on_frame(frame_, result_, bus);
-    const auto t1 = std::chrono::steady_clock::now();
-    const double elapsed = std::chrono::duration<double>(t1 - t0).count();
-    auto& stats = stage_stats_[index];
-    ++stats.frames;
-    stats.total_s += elapsed;
-    stats.max_s = std::max(stats.max_s, elapsed);
-}
-
-void Engine::run_stages_serial() {
-    for (std::size_t i = 0; i < stages_.size(); ++i) run_stage(i, bus_);
-}
-
-void Engine::run_stages_parallel() {
-    // A stage exception on a previous frame can abort before the replay
-    // loop below; drop any events stranded in the staging slots so they
-    // cannot be delivered alongside this frame's.
-    for (auto& slot : slots_) slot->pending.clear();
-
-    // Fan the concurrency-safe stages out; each publishes into its own
-    // capturing bus (slots_[i]). parallel_for's dynamic index assignment is
-    // fine because stage state and slots are index-disjoint, and its join
-    // provides the happens-before for the replay below.
-    try {
-        active_pool_->parallel_for(stages_.size(), [this](std::size_t i) {
-            if (!stages_[i]->concurrent_safe()) return;
-            run_stage(i, slots_[i]->staging);
-        });
-    } catch (...) {
-        // parallel_for joined every helper before rethrowing, so sibling
-        // stages that completed have fully-captured slots. Deliver those
-        // before propagating: a fall alert must not vanish because an
-        // unrelated stage threw (the stage's own state already advanced
-        // and would never re-publish it).
-        for (auto& slot : slots_) {
-            for (auto& deferred : slot->pending) deferred(bus_);
-            slot->pending.clear();
-        }
-        throw;
-    }
-
-    // Deterministic delivery: walk the stages in attachment order, replaying
-    // captured events and running the non-concurrent stages inline, so
-    // subscribers observe exactly the serial schedule's event order.
+void Engine::run_stages() {
     for (std::size_t i = 0; i < stages_.size(); ++i) {
-        if (stages_[i]->concurrent_safe()) {
-            auto& pending = slots_[i]->pending;
-            for (auto& deferred : pending) deferred(bus_);
-            pending.clear();
-        } else {
-            run_stage(i, bus_);
-        }
+        const auto t0 = std::chrono::steady_clock::now();
+        stages_[i]->on_frame(frame_, result_, bus_);
+        const auto t1 = std::chrono::steady_clock::now();
+        const double elapsed = std::chrono::duration<double>(t1 - t0).count();
+        auto& stats = stage_stats_[i];
+        ++stats.frames;
+        stats.total_s += elapsed;
+        stats.max_s = std::max(stats.max_s, elapsed);
     }
 }
 

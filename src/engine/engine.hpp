@@ -11,13 +11,11 @@
 //                                      |
 //                                      +--> AppStages (fall, pointing, ...)
 //
-// Standalone, EngineConfig::with_workers(n > 1) makes the Engine own a
-// private WorkerPool and run the per-RX TOF chains and the
-// concurrency-safe stages in parallel, joining before the next step();
-// output (tracks and event delivery order) stays bit-identical to the
-// serial schedule. Inside an engine::EngineHost the Engine is one session
-// of a fleet: the host owns the (shared) WorkerPool and the FFT plan
-// cache, injects both at admission, and drives step() round-robin -- see
+// step() is serial code: the per-RX TOF chains run one antenna after
+// another and the stages run in attachment order on the calling thread.
+// Parallelism is a fleet decision: inside an engine::EngineHost the Engine
+// is one session, the host steps whole sessions in parallel on its
+// WorkerPool and shares its FFT plan cache with every session -- see
 // engine/host.hpp.
 #pragma once
 
@@ -29,7 +27,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/worker_pool.hpp"
 #include "core/pipeline_steps.hpp"
 #include "core/tracker.hpp"
 #include "engine/config.hpp"
@@ -90,17 +87,12 @@ class Engine {
   public:
     /// The Engine owns its source, so the session is one self-contained
     /// object with no lifetime fine print (and the shape an EngineHost
-    /// admits). Throws std::invalid_argument on a null source.
-    Engine(EngineConfig config, std::unique_ptr<FrameSource> source);
-
-    /// Fleet-session constructor (what EngineHost::admit uses): worker
-    /// parallelism comes from the externally owned `shared_pool`
-    /// (nullptr = serial; EngineConfig::workers and WITRACK_WORKERS are
-    /// ignored -- the host owns the parallelism decision), and FFT plans
-    /// come from `plans` (nullptr = the process-global FftPlanCache). The
-    /// pool and cache are borrowed and must outlive the Engine.
+    /// admits). FFT plans come from `plans` (nullptr = the process-global
+    /// FftPlanCache); an EngineHost passes its shared cache, which is
+    /// borrowed and must outlive the Engine. Throws std::invalid_argument
+    /// on a null source.
     Engine(EngineConfig config, std::unique_ptr<FrameSource> source,
-           common::WorkerPool* shared_pool, dsp::FftPlanCache* plans);
+           dsp::FftPlanCache* plans = nullptr);
 
     /// Attach an application stage (attach() runs immediately).
     void add_stage(std::unique_ptr<AppStage> stage);
@@ -138,10 +130,6 @@ class Engine {
     /// headless caller reading tracker() directly and runs everything;
     /// EngineConfig::outputs overrides the whole computation.
     core::PipelineOutputs demanded_outputs() const;
-
-    /// Resolved worker count (1 = serial schedule; for a host-injected
-    /// shared pool this is the pool's thread count).
-    std::size_t workers() const { return workers_; }
 
     /// Session identity within an EngineHost (0 for a standalone Engine).
     std::uint64_t session_id() const { return session_id_; }
@@ -222,25 +210,7 @@ class Engine {
   private:
     friend class EngineHost;  ///< admission identity + eviction transitions
 
-    /// Delegation target of every public constructor. `pool_injected`
-    /// distinguishes "the host owns the parallelism decision" (shared_pool
-    /// authoritative, possibly nullptr = serial) from "resolve
-    /// EngineConfig::workers ourselves".
-    Engine(EngineConfig config, std::unique_ptr<FrameSource> owned,
-           common::WorkerPool* shared_pool, bool pool_injected,
-           dsp::FftPlanCache* plans);
-
-    /// Per-stage scratch for the parallel schedule: a capturing bus that
-    /// records the stage's publishes for ordered replay after the join.
-    /// Heap-allocated so the capture sink pointer survives vector growth.
-    struct StageSlot {
-        std::vector<EventBus::DeferredEvent> pending;
-        EventBus staging;
-    };
-
-    void run_stage(std::size_t index, EventBus& bus);
-    void run_stages_serial();
-    void run_stages_parallel();
+    void run_stages();
 
     void set_session_id(std::uint64_t id) { session_id_ = id; }
     void mark_evicted() { state_ = SessionState::kEvicted; }
@@ -250,12 +220,8 @@ class Engine {
     FrameSource* source_;             ///< owned_source_.get(), never null
     core::PipelineConfig pipeline_;   ///< resolved once (fmcw applied)
     EventBus bus_;
-    std::size_t workers_ = 1;
-    std::unique_ptr<common::WorkerPool> pool_;  ///< private pool (standalone)
-    common::WorkerPool* active_pool_ = nullptr; ///< private or host-shared
     core::WiTrackTracker tracker_;
     std::vector<std::unique_ptr<AppStage>> stages_;
-    std::vector<std::unique_ptr<StageSlot>> slots_;
     std::vector<StageStats> stage_stats_;
     core::WiTrackTracker::FrameResult result_;  ///< current frame's outputs
     Frame frame_;                     ///< reused across step() calls

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <exception>
 #include <sstream>
 #include <stdexcept>
@@ -11,6 +12,40 @@
 namespace witrack::engine {
 
 namespace {
+
+/// HostConfig::workers resolved to the pool width actually used: 0 defers
+/// to WITRACK_WORKERS; absent, malformed or absurd values mean serial (1).
+std::size_t resolve_worker_count(std::size_t configured) {
+    if (configured > 0) return configured;
+    const char* env = std::getenv("WITRACK_WORKERS");
+    if (env == nullptr) return 1;
+    char* end = nullptr;
+    const unsigned long value = std::strtoul(env, &end, 10);
+    // Malformed, negative (strtoul wraps a leading minus), or absurd values
+    // fall back to serial rather than crash spawning threads at startup.
+    constexpr unsigned long kMaxWorkers = 256;
+    if (end == env || *end != '\0' || value == 0 || value > kMaxWorkers) return 1;
+    return static_cast<std::size_t>(value);
+}
+
+/// Fold `from` into `into` by stage name: counts and times add, maxima
+/// take the larger. Names missing from `into` are appended in order.
+void merge_stage_stats(std::vector<Engine::StageStats>& into,
+                       std::vector<Engine::StageStats> from) {
+    for (auto& stats : from) {
+        const auto same = std::find_if(
+            into.begin(), into.end(),
+            [&stats](const Engine::StageStats& s) { return s.name == stats.name; });
+        if (same == into.end()) {
+            into.push_back(std::move(stats));
+            continue;
+        }
+        same->frames += stats.frames;
+        same->total_s += stats.total_s;
+        same->max_s = std::max(same->max_s, stats.max_s);
+        same->finish_s += stats.finish_s;
+    }
+}
 
 double steady_seconds() {
     return std::chrono::duration<double>(
@@ -194,12 +229,9 @@ SessionId EngineHost::admit(std::string name, EngineConfig config,
     session->id = next_id_++;
     session->name = std::move(name);
     session->queued = full;
-    // The fleet-session Engine: parallelism from the shared pool (the
-    // host's decision, not the session config's), FFT plans from the shared
-    // cache.
-    session->engine = std::make_unique<Engine>(std::move(config),
-                                               std::move(source), pool_.get(),
-                                               plans_);
+    // The fleet-session Engine: FFT plans from the shared cache.
+    session->engine =
+        std::make_unique<Engine>(std::move(config), std::move(source), plans_);
     session->engine->set_session_id(session->id);
     const SessionId id = session->id;
     sessions_.push_back(std::move(session));
@@ -247,8 +279,8 @@ SessionId EngineHost::restore_session(
     // Build and restore the Engine BEFORE registering anything: a corrupt
     // snapshot throws out of restore() and the host -- including every live
     // session -- is left exactly as it was.
-    auto engine = std::make_unique<Engine>(std::move(config), std::move(source),
-                                           pool_.get(), plans_);
+    auto engine =
+        std::make_unique<Engine>(std::move(config), std::move(source), plans_);
     if (wire_stages) wire_stages(*engine);
     engine->restore(snapshot);
 
@@ -517,10 +549,13 @@ void EngineHost::restart_session(Session& session) {
         std::stringstream snapshot;
         session.engine->snapshot(snapshot);
         auto engine = std::make_unique<Engine>(session.engine_config,
-                                               session.factory(), pool_.get(),
-                                               plans_);
+                                               session.factory(), plans_);
         if (session.wire_stages) session.wire_stages(*engine);
         engine->restore(snapshot);
+        // The snapshot does not carry timing: keep the outgoing engine's
+        // window so the stage rollup still covers every frame it stepped.
+        merge_stage_stats(session.carried_stages,
+                          session.engine->take_stage_stats());
         session.engine = std::move(engine);
         session.engine->set_session_id(session.id);
         ++session.restarts;
@@ -593,7 +628,8 @@ FleetStats EngineHost::take_fleet_stats() {
         rollup.frames = session->frames;
         rollup.total_step_s = session->total_step_s;
         rollup.max_step_s = session->max_step_s;
-        rollup.stages = session->engine->take_stage_stats();
+        rollup.stages = std::exchange(session->carried_stages, {});
+        merge_stage_stats(rollup.stages, session->engine->take_stage_stats());
         rollup.fault = session->fault;
         rollup.net = session->engine->net_stats();
         if (rollup.net) stats.net += *rollup.net;

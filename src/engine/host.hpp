@@ -24,13 +24,15 @@
 //                        evictions of sessions that threw, then promotion
 //                        of queued sessions into freed slots.
 //
-// Sessions share no mutable state, so they step concurrently; a session's
-// own per-RX and concurrent-stage fan-outs then run inline on the thread
-// stepping it (WorkerPool nesting). Lifecycle changes land at the round's
-// end, so a queued session promoted by a finish, eviction or lag eviction
-// steps from the next round on. The registry itself changes only between
-// rounds: admit, evict, pause, resume, reap and take_fleet_stats called
-// from inside step_all (a stage or subscriber) throw std::logic_error.
+// Sessions share no mutable state, so they step concurrently. This is the
+// only level of parallelism: a session's step() is serial code (per-RX
+// TOF chains, then stages in attachment order) on the thread stepping it,
+// and a round with one ready session steps it on the calling thread.
+// Lifecycle changes land at the round's end, so a queued session promoted
+// by a finish, eviction or lag eviction steps from the next round on. The
+// registry itself changes only between rounds: admit, evict, pause,
+// resume, reap and take_fleet_stats called from inside step_all (a stage
+// or subscriber) throw std::logic_error.
 //
 // Admission control (max_sessions, reject-or-queue), backpressure (a
 // session that cannot consume frames for more than max_frame_lag rounds is
@@ -59,13 +61,11 @@ namespace witrack::engine {
 using SessionId = std::uint64_t;
 
 struct HostConfig {
-    /// Threads that step a round's sessions: the host's WorkerPool steps
-    /// the ready sessions in parallel, and a session's own fan-outs (per-RX
-    /// TOF chains, concurrent stages) run inline on the thread stepping it
-    /// -- except for a lone ready session, which fans out across the pool.
-    /// 0 = read WITRACK_WORKERS (absent -> serial); 1 = serial. Session
-    /// EngineConfig::workers is ignored inside a host: the host owns the
-    /// parallelism decision.
+    /// Threads that step a round's sessions in parallel on the host's
+    /// WorkerPool; each session's own step() is serial. 0 = read the
+    /// WITRACK_WORKERS environment variable (absent, malformed or > 256 ->
+    /// serial), so CI and operators can flip a whole binary to the
+    /// parallel schedule without touching call sites; 1 = serial.
     std::size_t workers = 0;
 
     /// Running-session cap (admission control). Sessions admitted beyond it
@@ -137,7 +137,9 @@ struct HostConfig {
 
 /// Per-session rollup inside FleetStats. frames / step timing cover the
 /// window since the last take_fleet_stats(); stages comes from the
-/// session's Engine::take_stage_stats() (same snapshot-and-reset contract).
+/// session's Engine::take_stage_stats() (same snapshot-and-reset contract),
+/// including the stats of engines a watchdog restart replaced during the
+/// window.
 struct SessionStats {
     SessionId id = 0;
     std::string name;
@@ -198,9 +200,9 @@ class EngineHost {
     explicit EngineHost(HostConfig config = HostConfig{});
 
     /// Admit one session: the host wraps the source in an Engine wired to
-    /// the shared WorkerPool and FFT plan cache and schedules it. Past
-    /// max_sessions the session is queued (queue_when_full) or the call
-    /// throws std::runtime_error. Returns the session's id.
+    /// the shared FFT plan cache and schedules it. Past max_sessions the
+    /// session is queued (queue_when_full) or the call throws
+    /// std::runtime_error. Returns the session's id.
     SessionId admit(std::string name, EngineConfig config,
                     std::unique_ptr<FrameSource> source);
 
@@ -345,6 +347,9 @@ class EngineHost {
         SourceFactory factory;
         std::function<void(Engine&)> wire_stages;
         std::size_t restarts = 0;
+        /// Stage stats taken from engines replaced by a watchdog restart
+        /// this window; folded into the next take_fleet_stats() rollup.
+        std::vector<Engine::StageStats> carried_stages;
         /// Watchdog accounting: engine quality counters already consumed
         /// (marks) and the current tumbling health window.
         std::uint64_t mark_frames = 0;

@@ -1,7 +1,9 @@
 // Pluggable application stages. An AppStage is the engine-resident form of
 // an application (fall monitoring, pointing control, multi-person): it sees
 // every processed frame, keeps whatever state it needs, and talks to the
-// rest of the world exclusively through the event bus.
+// rest of the world exclusively through the event bus. Stages run in
+// attachment order on the thread stepping their Engine, so a stage
+// observes the same-frame events of every stage attached before it.
 #pragma once
 
 #include <string_view>
@@ -42,17 +44,6 @@ class AppStage {
     /// set never pays for localization or smoothing). Must be stable for
     /// the lifetime of the stage.
     virtual Inputs required_inputs() const { return Inputs::kAll; }
-
-    /// Opt-in to the Engine's parallel mode: stages that return true may
-    /// have on_frame() run on a worker thread, concurrently with other
-    /// opted-in stages, joined before the next frame; events they publish
-    /// are delivered after the join, still in stage-attachment order. The
-    /// default is false -- a stage never written for concurrency always
-    /// runs on the engine thread, even under WITRACK_WORKERS -- so thread
-    /// participation is a per-stage declaration, not an ambient flag.
-    /// Opted-in stages must not subscribe from inside on_frame, and must
-    /// not rely on observing same-frame events from earlier stages there.
-    virtual bool concurrent_safe() const { return false; }
 
     /// Called once when the stage is added to an Engine; build estimators
     /// from the context and register any event subscriptions here.

@@ -4,7 +4,8 @@
 // streams; scenario files parse with precise diagnostics and replay bit
 // for bit; a 4-RX deployment keeps a continuous, bounded track through a
 // mid-run antenna dropout; and the EngineHost watchdog checkpoint-restarts
-// an unhealthy session in place without disturbing its siblings.
+// an unhealthy session in place without disturbing its siblings or losing
+// its stage timing window.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -446,6 +447,65 @@ TEST(Watchdog, RestartsUnhealthySessionWithoutDisturbingSiblings) {
     EXPECT_EQ(stats.sessions_restarted, host.sessions_restarted());
     EXPECT_EQ(stats.quality.rx_dropouts, 40u);
     EXPECT_GT(stats.quality.frames, 0u);
+}
+
+/// Stateless stage: only its per-stage timing window is of interest.
+class CountingStage : public engine::AppStage {
+  public:
+    std::string_view name() const override { return "counter"; }
+    void on_frame(const engine::Frame&, const core::WiTrackTracker::FrameResult&,
+                  engine::EventBus&) override {}
+};
+
+const engine::Engine::StageStats* find_stage(const engine::SessionStats& session,
+                                             const std::string& name) {
+    for (const auto& stage : session.stages)
+        if (stage.name == name) return &stage;
+    return nullptr;
+}
+
+TEST(Watchdog, RestartKeepsTheSessionTimingWindow) {
+    // A restart swaps in a fresh Engine. The stage and pipeline timing the
+    // outgoing engines collected must still reach the next
+    // take_fleet_stats(), so every stepped frame is accounted exactly once.
+    hw::FaultConfig faults;
+    faults.schedule.push_back(
+        {hw::FaultWindow::Kind::kDropout, 0.0, 0.5, 0, 1.0});
+    const auto make_faulted = [&faults]() {
+        return std::unique_ptr<engine::FrameSource>(
+            faulted_source(601, faults, 1.5));
+    };
+    engine::EngineHost host(engine::HostConfig{}
+                                .with_health_threshold(0.9)
+                                .with_health_window(16)
+                                .with_max_restarts(5));
+    host.admit_restartable("shaky", walk_config(601), make_faulted,
+                           [](engine::Engine& engine) {
+                               engine.emplace_stage<CountingStage>();
+                           });
+    host.run();
+    ASSERT_GE(host.sessions_restarted(), 1u);
+
+    const auto stats = host.take_fleet_stats();
+    ASSERT_EQ(stats.sessions.size(), 1u);
+    const auto& session = stats.sessions[0];
+    EXPECT_EQ(session.frames, 120u);  // 1.5 s at 12.5 ms per frame
+    const auto* counter = find_stage(session, "counter");
+    ASSERT_NE(counter, nullptr);
+    EXPECT_EQ(counter->frames, session.frames);
+    // The range FFT runs once per live antenna: 3 per frame, minus the 40
+    // frames whose lane 0 was dead.
+    const auto* fft = find_stage(session, "pipeline.fft");
+    ASSERT_NE(fft, nullptr);
+    EXPECT_EQ(fft->frames, 3 * session.frames - 40);
+
+    // The carried window was consumed: the next one starts empty.
+    const auto next = host.take_fleet_stats();
+    ASSERT_EQ(next.sessions.size(), 1u);
+    const auto* counter_next = find_stage(next.sessions[0], "counter");
+    ASSERT_NE(counter_next, nullptr);
+    EXPECT_EQ(counter_next->frames, 0u);
+    EXPECT_EQ(find_stage(next.sessions[0], "pipeline.fft"), nullptr);
 }
 
 TEST(Watchdog, EvictsAfterMaxRestartsWhenHealthNeverRecovers) {

@@ -92,7 +92,6 @@ class TofTapStage : public engine::AppStage {
     engine::Inputs required_inputs() const override {
         return engine::Inputs::kTof;
     }
-    bool concurrent_safe() const override { return true; }
     void on_frame(const engine::Frame&,
                   const core::WiTrackTracker::FrameResult& result,
                   engine::EventBus&) override {
@@ -216,9 +215,9 @@ TEST(Fleet, HeterogeneousSessionsBitIdenticalSharedPoolHost) {
 }
 
 TEST(Fleet, HeterogeneousSessionsBitIdenticalDefaultWorkers) {
-    // workers = 0 resolves WITRACK_WORKERS exactly like the standalone
-    // Engine does -- the TSan CI job runs this suite with WITRACK_WORKERS=4,
-    // flipping the whole fleet onto the shared pool.
+    // workers = 0 resolves WITRACK_WORKERS -- the TSan CI job runs this
+    // suite with WITRACK_WORKERS=4, flipping the whole fleet onto the
+    // shared pool.
     run_fleet_parity(0);
 }
 
@@ -820,9 +819,9 @@ TEST(Fleet, SessionsShareOneFftPlan) {
                               std::make_unique<engine::SimSource>(
                                   walk_config(462), walk_script()));
     const auto* plan_a =
-        host.session(a)->tracker().tof_estimator().processors().lane(0).plan();
+        host.session(a)->tracker().tof_estimator().processor().plan();
     const auto* plan_b =
-        host.session(b)->tracker().tof_estimator().processors().lane(0).plan();
+        host.session(b)->tracker().tof_estimator().processor().plan();
     ASSERT_NE(plan_a, nullptr);
     // Same pointer: the twiddle/chirp tables exist once for the fleet.
     EXPECT_EQ(plan_a, plan_b);
@@ -841,12 +840,8 @@ TEST(Fleet, SessionsShareOneFftPlan) {
     const auto c = tenant_host.admit("c", walk_config(463),
                                      std::make_unique<engine::SimSource>(
                                          walk_config(463), walk_script()));
-    const auto* plan_c = tenant_host.session(c)
-                             ->tracker()
-                             .tof_estimator()
-                             .processors()
-                             .lane(0)
-                             .plan();
+    const auto* plan_c =
+        tenant_host.session(c)->tracker().tof_estimator().processor().plan();
     EXPECT_NE(plan_c, plan_a);
     EXPECT_GT(isolated.cached_plans(), 0u);
 }

@@ -1,9 +1,9 @@
-// Demand-driven scheduler and worker-pool parity suite. The contract under
-// test: lazy schedules (TOF-only, localize-only) and parallel schedules
-// (2/4 workers) produce bit-identical TOF streams and positions vs. the
-// full serial pipeline, on both sim and replay sources -- while demonstrably
-// skipping the undemanded work. Plus WorkerPool semantics, the
-// no-subscriber TrackUpdateEvent skip, and the stage-stats snapshot/reset.
+// Demand-driven scheduler suite. The contract under test: lazy schedules
+// (TOF-only, localize-only) produce bit-identical TOF streams and positions
+// vs. the full pipeline, on both sim and replay sources -- while
+// demonstrably skipping the undemanded work. Plus stage-event delivery
+// order, WorkerPool semantics, the no-subscriber TrackUpdateEvent skip, and
+// the stage-stats snapshot/reset.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -173,28 +173,6 @@ TEST(Scheduler, ReDemandedSmoothingRestartsInsteadOfExtrapolating) {
     ASSERT_LT(i, frames.size());  // the resumed session did produce a point
 }
 
-// --------------------------------------------------- parallel tracker parity
-
-TEST(Scheduler, ParallelTrackerBitIdenticalOn2And4Workers) {
-    const auto frames = captured_frames(303);
-    const auto pipeline = walk_config(303).pipeline_config();
-    const auto array = geom::make_t_array({0, 0, 1.3}, 1.0);
-
-    core::WiTrackTracker serial(pipeline, array);
-    for (const auto& frame : frames) serial.process_frame(frame.sweeps, frame.time_s);
-    ASSERT_GT(serial.track().size(), 50u);
-
-    for (const std::size_t workers : {2u, 4u}) {
-        common::WorkerPool pool(workers);
-        core::WiTrackTracker parallel(pipeline, array);
-        parallel.set_worker_pool(&pool);
-        for (const auto& frame : frames)
-            parallel.process_frame(frame.sweeps, frame.time_s);
-        expect_same_track(serial.track(), parallel.track());
-        expect_same_track(serial.raw_track(), parallel.raw_track());
-    }
-}
-
 TEST(Scheduler, ReDemandAfterNoneMatchesFreshTracker) {
     // Demand dropping to kNone and returning later (a purely event-driven
     // stage set whose subscriber comes back) restarts every stateful step:
@@ -237,7 +215,6 @@ class TofTapStage : public engine::AppStage {
     engine::Inputs required_inputs() const override {
         return engine::Inputs::kTof;
     }
-    bool concurrent_safe() const override { return true; }
     void on_frame(const engine::Frame&,
                   const core::WiTrackTracker::FrameResult& result,
                   engine::EventBus&) override {
@@ -304,30 +281,9 @@ TEST(Scheduler, EngineDemandPolicy) {
     }
 }
 
-// --------------------------------------------------- engine parallel parity
+// ------------------------------------------------------ replay-source laziness
 
-TEST(Scheduler, EngineParallelMatchesSerialOnSimSource) {
-    auto run = [](std::size_t workers) {
-        auto config = walk_config(306).with_workers(workers);
-        engine::Engine eng(config, std::make_unique<engine::SimSource>(
-                                       config, walk_script()));
-        std::vector<core::TrackPoint> smoothed;
-        eng.bus().subscribe<engine::TrackUpdateEvent>(
-            [&](const engine::TrackUpdateEvent& event) {
-                if (event.smoothed) smoothed.push_back(*event.smoothed);
-            });
-        eng.run();
-        EXPECT_EQ(eng.workers(), workers == 0 ? 1u : workers);
-        return smoothed;
-    };
-
-    const auto serial = run(1);
-    ASSERT_GT(serial.size(), 50u);
-    expect_same_track(serial, run(2));
-    expect_same_track(serial, run(4));
-}
-
-TEST(Scheduler, EngineParallelParityOnReplaySource) {
+TEST(Scheduler, LazyScheduleParityOnReplaySource) {
     const std::string path = testing::TempDir() + "witrack_scheduler.wtrk";
     // Record a deterministic episode once.
     auto record_config = walk_config(307);
@@ -339,35 +295,27 @@ TEST(Scheduler, EngineParallelParityOnReplaySource) {
         ASSERT_GT(recorder.frames_written(), 100u);
     }
 
-    auto run_replay = [&](std::size_t workers, PipelineOutputs outputs) {
-        auto config = walk_config(307).with_workers(workers);
+    auto run_replay = [&](PipelineOutputs outputs) {
+        auto config = walk_config(307);
         config.with_outputs(outputs);
         engine::Engine eng(config, std::make_unique<engine::ReplaySource>(path));
         eng.run();
         return std::make_pair(eng.tracker().track(), eng.tracker().raw_track());
     };
 
-    const auto [serial_track, serial_raw] =
-        run_replay(1, PipelineOutputs::kAll);
-    ASSERT_GT(serial_track.size(), 50u);
-
-    // Parallel replay: bit-identical on 2 and 4 workers.
-    for (const std::size_t workers : {2u, 4u}) {
-        const auto [track, raw] = run_replay(workers, PipelineOutputs::kAll);
-        expect_same_track(serial_track, track);
-        expect_same_track(serial_raw, raw);
-    }
+    const auto [full_track, full_raw] = run_replay(PipelineOutputs::kAll);
+    ASSERT_GT(full_track.size(), 50u);
     // Lazy replay: localize-only raw positions match the full run's.
-    const auto [lazy_track, lazy_raw] =
-        run_replay(1, PipelineOutputs::kRawPosition);
+    const auto [lazy_track, lazy_raw] = run_replay(PipelineOutputs::kRawPosition);
     EXPECT_TRUE(lazy_track.empty());
-    expect_same_track(serial_raw, lazy_raw);
+    expect_same_track(full_raw, lazy_raw);
     std::remove(path.c_str());
 }
 
 // ------------------------------------------ deterministic stage-event order
 
-/// Publishes one PersonsEvent per frame tagged with its stage id.
+/// Publishes one PersonsEvent per frame carrying its stage tag in time_s,
+/// but only while somebody listens.
 class TaggedStage : public engine::AppStage {
   public:
     explicit TaggedStage(double tag) : tag_(tag) {}
@@ -375,46 +323,32 @@ class TaggedStage : public engine::AppStage {
     engine::Inputs required_inputs() const override {
         return engine::Inputs::kTof;
     }
-    bool concurrent_safe() const override { return true; }
-    void on_frame(const engine::Frame& frame,
-                  const core::WiTrackTracker::FrameResult&,
+    void on_frame(const engine::Frame&, const core::WiTrackTracker::FrameResult&,
                   engine::EventBus& bus) override {
-        // Mirrored counts: the staging bus a concurrent stage publishes
-        // into reports the real bus's subscribers, so publish-gating code
-        // behaves the same in both schedules.
         if (bus.subscriber_count<engine::PersonsEvent>() == 0) return;
-        bus.publish(engine::PersonsEvent{frame.time_s + tag_, {}, {}});
+        bus.publish(engine::PersonsEvent{tag_, {}, {}});
     }
 
   private:
     double tag_;
 };
 
-TEST(Scheduler, ParallelStageEventsDeliverInAttachmentOrder) {
-    auto run = [](std::size_t workers) {
-        auto config = walk_config(308).with_workers(workers);
-        engine::Engine eng(config, std::make_unique<engine::SimSource>(
-                                       config, walk_script()));
-        eng.emplace_stage<TaggedStage>(0.125);
-        eng.emplace_stage<TaggedStage>(0.250);
-        eng.emplace_stage<TaggedStage>(0.375);
-        std::vector<double> order;
-        eng.bus().subscribe<engine::PersonsEvent>(
-            [&](const engine::PersonsEvent& event) {
-                order.push_back(event.time_s);
-            });
-        eng.run();
-        return order;
-    };
+TEST(Scheduler, StageEventsDeliverInAttachmentOrder) {
+    auto config = walk_config(308);
+    engine::Engine eng(config,
+                       std::make_unique<engine::SimSource>(config, walk_script()));
+    const std::vector<double> tags = {0.125, 0.250, 0.375};
+    for (const double tag : tags) eng.emplace_stage<TaggedStage>(tag);
+    std::vector<double> order;
+    eng.bus().subscribe<engine::PersonsEvent>(
+        [&](const engine::PersonsEvent& event) { order.push_back(event.time_s); });
+    eng.run();
 
-    const auto serial = run(1);
-    const auto parallel = run(4);
-    ASSERT_GT(serial.size(), 300u);
-    ASSERT_EQ(serial.size(), parallel.size());
-    // Same sequence, element for element: attachment order per frame even
-    // though the stages executed concurrently.
-    for (std::size_t i = 0; i < serial.size(); ++i)
-        EXPECT_EQ(serial[i], parallel[i]);
+    // Every frame delivers one event per stage, in attachment order.
+    ASSERT_GT(eng.frames_processed(), 100u);
+    ASSERT_EQ(order.size(), tags.size() * eng.frames_processed());
+    for (std::size_t i = 0; i < order.size(); ++i)
+        EXPECT_EQ(order[i], tags[i % tags.size()]) << "event " << i;
 }
 
 // ------------------------------------------------ TrackUpdateEvent laziness
