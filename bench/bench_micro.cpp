@@ -1,10 +1,11 @@
 // Microbenchmarks for the substrate hot paths: FFT engine (radix-2 vs
-// Bluestein), baseband synthesis, channel path enumeration, contour
-// extraction and the Kalman filters.
+// Bluestein), baseband synthesis, receiver noise generation, channel path
+// enumeration, contour extraction and the Kalman filters.
 #include <benchmark/benchmark.h>
 
 #include <random>
 
+#include "common/random.hpp"
 #include "core/contour.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/kalman.hpp"
@@ -81,7 +82,21 @@ void BM_MixerSynthesis(benchmark::State& state) {
     }
     state.counters["paths"] = static_cast<double>(paths_count);
 }
-BENCHMARK(BM_MixerSynthesis)->Arg(1)->Arg(8)->Arg(32)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_MixerSynthesis)->Arg(1)->Arg(8)->Arg(32)->Arg(40)->Unit(benchmark::kMicrosecond);
+
+void BM_GaussianNoise(benchmark::State& state) {
+    // One sweep's receiver noise: 2500 draws added in place, as the front
+    // end does per antenna per sweep.
+    FmcwParams fmcw;
+    Rng rng(1);
+    std::vector<double> sweep(fmcw.samples_per_sweep(), 0.0);
+    for (auto _ : state) {
+        rng.add_gaussian(sweep, 1e-7);
+        benchmark::DoNotOptimize(sweep.data());
+    }
+    state.counters["draws"] = static_cast<double>(sweep.size());
+}
+BENCHMARK(BM_GaussianNoise)->Unit(benchmark::kMicrosecond);
 
 void BM_ChannelBodyPaths(benchmark::State& state) {
     rf::ChannelConfig config;

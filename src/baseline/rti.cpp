@@ -95,8 +95,15 @@ RtiNetwork::RtiNetwork(RtiConfig config, const sim::MotionBounds& area, Rng rng)
             links_.push_back({a, b, len});
         }
 
-    grid_x_ = static_cast<std::size_t>((area.x_max - area.x_min) / config_.grid_cell_m) + 1;
-    grid_y_ = static_cast<std::size_t>((area.y_max - area.y_min) / config_.grid_cell_m) + 1;
+    // Only cells whose centers lie inside the monitored area: the person
+    // never stands outside it, so a cell there could only hold noise that
+    // wins the image peak.
+    auto cells_across = [&](double extent) {
+        return std::max<std::size_t>(
+            1, static_cast<std::size_t>(extent / config_.grid_cell_m + 0.5));
+    };
+    grid_x_ = cells_across(area.x_max - area.x_min);
+    grid_y_ = cells_across(area.y_max - area.y_min);
     const std::size_t cells = grid_x_ * grid_y_;
     const std::size_t links = links_.size();
 
@@ -160,8 +167,10 @@ std::vector<double> RtiNetwork::measure(const Vec3& person) {
         const double shadow = link_shadowing(links_[l], person);
         // Multipath makes the shadowing depth itself unreliable, on top of
         // additive RSSI noise -- the core accuracy limit of RTI.
-        y[l] = shadow * (1.0 + config_.fading_fraction * rng_.gaussian()) +
-               rng_.gaussian(config_.rssi_noise_db);
+        // Two statements, so the draw order (fading, then noise) is fixed
+        // rather than left to the compiler's operand evaluation order.
+        const double fading = config_.fading_fraction * rng_.gaussian();
+        y[l] = shadow * (1.0 + fading) + rng_.gaussian(config_.rssi_noise_db);
     }
     return y;
 }

@@ -30,13 +30,13 @@
 #include <cstring>
 #include <istream>
 #include <ostream>
-#include <random>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <type_traits>
 #include <vector>
+
+#include "common/random.hpp"
 
 namespace witrack::common {
 
@@ -355,21 +355,23 @@ class StateReader {
 };
 
 // ---------------------------------------------------------------------------
-// std::mt19937_64 round-trip. The standard guarantees operator<< / >>
-// reproduce the exact generator state (space-separated decimal words),
-// which keeps the snapshot portable across library versions.
+// Rng round-trip: the complete generator state as fixed-width fields
+// (splitmix64 counter, spare-Gaussian flag and value).
 // ---------------------------------------------------------------------------
 
-inline void save_state(StateWriter& w, const std::mt19937_64& engine) {
-    std::ostringstream text;
-    text << engine;
-    w.str(text.str());
+inline void save_state(StateWriter& w, const Rng& rng) {
+    const Rng::State s = rng.state();
+    w.u64(s.counter);
+    w.boolean(s.has_spare);
+    w.f64(s.spare);
 }
 
-inline void load_state(StateReader& r, std::mt19937_64& engine) {
-    std::istringstream text(r.str());
-    text >> engine;
-    if (!text) throw std::runtime_error("StateReader: corrupt rng state");
+inline void load_state(StateReader& r, Rng& rng) {
+    Rng::State s;
+    s.counter = r.u64();
+    s.has_spare = r.boolean();
+    s.spare = r.f64();
+    rng.set_state(s);
 }
 
 }  // namespace witrack::common

@@ -56,8 +56,12 @@ namespace witrack::engine {
 /// QualityStats to "ENG ", an hw_valid flag to every serialized
 /// AntennaFrame inside "TRK ", and -- for sim sources with a fault
 /// injector attached -- the injector's RNG cursor and counters to "SRC ".
+///
+/// Version 4 replaced the simulator's two std::mt19937_64 text dumps
+/// inside "SRC " (~6 KB each) with the fixed-width splitmix64 Rng state:
+/// counter u64 | has_spare u8 | spare f64.
 inline constexpr std::uint32_t kSnapshotMagic = 0x53535457u;  // "WTSS"
-inline constexpr std::uint32_t kSnapshotVersion = 3;
+inline constexpr std::uint32_t kSnapshotVersion = 4;
 
 /// Lifecycle of one tracking session:
 ///

@@ -9,25 +9,7 @@
 namespace witrack::hw {
 
 FaultInjector::FaultInjector(FaultConfig config)
-    : config_(std::move(config)),
-      rng_state_(config_.seed + 0x9E3779B97F4A7C15ull) {}
-
-// splitmix64: tiny, fast, and -- unlike <random> distributions -- its
-// output is pinned by the standard's arithmetic, so seeds reproduce across
-// standard libraries (same generator as net::FaultInjector).
-std::uint64_t FaultInjector::next_u64() {
-    std::uint64_t z = (rng_state_ += 0x9E3779B97F4A7C15ull);
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    return z ^ (z >> 31);
-}
-
-bool FaultInjector::roll(double rate) {
-    if (rate <= 0.0) return false;
-    if (rate >= 1.0) return true;
-    const double u = static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-    return u < rate;
-}
+    : config_(std::move(config)), rng_(config_.seed + SplitMix64::kGamma) {}
 
 const FaultWindow* FaultInjector::active_window(FaultWindow::Kind kind,
                                                 double time_s, int rx) const {
@@ -61,7 +43,7 @@ void FaultInjector::burst_lane(FrameBuffer& frame, std::size_t rx,
                                double gain) {
     const std::size_t samples = frame.samples_per_sweep();
     if (samples == 0 || frame.num_sweeps() == 0) return;
-    const std::size_t s = next_u64() % frame.num_sweeps();
+    const std::size_t s = rng_.next() % frame.num_sweeps();
     auto sweep = frame.sweep(rx, s);
     double sum_sq = 0.0;
     for (double v : sweep) sum_sq += v * v;
@@ -69,7 +51,7 @@ void FaultInjector::burst_lane(FrameBuffer& frame, std::size_t rx,
     if (rms == 0.0) rms = 1.0;  // a dead-quiet lane still shows the burst
     const double amp = gain * rms;
     const std::size_t len = std::min(samples, std::max<std::size_t>(4, samples / 8));
-    const std::size_t start = next_u64() % (samples - len + 1);
+    const std::size_t start = rng_.next() % (samples - len + 1);
     // Alternating-sign impulse train: broadband, so it smears across range
     // bins the way a real interferer does instead of biasing one bin.
     for (std::size_t i = 0; i < len; ++i)
@@ -109,7 +91,7 @@ void FaultInjector::apply(FrameBuffer& frame, double time_s) {
     // perturbs whether this frame drifts.
     const FaultWindow* dw =
         active_window(FaultWindow::Kind::kDrift, time_s, -1);
-    const bool drift = dw != nullptr || roll(config_.drift_rate);
+    const bool drift = dw != nullptr || rng_.roll(config_.drift_rate);
     const double drift_ppm = dw ? dw->magnitude : config_.drift_ppm;
 
     for (std::size_t rx = 0; rx < num_rx; ++rx) {
@@ -119,7 +101,7 @@ void FaultInjector::apply(FrameBuffer& frame, double time_s) {
         // rx_dropouts count and nothing else, so counters and FrameQuality
         // flags stay in 1:1 correspondence.
         if (active_window(FaultWindow::Kind::kDropout, time_s, lane) ||
-            roll(config_.dropout_rate)) {
+            rng_.roll(config_.dropout_rate)) {
             kill_lane(frame, rx);
             q.rx[rx].valid = false;
             ++counters_.rx_dropouts;
@@ -127,14 +109,14 @@ void FaultInjector::apply(FrameBuffer& frame, double time_s) {
         }
         if (const auto* w =
                 active_window(FaultWindow::Kind::kSaturation, time_s, lane);
-            w != nullptr || roll(config_.saturation_rate)) {
+            w != nullptr || rng_.roll(config_.saturation_rate)) {
             saturate_lane(frame, rx, w ? w->magnitude : config_.saturation_level);
             q.rx[rx].saturated = true;
             ++counters_.saturated_rx;
         }
         if (const auto* w =
                 active_window(FaultWindow::Kind::kBurst, time_s, lane);
-            w != nullptr || roll(config_.burst_rate)) {
+            w != nullptr || rng_.roll(config_.burst_rate)) {
             burst_lane(frame, rx, w ? w->magnitude : config_.burst_gain);
             q.rx[rx].burst = true;
             ++counters_.noise_bursts;
@@ -148,12 +130,12 @@ void FaultInjector::apply(FrameBuffer& frame, double time_s) {
         const double short_rate = ws ? ws->magnitude : config_.sweep_short_rate;
         if (drop_rate > 0.0 || short_rate > 0.0) {
             for (std::size_t s = 0; s < frame.num_sweeps(); ++s) {
-                if (roll(drop_rate)) {
+                if (rng_.roll(drop_rate)) {
                     auto sweep = frame.sweep(rx, s);
                     std::fill(sweep.begin(), sweep.end(), 0.0);
                     ++q.rx[rx].dropped_sweeps;
                     ++counters_.dropped_sweeps;
-                } else if (roll(short_rate)) {
+                } else if (rng_.roll(short_rate)) {
                     auto sweep = frame.sweep(rx, s);
                     std::fill(sweep.begin() +
                                   static_cast<std::ptrdiff_t>(sweep.size() / 2),
@@ -177,7 +159,7 @@ void FaultInjector::apply(FrameBuffer& frame, double time_s) {
 }
 
 void FaultInjector::save_state(common::StateWriter& writer) const {
-    writer.u64(rng_state_);
+    writer.u64(rng_.state());
     writer.u64(counters_.rx_dropouts);
     writer.u64(counters_.saturated_rx);
     writer.u64(counters_.dropped_sweeps);
@@ -187,7 +169,7 @@ void FaultInjector::save_state(common::StateWriter& writer) const {
 }
 
 void FaultInjector::load_state(common::StateReader& reader) {
-    rng_state_ = reader.u64();
+    rng_.set_state(reader.u64());
     counters_.rx_dropouts = reader.u64();
     counters_.saturated_rx = reader.u64();
     counters_.dropped_sweeps = reader.u64();

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "common/frame_buffer.hpp"
+#include "common/random.hpp"
 
 namespace witrack::common {
 class StateWriter;
@@ -110,12 +111,9 @@ class FaultInjector {
     void burst_lane(FrameBuffer& frame, std::size_t rx, double gain);
     void drift_frame(FrameBuffer& frame, double ppm);
 
-    bool roll(double rate);
-    std::uint64_t next_u64();
-
     FaultConfig config_;
     Counters counters_;
-    std::uint64_t rng_state_;
+    SplitMix64 rng_;
     std::vector<double> scratch_;  ///< drift resample staging (one sweep)
 };
 

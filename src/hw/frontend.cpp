@@ -53,8 +53,7 @@ void FmcwFrontend::capture_sweep_into(witrack::FrameBuffer& frame,
             mixer_.synthesize(paths, sweep);
         }
 
-        if (noise_stddev_ > 0.0)
-            for (auto& v : sweep) v += rng_.gaussian(noise_stddev_);
+        if (noise_stddev_ > 0.0) rng_.add_gaussian(sweep, noise_stddev_);
 
         highpass_[rx].process_in_place(sweep);
 
@@ -64,14 +63,14 @@ void FmcwFrontend::capture_sweep_into(witrack::FrameBuffer& frame,
 }
 
 void FmcwFrontend::save_state(common::StateWriter& writer) const {
-    common::save_state(writer, rng_.engine());
+    common::save_state(writer, rng_);
     writer.u64(highpass_.size());
     for (const auto& highpass : highpass_) highpass.save_state(writer);
     for (const auto& adc : adc_) adc.save_state(writer);
 }
 
 void FmcwFrontend::load_state(common::StateReader& reader) {
-    common::load_state(reader, rng_.engine());
+    common::load_state(reader, rng_);
     const auto num_rx = static_cast<std::size_t>(reader.u64());
     if (num_rx != highpass_.size() || adc_.size() != highpass_.size())
         throw std::runtime_error("FmcwFrontend: snapshot antenna count mismatch");

@@ -3,7 +3,35 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "hw/mixer_kernels_impl.hpp"
+
 namespace witrack::hw {
+
+namespace mixer_kernels {
+
+// Scalar level: always available. Per-ISA entry points live in their own
+// translation units; simd::active() never exceeds detect(), so an ISA entry
+// point is only reached on hardware that supports it.
+void detail::accumulate_scalar(const Tone* tones, std::size_t count,
+                               const double* ripple, double* out, std::size_t n) {
+    run_tones<dsp::simd::ScalarD>(tones, count, ripple, out, n);
+}
+
+void accumulate(const Tone* tones, std::size_t count, const double* ripple, double* out,
+                std::size_t n) {
+    switch (dsp::simd::active()) {
+        case dsp::simd::Level::kAvx2:
+            detail::accumulate_avx2(tones, count, ripple, out, n);
+            return;
+        case dsp::simd::Level::kSse2:
+            detail::accumulate_sse2(tones, count, ripple, out, n);
+            return;
+        case dsp::simd::Level::kScalar: break;
+    }
+    detail::accumulate_scalar(tones, count, ripple, out, n);
+}
+
+}  // namespace mixer_kernels
 
 using witrack::rf::PropagationPath;
 
@@ -24,12 +52,19 @@ DechirpMixer::DechirpMixer(const witrack::FmcwParams& fmcw, SweepNonlinearity no
 
 void DechirpMixer::synthesize(std::span<const PropagationPath> paths,
                               std::span<double> out) const {
+    using mixer_kernels::kBlock;
     const std::size_t n = fmcw_.samples_per_sweep();
     if (out.size() != n) throw std::invalid_argument("DechirpMixer: bad buffer size");
 
     const double slope = fmcw_.slope();
     const double fs = fmcw_.sample_rate_hz;
+    const double* ripple = ripple_table_.empty() ? nullptr : ripple_table_.data();
 
+    // Tones are prepared in small batches on the stack, so a sweep of any
+    // path count synthesizes without touching the heap.
+    constexpr std::size_t kBatch = 16;
+    mixer_kernels::Tone batch[kBatch];
+    std::size_t pending = 0;
     for (const auto& path : paths) {
         if (path.amplitude <= 0.0) continue;
         const double tau = path.round_trip_m / kSpeedOfLight;
@@ -40,30 +75,29 @@ void DechirpMixer::synthesize(std::span<const PropagationPath> paths,
                             path.phase_rad;
         const double dphi = 2.0 * M_PI * beat_hz / fs;
 
-        std::complex<double> phasor(std::cos(phi0), std::sin(phi0));
-        const std::complex<double> rotation(std::cos(dphi), std::sin(dphi));
-        const double amp = path.amplitude;
-
-        if (ripple_table_.empty()) {
-            for (std::size_t i = 0; i < n; ++i) {
-                out[i] += amp * phasor.real();
-                phasor *= rotation;
-                if ((i & 0x1FF) == 0x1FF) phasor /= std::abs(phasor);  // drift control
-            }
-        } else {
-            // cos(theta + delta) ~ cos(theta) - delta*sin(theta) with
-            // delta(t) = 2*pi*A_r*tau*ripple(t); |delta| << 1 for realistic
-            // PLL residuals.
-            const double delta_scale =
-                2.0 * M_PI * nonlinearity_.ripple_amplitude_hz * tau;
-            for (std::size_t i = 0; i < n; ++i) {
-                const double delta = delta_scale * ripple_table_[i];
-                out[i] += amp * (phasor.real() - delta * phasor.imag());
-                phasor *= rotation;
-                if ((i & 0x1FF) == 0x1FF) phasor /= std::abs(phasor);
-            }
+        // Seed the first block by a short serial recurrence; the block step
+        // rotation^kBlock is evaluated directly so it carries no
+        // accumulated rounding.
+        mixer_kernels::Tone& tone = batch[pending++];
+        const double rot_re = std::cos(dphi), rot_im = std::sin(dphi);
+        tone.re[0] = std::cos(phi0);
+        tone.im[0] = std::sin(phi0);
+        for (std::size_t k = 1; k < kBlock; ++k) {
+            tone.re[k] = tone.re[k - 1] * rot_re - tone.im[k - 1] * rot_im;
+            tone.im[k] = tone.re[k - 1] * rot_im + tone.im[k - 1] * rot_re;
+        }
+        tone.step_re = std::cos(static_cast<double>(kBlock) * dphi);
+        tone.step_im = std::sin(static_cast<double>(kBlock) * dphi);
+        tone.amp = path.amplitude;
+        // delta(t) = 2*pi*A_r*tau*ripple(t); |delta| << 1 for realistic PLL
+        // residuals, so the first-order expansion is exact enough.
+        tone.delta_scale = 2.0 * M_PI * nonlinearity_.ripple_amplitude_hz * tau;
+        if (pending == kBatch) {
+            mixer_kernels::accumulate(batch, pending, ripple, out.data(), n);
+            pending = 0;
         }
     }
+    if (pending > 0) mixer_kernels::accumulate(batch, pending, ripple, out.data(), n);
 }
 
 std::vector<double> DechirpMixer::synthesize(

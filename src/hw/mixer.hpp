@@ -8,11 +8,13 @@
 // and residual sweep nonlinearity adds the ripple term
 //    delta(t) = 2*pi * A_r * tau * sin(2*pi*f_r*t + theta)
 // (first order in the small ripple; see SweepLinearizer). Tones are
-// generated with complex phasor recurrences -- one multiply per sample --
-// so a full sweep with tens of paths stays cheap.
+// generated with a blocked complex phasor recurrence on the dsp/simd.hpp
+// lanes (hw/mixer_kernels_impl.hpp): eight consecutive samples advance
+// together by rotation^8, renormalized every 512 samples, so a full sweep
+// with tens of paths stays cheap. Scalar, SSE2 and AVX2 dispatch produce
+// bit-identical output.
 #pragma once
 
-#include <complex>
 #include <span>
 #include <vector>
 

@@ -4,25 +4,10 @@
 
 namespace witrack::net {
 
+// Seeded exactly like hw::FaultInjector: the same seed gives the same
+// splitmix64 stream (common/random.hpp).
 FaultInjector::FaultInjector(FaultConfig config)
-    : config_(config), rng_state_(config.seed + 0x9E3779B97F4A7C15ull) {}
-
-// splitmix64: tiny, fast, and -- unlike <random> distributions -- its
-// output is pinned by the standard's arithmetic, so seeds reproduce across
-// standard libraries.
-std::uint64_t FaultInjector::next_u64() {
-    std::uint64_t z = (rng_state_ += 0x9E3779B97F4A7C15ull);
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    return z ^ (z >> 31);
-}
-
-bool FaultInjector::roll(double rate) {
-    if (rate <= 0.0) return false;
-    if (rate >= 1.0) return true;
-    const double u = static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-    return u < rate;
-}
+    : config_(config), rng_(config.seed + SplitMix64::kGamma) {}
 
 std::vector<Datagram> FaultInjector::apply(std::vector<Datagram> stream) {
     if (stream.empty()) return stream;
@@ -36,14 +21,14 @@ std::vector<Datagram> FaultInjector::apply(std::vector<Datagram> stream) {
         // corrupt), so each counter maps to exactly one observable
         // consequence -- a corrupted datagram is one CRC error, never a
         // corrupted duplicate that shows up as two.
-        if (!protect && roll(config_.drop_rate)) {
+        if (!protect && rng_.roll(config_.drop_rate)) {
             ++counters_.dropped;
             continue;
         }
-        if (!protect && roll(config_.duplicate_rate)) {
+        if (!protect && rng_.roll(config_.duplicate_rate)) {
             ++counters_.duplicated;
             out.push_back(stream[i]);
-        } else if (!protect && roll(config_.corrupt_rate) &&
+        } else if (!protect && rng_.roll(config_.corrupt_rate) &&
                    stream[i].size() >= kHeaderBytes + kTrailerBytes) {
             // Flip one byte past the header (payload when there is one, the
             // CRC trailer otherwise): the magic/version/length fields stay
@@ -51,7 +36,7 @@ std::vector<Datagram> FaultInjector::apply(std::vector<Datagram> stream) {
             // error -- never reclassified as bad magic or a truncation.
             Datagram& d = stream[i];
             const std::size_t region = d.size() - kHeaderBytes;
-            d[kHeaderBytes + next_u64() % region] ^= 0x5A;
+            d[kHeaderBytes + rng_.next() % region] ^= 0x5A;
             ++counters_.corrupted;
         }
         out.push_back(std::move(stream[i]));
@@ -61,7 +46,7 @@ std::vector<Datagram> FaultInjector::apply(std::vector<Datagram> stream) {
     if (out.size() >= 2) {
         const std::size_t stop = out.size() - (config_.protect_last ? 2 : 1);
         for (std::size_t i = 0; i < stop; ++i) {
-            if (roll(config_.reorder_rate)) {
+            if (rng_.roll(config_.reorder_rate)) {
                 std::swap(out[i], out[i + 1]);
                 ++counters_.reordered;
                 ++i;  // the swapped pair is settled

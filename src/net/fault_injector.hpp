@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/random.hpp"
 #include "net/frame_protocol.hpp"
 
 namespace witrack::net {
@@ -46,10 +47,7 @@ class FaultInjector {
   private:
     FaultConfig config_;
     Counters counters_;
-    std::uint64_t rng_state_;
-
-    bool roll(double rate);
-    std::uint64_t next_u64();
+    SplitMix64 rng_;
 };
 
 }  // namespace witrack::net

@@ -148,7 +148,7 @@ std::vector<BodyScatterer> HumanModel::update(const Pose& pose, double dt,
 }
 
 void HumanModel::save_state(common::StateWriter& writer) const {
-    common::save_state(writer, rng_.engine());
+    common::save_state(writer, rng_);
     writer.vec3(center_);
     writer.f64(gait_phase_);
     writer.f64(wander_x_);
@@ -164,7 +164,7 @@ void HumanModel::save_state(common::StateWriter& writer) const {
 }
 
 void HumanModel::load_state(common::StateReader& reader) {
-    common::load_state(reader, rng_.engine());
+    common::load_state(reader, rng_);
     reader.vec3(center_);
     gait_phase_ = reader.f64();
     wander_x_ = reader.f64();

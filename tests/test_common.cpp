@@ -2,7 +2,12 @@
 // unit conversions, and the deterministic RNG.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <span>
+#include <vector>
 
 #include "common/cli.hpp"
 #include "common/constants.hpp"
@@ -126,6 +131,129 @@ TEST(Rng, ForkedStreamsAreDecorrelated) {
     const int n = 10000;
     for (int i = 0; i < n; ++i) corr += (a.uniform() - 0.5) * (b.uniform() - 0.5);
     EXPECT_NEAR(corr / n, 0.0, 0.01);
+}
+
+TEST(SplitMix64, MatchesReferenceOutputs) {
+    // First outputs of the reference splitmix64.c for state 1234567.
+    SplitMix64 gen(1234567);
+    const std::uint64_t expected[] = {6457827717110365317ull, 3203168211198807973ull,
+                                      9817491932198370423ull, 4593380528125082431ull,
+                                      16408922859458223821ull};
+    for (const std::uint64_t want : expected) EXPECT_EQ(gen.next(), want);
+}
+
+TEST(Rng, GoldenStreams) {
+    // The simulator's output is a function of these streams. They are pinned
+    // by integer arithmetic plus IEEE double ops (and libm's log), so they
+    // must not move across standard libraries or dispatch levels.
+    struct Golden {
+        std::uint64_t seed;
+        double uniform[6];
+        double gaussian[6];
+        int uniform_int[12];  // uniform_int(-3, 9)
+    };
+    const Golden golden[] = {
+        {0x5eedca11f00dbeefull,
+         {0x1.d57e2d93c79a0p-6, 0x1.30fb3deafae3fp-1, 0x1.fa4ad4755b052p-2,
+          0x1.8670deac6b8acp-3, 0x1.0cd74a9aa5269p-1, 0x1.acea54095e740p-1},
+         {-0x1.8b85fa2d00b7bp-2, 0x1.411c661c8b1e9p-4, -0x1.98f681c42ee5bp-6,
+          -0x1.62a677c71cd3ap+0, 0x1.7ab0b28e22d00p-4, 0x1.3eb6753e57f0fp+0},
+         {6, -2, -3, 1, 9, 7, 0, 5, -1, 7, 2, 7}},
+        {7919,
+         {0x1.0db5ae128cc50p-2, 0x1.a91b6f4c9d965p-1, 0x1.ec23fc15bca40p-7,
+          0x1.b0cb408e166d1p-1, 0x1.a63488b25eb30p-1, 0x1.5f35e18c771ccp-3},
+         {-0x1.0faac5b73dae6p-1, 0x1.7b38b575a2b09p-1, 0x1.9597659c07159p-2,
+          -0x1.9a73f12cd2cf7p-2, 0x1.3abf417e4a497p+0, -0x1.3a5f4aa449457p+0},
+         {-3, -1, 9, 3, 3, 3, 1, 3, 4, 3, -2, 6}},
+    };
+    for (const auto& g : golden) {
+        SCOPED_TRACE(g.seed);
+        Rng u(g.seed), n(g.seed), k(g.seed);
+        for (const double want : g.uniform) EXPECT_EQ(u.uniform(), want);
+        for (const double want : g.gaussian) EXPECT_EQ(n.gaussian(), want);
+        for (const int want : g.uniform_int) EXPECT_EQ(k.uniform_int(-3, 9), want);
+    }
+}
+
+TEST(Rng, GaussianDistribution) {
+    // Standard-normal shape from 200k draws: mean, variance and kurtosis
+    // within ~5 standard errors, and a chi-square over 20 equiprobable bins
+    // against the df = 19, p = 0.001 critical value.
+    constexpr int kDraws = 200000;
+    constexpr int kBins = 20;
+    constexpr double kChiSquareCritical = 43.82;
+
+    // Bin edges: the standard-normal quantiles at j / kBins, by bisection
+    // on the CDF.
+    std::vector<double> edges;
+    for (int j = 1; j < kBins; ++j) {
+        const double p = static_cast<double>(j) / kBins;
+        double lo = -10.0, hi = 10.0;
+        for (int it = 0; it < 200; ++it) {
+            const double mid = 0.5 * (lo + hi);
+            (0.5 * std::erfc(-mid / std::sqrt(2.0)) < p ? lo : hi) = mid;
+        }
+        edges.push_back(0.5 * (lo + hi));
+    }
+
+    Rng rng(2024);
+    std::vector<int> counts(kBins, 0);
+    double m1 = 0.0, m2 = 0.0, m4 = 0.0;
+    for (int i = 0; i < kDraws; ++i) {
+        const double z = rng.gaussian();
+        m1 += z;
+        m2 += z * z;
+        m4 += z * z * z * z;
+        ++counts[std::upper_bound(edges.begin(), edges.end(), z) - edges.begin()];
+    }
+    m1 /= kDraws;
+    m2 /= kDraws;
+    m4 /= kDraws;
+    EXPECT_NEAR(m1, 0.0, 5.0 / std::sqrt(kDraws));
+    EXPECT_NEAR(m2, 1.0, 5.0 * std::sqrt(2.0 / kDraws));
+    EXPECT_NEAR(m4 / (m2 * m2), 3.0, 5.0 * std::sqrt(24.0 / kDraws));
+
+    const double expected = static_cast<double>(kDraws) / kBins;
+    double chi2 = 0.0;
+    for (const int c : counts) chi2 += (c - expected) * (c - expected) / expected;
+    EXPECT_LT(chi2, kChiSquareCritical);
+}
+
+TEST(Rng, AddGaussianMatchesRepeatedDraws) {
+    // Odd lengths, so the pending second value of a pair crosses call
+    // boundaries in both directions.
+    Rng bulk(99), single(99);
+    std::vector<double> a(2501, 0.5);
+    std::vector<double> b = a;
+    bulk.add_gaussian(std::span<double>(a).first(7), 3.0);
+    for (std::size_t i = 0; i < 7; ++i) b[i] += single.gaussian(3.0);
+    EXPECT_EQ(bulk.gaussian(3.0), single.gaussian(3.0));
+    bulk.add_gaussian(a, 3.0);
+    for (auto& v : b) v += single.gaussian(3.0);
+    for (std::size_t i = 0; i < a.size(); ++i) ASSERT_EQ(a[i], b[i]) << i;
+}
+
+TEST(Rng, UniformIntCoversRangeUniformly) {
+    Rng rng(31);
+    constexpr int kDraws = 60000;
+    std::vector<int> counts(6, 0);
+    for (int i = 0; i < kDraws; ++i) {
+        const int v = rng.uniform_int(1, 6);
+        ASSERT_GE(v, 1);
+        ASSERT_LE(v, 6);
+        ++counts[v - 1];
+    }
+    // df = 5, p = 0.001 critical value.
+    double chi2 = 0.0;
+    for (const int c : counts) chi2 += (c - kDraws / 6.0) * (c - kDraws / 6.0) / (kDraws / 6.0);
+    EXPECT_LT(chi2, 20.52);
+    EXPECT_EQ(rng.uniform_int(4, 4), 4);
+    for (int i = 0; i < 100; ++i) {
+        rng.uniform_int(std::numeric_limits<int>::min(),
+                        std::numeric_limits<int>::max());
+        const int w = rng.uniform_int(-2, -1);
+        EXPECT_TRUE(w == -2 || w == -1);
+    }
 }
 
 TEST(Cli, ParsesKeyValueAndFlags) {

@@ -9,12 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/engine.hpp"
@@ -139,6 +141,34 @@ TEST(HwFaultInjector, DeterministicForAGivenSeed) {
     EXPECT_GT(ca.short_sweeps, 0u);
     EXPECT_GT(ca.noise_bursts, 0u);
     EXPECT_GT(ca.drift_frames, 0u);
+}
+
+TEST(HwFaultInjector, DropoutDecisionsPinnedPerSeed) {
+    // The first 64 lane-dropout decisions (16 frames x 4 lanes) for two
+    // seeds, as a bit mask: recorded when the injector carried its own
+    // splitmix64 copy, so the shared generator must reproduce them exactly
+    // (the sim-fleet fault counts depend on it).
+    const std::pair<std::uint64_t, std::uint64_t> pinned[] = {
+        {1, 0x116e620389f86a8cull},
+        {0xC0FFEE, 0xe98186e2e87c8ea4ull},
+    };
+    for (const auto& [seed, dropped_mask] : pinned) {
+        hw::FaultConfig config;
+        config.dropout_rate = 0.5;
+        config.seed = seed;
+        hw::FaultInjector injector(config);
+        std::uint64_t dropped = 0;
+        int bit = 0;
+        for (int f = 0; f < 16; ++f) {
+            FrameBuffer frame(4, 1, 8);
+            for (std::size_t rx = 0; rx < 4; ++rx)
+                for (auto& v : frame.sweep(rx, 0)) v = 1.0;
+            injector.apply(frame, 0.1 * f);
+            for (std::size_t rx = 0; rx < 4; ++rx, ++bit)
+                if (!frame.quality().rx[rx].valid) dropped |= 1ull << bit;
+        }
+        EXPECT_EQ(dropped, dropped_mask) << "seed " << seed;
+    }
 }
 
 TEST(HwFaultInjector, ZeroRateInjectorIsBitwiseInert) {

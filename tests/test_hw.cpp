@@ -5,10 +5,15 @@
 
 #include <cmath>
 #include <complex>
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "common/constants.hpp"
 #include "common/random.hpp"
 #include "dsp/fft.hpp"
+#include "dsp/simd.hpp"
 #include "dsp/fft_plan_cache.hpp"
 #include "hw/adc.hpp"
 #include "hw/frontend.hpp"
@@ -181,6 +186,122 @@ TEST(MixerTest, RejectsWrongBufferSize) {
     std::vector<double> bad(100);
     rf::PropagationPath path;
     EXPECT_THROW(mixer.synthesize({&path, 1}, bad), std::invalid_argument);
+}
+
+/// Random paths for the mixer property tests: an odd count above the
+/// mixer's 16-tone batch, so pairs, a lone last tone and a batch flush all
+/// run; amplitudes span four decades, and one zero-amplitude path must be
+/// skipped.
+std::vector<rf::PropagationPath> random_paths(std::uint64_t seed) {
+    Rng rng(seed);
+    std::vector<rf::PropagationPath> paths(41);
+    for (auto& p : paths) {
+        p.round_trip_m = rng.uniform(2.0, 40.0);
+        p.amplitude = std::pow(10.0, rng.uniform(-7.0, -3.0));
+        p.phase_rad = rng.uniform(-M_PI, M_PI);
+    }
+    paths[5].amplitude = 0.0;
+    return paths;
+}
+
+/// Sweep shapes for the mixer property tests: the paper's 2500 samples
+/// (a partial last block) and 1024 (whole blocks, ending on a
+/// renormalization boundary).
+std::vector<FmcwParams> mixer_shapes() {
+    FmcwParams paper;
+    FmcwParams whole_blocks;
+    whole_blocks.sweep_duration_s = 1.024e-3;
+    return {paper, whole_blocks};
+}
+
+const SweepNonlinearity kTestRipple{4e5, 4000.0, 0.3};
+
+/// Scoped dispatch-level override, restored on every exit path.
+class ForcedLevel {
+  public:
+    explicit ForcedLevel(dsp::simd::Level level)
+        : previous_(dsp::simd::active()), granted_(dsp::simd::force(level)) {}
+    ~ForcedLevel() { dsp::simd::force(previous_); }
+    dsp::simd::Level granted() const { return granted_; }
+
+  private:
+    dsp::simd::Level previous_;
+    dsp::simd::Level granted_;
+};
+
+TEST(MixerTest, MatchesDirectCosineEvaluation) {
+    // The blocked recurrence against amp * cos(phi0 + i * dphi) evaluated
+    // sample by sample (with the first-order ripple term when enabled).
+    for (const FmcwParams& fmcw : mixer_shapes()) {
+        for (const bool with_ripple : {false, true}) {
+            SCOPED_TRACE(std::to_string(fmcw.samples_per_sweep()) +
+                         (with_ripple ? " ripple" : " clean"));
+            const SweepNonlinearity ripple = with_ripple ? kTestRipple : SweepNonlinearity{};
+            const DechirpMixer mixer(fmcw, ripple);
+            const auto paths = random_paths(with_ripple ? 11 : 12);
+            const auto sweep = mixer.synthesize(paths);
+
+            const std::size_t n = fmcw.samples_per_sweep();
+            std::vector<double> reference(n, 0.0);
+            double amp_sum = 0.0;
+            for (const auto& p : paths) {
+                if (p.amplitude <= 0.0) continue;
+                amp_sum += p.amplitude;
+                const double tau = p.round_trip_m / kSpeedOfLight;
+                const double phi0 = 2.0 * M_PI *
+                                        (fmcw.start_frequency_hz * tau -
+                                         0.5 * fmcw.slope() * tau * tau) +
+                                    p.phase_rad;
+                const double dphi = 2.0 * M_PI * fmcw.slope() * tau / fmcw.sample_rate_hz;
+                for (std::size_t i = 0; i < n; ++i) {
+                    const double phi = phi0 + static_cast<double>(i) * dphi;
+                    double v = std::cos(phi);
+                    if (with_ripple) {
+                        const double t = static_cast<double>(i) / fmcw.sample_rate_hz;
+                        const double delta =
+                            2.0 * M_PI * ripple.ripple_amplitude_hz * tau *
+                            std::sin(2.0 * M_PI * ripple.ripple_frequency_hz * t +
+                                     ripple.phase_rad);
+                        v -= delta * std::sin(phi);
+                    }
+                    reference[i] += p.amplitude * v;
+                }
+            }
+            double worst = 0.0;
+            for (std::size_t i = 0; i < n; ++i)
+                worst = std::max(worst, std::abs(sweep[i] - reference[i]));
+            EXPECT_LE(worst, 1e-9 * amp_sum);
+        }
+    }
+}
+
+TEST(MixerTest, BitIdenticalAcrossSimdLevels) {
+    // Every dispatch level runs the same per-element operations, so the
+    // synthesized sweep must match the scalar level bit for bit.
+    namespace simd = dsp::simd;
+    for (const FmcwParams& fmcw : mixer_shapes()) {
+        for (const bool with_ripple : {false, true}) {
+            SCOPED_TRACE(std::to_string(fmcw.samples_per_sweep()) +
+                         (with_ripple ? " ripple" : " clean"));
+            const DechirpMixer mixer(fmcw, with_ripple ? kTestRipple : SweepNonlinearity{});
+            const auto paths = random_paths(21);
+            std::vector<double> reference;
+            {
+                ForcedLevel guard(simd::Level::kScalar);
+                reference = mixer.synthesize(paths);
+            }
+            for (const simd::Level level : {simd::Level::kSse2, simd::Level::kAvx2}) {
+                ForcedLevel guard(level);
+                if (guard.granted() != level) continue;  // hardware lacks it
+                SCOPED_TRACE(simd::to_string(level));
+                const auto sweep = mixer.synthesize(paths);
+                ASSERT_EQ(sweep.size(), reference.size());
+                EXPECT_EQ(std::memcmp(sweep.data(), reference.data(),
+                                      sweep.size() * sizeof(double)),
+                          0);
+            }
+        }
+    }
 }
 
 // -------------------------------------------------------------------- ADC

@@ -20,6 +20,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/serialize.hpp"
@@ -529,6 +530,29 @@ TEST(FaultInjector, DeterministicForAGivenSeed) {
     EXPECT_GT(a.counters().duplicated, 0u);
     EXPECT_GT(a.counters().reordered, 0u);
     (void)c;
+}
+
+TEST(FaultInjector, DropDecisionsPinnedPerSeed) {
+    // The first 64 drop decisions for two seeds, as a keep-mask over
+    // datagrams tagged 0..63: recorded when the injector carried its own
+    // splitmix64 copy, so the shared generator must reproduce them exactly
+    // (the net-lossy drop pattern depends on it).
+    const std::pair<std::uint64_t, std::uint64_t> pinned[] = {
+        {1, 0xee919dfc76079573ull},
+        {0xC0FFEE, 0x167e791d1783715bull},
+    };
+    for (const auto& [seed, kept_mask] : pinned) {
+        net::FaultConfig config;
+        config.drop_rate = 0.5;
+        config.seed = seed;
+        config.protect_last = false;
+        net::FaultInjector injector(config);
+        std::vector<Datagram> stream;
+        for (std::uint8_t i = 0; i < 64; ++i) stream.push_back(Datagram{i});
+        std::uint64_t kept = 0;
+        for (const auto& d : injector.apply(std::move(stream))) kept |= 1ull << d[0];
+        EXPECT_EQ(kept, kept_mask) << "seed " << seed;
+    }
 }
 
 TEST(FaultInjector, FaultedStreamDegradesGracefully) {

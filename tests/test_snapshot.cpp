@@ -222,8 +222,9 @@ TEST(Serialize, ReaderRejectsLayoutDrift) {
 }
 
 TEST(Serialize, RngRoundTripContinuesIdentically) {
-    std::mt19937_64 rng(12345);
-    for (int i = 0; i < 100; ++i) rng();  // advance into mid-sequence state
+    Rng rng(12345);
+    for (int i = 0; i < 100; ++i) rng.uniform();  // advance into mid-sequence state
+    rng.gaussian();  // leaves the second value of a Gaussian pair pending
 
     std::ostringstream out;
     common::StateWriter writer(out, 1, 1);
@@ -235,10 +236,13 @@ TEST(Serialize, RngRoundTripContinuesIdentically) {
     std::istringstream in(out.str());
     common::StateReader reader(in, 1, 1);
     reader.open_chunk("RNG ");
-    std::mt19937_64 restored;
+    Rng restored;
     common::load_state(reader, restored);
     reader.close_chunk();
-    for (int i = 0; i < 1000; ++i) EXPECT_EQ(rng(), restored());
+    for (int i = 0; i < 1000; ++i) {
+        EXPECT_EQ(rng.gaussian(), restored.gaussian());
+        EXPECT_EQ(rng.uniform(), restored.uniform());
+    }
 }
 
 // --------------------------------------- standalone bit-identical resume
@@ -459,6 +463,27 @@ TEST(Snapshot, RejectsTruncatedCorruptAndForeignStreams) {
         expect_rejected(foreign);
     }
     expect_rejected("definitely not a snapshot");
+}
+
+TEST(Snapshot, RefusesVersionThreeStreams) {
+    // Version 3 carried the simulator RNGs as std::mt19937_64 text; a v3
+    // stream must be refused by name, not parsed against the v4 layout.
+    auto session = make_full_session();
+    for (int i = 0; i < 10; ++i) ASSERT_TRUE(session->step());
+    std::string bytes = snapshot_bytes(*session);
+    const std::uint32_t v3 = 3;
+    bytes.replace(sizeof(std::uint32_t), sizeof v3,
+                  reinterpret_cast<const char*>(&v3), sizeof v3);
+    auto target = make_full_session();
+    std::istringstream in(bytes);
+    try {
+        target->restore(in);
+        FAIL() << "a version-3 snapshot was accepted";
+    } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("unsupported snapshot version 3"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(Snapshot, RejectsStructuralMismatch) {
