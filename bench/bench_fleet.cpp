@@ -7,16 +7,11 @@
 //
 // Run:  ./build/bench_fleet [output.json]
 //       ./build/bench_fleet --snapshot-json [output.json]
-//       ./build/bench_fleet --net-json [output.json]
 //       ./build/bench_fleet --fault-json [output.json]
 //
 // The --snapshot-json mode measures the session snapshot/restore path
 // instead: checkpoint latency, snapshot byte size and restore latency per
 // canonical session shape, into bench/snapshot_latency.json.
-//
-// The --net-json mode measures the network ingestion path: a full episode
-// packed into WTNF datagrams and reassembled by a NetSource, swept across
-// injected loss rates, into bench/net_ingest.json.
 //
 // The --fault-json mode measures hardware-fault degradation: tracking
 // error versus injected antenna-dropout rate, plus the recovery latency
@@ -39,10 +34,6 @@
 #include "engine/sim_source.hpp"
 #include "harness.hpp"
 #include "hw/fault_injector.hpp"
-#include "net/datagram_source.hpp"
-#include "net/fault_injector.hpp"
-#include "net/frame_protocol.hpp"
-#include "net/net_source.hpp"
 
 using namespace witrack;
 
@@ -221,124 +212,6 @@ int run_snapshot_bench(const std::string& path) {
     return report.close();
 }
 
-// ------------------------------------------------ net ingestion mode
-
-struct NetPoint {
-    double loss_rate = 0.0;
-    std::size_t frames_sent = 0;
-    std::size_t datagrams_sent = 0;
-    std::size_t frames_delivered = 0;
-    std::size_t frame_gaps = 0;
-    double seconds = 0.0;
-    double datagrams_per_second() const {
-        return seconds > 0.0 ? static_cast<double>(datagrams_sent) / seconds
-                             : 0.0;
-    }
-    /// Mean wall clock from "datagrams pending" to "frame handed to the
-    /// engine" -- decode, CRC check and reassembly, amortized per frame.
-    double reassembly_us_per_frame() const {
-        return frames_delivered > 0 ? seconds * 1e6 / frames_delivered : 0.0;
-    }
-};
-
-/// Reassemble one pre-packed episode through a NetSource at the given drop
-/// rate. The queue is pre-filled so the timing covers decode + reassembly,
-/// not the sender.
-NetPoint run_net_ingest(const std::vector<std::vector<net::Datagram>>& frames,
-                        double loss_rate) {
-    constexpr std::uint64_t kToken = 903;
-
-    std::vector<net::Datagram> stream;
-    for (std::size_t i = 0; i < frames.size(); ++i)
-        for (const auto& datagram : frames[i]) stream.push_back(datagram);
-    stream.push_back(net::pack_end_of_stream(kToken, frames.size()));
-    const std::size_t datagrams_sent = stream.size();
-
-    net::FaultInjector injector(net::FaultConfig{
-        .drop_rate = loss_rate, .seed = 7, .protect_last = true});
-    stream = injector.apply(std::move(stream));
-
-    auto queue = std::make_unique<net::QueueDatagramSource>();
-    for (auto& datagram : stream) queue->push(std::move(datagram));
-    queue->close();
-
-    net::NetSourceConfig config;
-    config.session_token = kToken;
-    net::NetSource source(std::move(queue), config);
-
-    NetPoint point;
-    point.loss_rate = loss_rate;
-    point.frames_sent = frames.size();
-    point.datagrams_sent = datagrams_sent;
-    engine::Frame frame;
-    const auto t0 = std::chrono::steady_clock::now();
-    while (source.next(frame)) ++point.frames_delivered;
-    const auto t1 = std::chrono::steady_clock::now();
-    point.seconds = std::chrono::duration<double>(t1 - t0).count();
-    const auto stats = source.net_stats().value();
-    point.frame_gaps = stats.frame_gaps;
-
-    std::printf("  loss %4.1f%%  %5zu/%zu frames  %6zu datagrams  %6.3f s  "
-                "%9.0f datagrams/s  %7.1f us/frame\n",
-                loss_rate * 100.0, point.frames_delivered, point.frames_sent,
-                point.datagrams_sent, point.seconds,
-                point.datagrams_per_second(), point.reassembly_us_per_frame());
-    return point;
-}
-
-int run_net_bench(const std::string& path) {
-    constexpr std::uint64_t kToken = 903;
-
-    // The canonical episode, pre-packed once: ~160 fast-capture frames as
-    // the datagram stream a remote radio would emit.
-    std::vector<std::vector<net::Datagram>> frames;
-    std::size_t datagram_count = 0;
-    {
-        auto source = make_source(kToken);
-        engine::Frame frame;
-        while (source->next(frame)) {
-            frames.push_back(
-                net::pack_frame(frame, kToken, frames.size()));
-            datagram_count += frames.back().size();
-        }
-    }
-    std::printf("net ingestion sweep (%zu frames, %zu datagrams, MTU %zu):\n",
-                frames.size(), datagram_count, net::kDefaultMtuBytes);
-
-    std::vector<NetPoint> points;
-    for (const double loss : {0.0, 0.01, 0.05})
-        points.push_back(run_net_ingest(frames, loss));
-
-    bench::JsonReport report(
-        path, "bench_fleet --net-json",
-        "one canonical episode (LineWalkScript, fast capture) packed into "
-        "WTNF datagrams and reassembled by a NetSource from a pre-filled "
-        "queue, swept across injected drop rates (seeded FaultInjector, "
-        "end-of-stream marker protected); reassembly_us_per_frame is decode "
-        "+ CRC + reassembly wall clock amortized per delivered frame");
-    if (!report.ok()) return 1;
-    report.single_core_caveat("absolute rates are pessimistic; the "
-                              "delivery/gap accounting is machine-independent");
-    std::FILE* out = report.stream();
-    std::fprintf(out, "  \"mtu_bytes\": %zu,\n", net::kDefaultMtuBytes);
-    std::fprintf(out, "  \"sweep\": [\n");
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        const auto& p = points[i];
-        std::fprintf(out,
-                     "    {\"loss_rate\": %.2f, \"frames_sent\": %zu, "
-                     "\"frames_delivered\": %zu, \"frame_gaps\": %zu, "
-                     "\"datagrams_sent\": %zu, \"seconds\": %.4f, "
-                     "\"datagrams_per_second\": %.0f, "
-                     "\"reassembly_us_per_frame\": %.1f}%s\n",
-                     p.loss_rate, p.frames_sent, p.frames_delivered,
-                     p.frame_gaps, p.datagrams_sent, p.seconds,
-                     p.datagrams_per_second(), p.reassembly_us_per_frame(),
-                     i + 1 < points.size() ? "," : "");
-    }
-    std::fprintf(out, "  ]\n");
-    return report.close();
-}
-
 // ------------------------------------------- hw fault degradation mode
 
 struct FaultPoint {
@@ -458,9 +331,6 @@ int run_fault_bench(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-    if (argc > 1 && std::string(argv[1]) == "--net-json") {
-        return run_net_bench(argc > 2 ? argv[2] : "bench/net_ingest.json");
-    }
     if (argc > 1 && std::string(argv[1]) == "--fault-json") {
         return run_fault_bench(argc > 2 ? argv[2]
                                         : "bench/fault_degradation.json");

@@ -1,10 +1,9 @@
 // State-serialization contract shared by the replay format and session
 // snapshots. Two layers:
 //
-//  1. Raw little-helpers (write_raw / read_raw / read_or_throw / *_vec3)
-//     over std::ostream/std::istream -- doubles stored verbatim, native
-//     endianness. The Recorder/ReplaySource wire format is built directly
-//     on these, so replay and snapshot framing cannot drift apart.
+//  1. Raw helpers (write_raw / read_raw / read_or_throw) over
+//     std::ostream/std::istream, native endianness: the recording header
+//     and record framing (frame layout: engine/frame_codec.hpp).
 //
 //  2. StateWriter / StateReader: a chunked, versioned, CRC-framed binary
 //     layout for component state. Every stateful component implements
@@ -62,21 +61,6 @@ template <typename T>
 void read_or_throw(std::istream& in, T& value, const char* who, const char* what) {
     if (!read_raw(in, value))
         throw std::runtime_error(std::string(who) + ": truncated " + what);
-}
-
-/// Write/read any xyz triple (geom::Vec3 or compatible) as f64 x3.
-template <typename V>
-void write_vec3(std::ostream& out, const V& v) {
-    write_raw(out, v.x);
-    write_raw(out, v.y);
-    write_raw(out, v.z);
-}
-
-template <typename V>
-void read_vec3(std::istream& in, V& v, const char* who, const char* what) {
-    read_or_throw(in, v.x, who, what);
-    read_or_throw(in, v.y, who, what);
-    read_or_throw(in, v.z, who, what);
 }
 
 // ---------------------------------------------------------------------------
@@ -344,7 +328,7 @@ class StateReader {
         if (!current_) throw std::logic_error("StateReader: field outside chunk");
         if (len > current_->payload.size() - pos_)
             throw std::runtime_error("StateReader: truncated field");
-        std::memcpy(dst, current_->payload.data() + pos_, len);
+        if (len != 0) std::memcpy(dst, current_->payload.data() + pos_, len);
         pos_ += len;
     }
 

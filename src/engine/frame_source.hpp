@@ -56,7 +56,7 @@ struct NetIngestStats {
     std::uint64_t truncated = 0;         ///< datagrams dropped: short/length skew
     std::uint64_t bad_magic = 0;         ///< datagrams dropped: not our protocol
     std::uint64_t version_skew = 0;      ///< datagrams dropped: unknown version
-    std::uint64_t malformed = 0;         ///< datagrams dropped: bad header fields
+    std::uint64_t malformed = 0;         ///< dropped: bad datagram header or frame body
     std::uint64_t foreign_token = 0;     ///< datagrams dropped: wrong session token
     std::uint64_t idle_timeouts = 0;     ///< next() gave up waiting for frames
 

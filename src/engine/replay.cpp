@@ -2,86 +2,55 @@
 
 #include <cstddef>
 #include <stdexcept>
+#include <type_traits>
 
 #include "common/serialize.hpp"
 
 namespace witrack::engine {
 
-// The replay wire format is built on the shared raw-stream helpers in
-// common/serialize.hpp (one implementation with the snapshot format), with
-// the "ReplaySource:" error prefix bound locally.
 namespace {
 
-using common::read_raw;
 using common::write_raw;
-using common::write_vec3;
+
+// The header stores FmcwParams field by field in declaration order.
+static_assert(std::is_trivially_copyable_v<FmcwParams> &&
+              sizeof(FmcwParams) == 5 * sizeof(double) + sizeof(std::uint64_t));
 
 template <typename T>
 void read_or_throw(std::istream& in, T& value, const char* what) {
     common::read_or_throw(in, value, "ReplaySource", what);
 }
 
-void read_vec3(std::istream& in, geom::Vec3& v, const char* what) {
-    common::read_vec3(in, v, "ReplaySource", what);
-}
-
 }  // namespace
 
 Recorder::Recorder(const std::string& path, const FmcwParams& fmcw,
                    const geom::ArrayGeometry& array)
-    : out_(path, std::ios::binary | std::ios::trunc) {
+    : out_(path, std::ios::binary | std::ios::trunc),
+      shape_(frame_shape(fmcw, array)) {
     if (!out_) throw std::runtime_error("Recorder: cannot open " + path);
 
     write_raw(out_, kReplayMagic);
     write_raw(out_, kReplayVersion);
 
-    write_raw(out_, fmcw.start_frequency_hz);
-    write_raw(out_, fmcw.bandwidth_hz);
-    write_raw(out_, fmcw.sweep_duration_s);
-    write_raw(out_, fmcw.sample_rate_hz);
-    write_raw(out_, fmcw.tx_power_w);
-    write_raw(out_, static_cast<std::uint64_t>(fmcw.sweeps_per_frame));
-
-    write_vec3(out_, array.tx);
-    write_vec3(out_, array.boresight);
+    write_raw(out_, fmcw);
+    write_raw(out_, array.tx);
+    write_raw(out_, array.boresight);
     write_raw(out_, static_cast<std::uint64_t>(array.rx.size()));
-    for (const auto& rx : array.rx) write_vec3(out_, rx);
-
-    num_rx_ = array.rx.size();
-    samples_per_sweep_ = fmcw.samples_per_sweep();
-    sweeps_per_frame_ = fmcw.sweeps_per_frame;
-
+    for (const auto& rx : array.rx) write_raw(out_, rx);
     if (!out_) throw std::runtime_error("Recorder: header write failed");
 }
 
 void Recorder::write(const Frame& frame) {
     if (!out_.is_open()) throw std::runtime_error("Recorder: already closed");
-    // A frame whose shape disagrees with the header would desync every
-    // subsequent read (or fail ReplaySource's corruption bound); catch it
-    // at the source so no unreplayable recording is ever written.
-    if (frame.sweeps.num_rx() != num_rx_ ||
-        frame.sweeps.samples_per_sweep() != samples_per_sweep_ ||
-        frame.sweeps.num_sweeps() == 0 ||
-        frame.sweeps.num_sweeps() > sweeps_per_frame_)
+    // A frame whose shape disagrees with the header would fail the replay's
+    // shape check; catch it at the source so no unreplayable recording is
+    // ever written.
+    if (!shape_.admits(frame.sweeps))
         throw std::invalid_argument("Recorder: frame shape mismatch");
-
-    write_raw(out_, frame.time_s);
-    write_raw(out_, static_cast<std::uint64_t>(frame.sweeps.num_sweeps()));
-    write_raw(out_, static_cast<std::uint64_t>(frame.sweeps.samples_per_sweep()));
-
-    std::uint8_t truth_flags = 0;
-    if (frame.truth) {
-        truth_flags |= 0x01;
-        if (frame.truth->position2) truth_flags |= 0x02;
-    }
-    write_raw(out_, truth_flags);
-    if (frame.truth) {
-        write_vec3(out_, frame.truth->position);
-        if (frame.truth->position2) write_vec3(out_, *frame.truth->position2);
-    }
-
-    out_.write(reinterpret_cast<const char*>(frame.sweeps.data()),
-               static_cast<std::streamsize>(frame.sweeps.size() * sizeof(double)));
+    encode_frame(frame, body_);
+    write_raw(out_, static_cast<std::uint64_t>(body_.size()));
+    out_.write(reinterpret_cast<const char*>(body_.data()),
+               static_cast<std::streamsize>(body_.size()));
     if (!out_) throw std::runtime_error("Recorder: frame write failed");
     ++frames_written_;
 }
@@ -108,66 +77,26 @@ ReplaySource::ReplaySource(const std::string& path)
     if (version != kReplayVersion)
         throw std::runtime_error("ReplaySource: unsupported recording version");
 
-    read_or_throw(in_, fmcw_.start_frequency_hz, "fmcw");
-    read_or_throw(in_, fmcw_.bandwidth_hz, "fmcw");
-    read_or_throw(in_, fmcw_.sweep_duration_s, "fmcw");
-    read_or_throw(in_, fmcw_.sample_rate_hz, "fmcw");
-    read_or_throw(in_, fmcw_.tx_power_w, "fmcw");
-    std::uint64_t sweeps_per_frame = 0;
-    read_or_throw(in_, sweeps_per_frame, "fmcw");
-    fmcw_.sweeps_per_frame = static_cast<std::size_t>(sweeps_per_frame);
+    read_or_throw(in_, fmcw_, "fmcw");
     fmcw_.validate();
-
-    read_vec3(in_, array_.tx, "array");
-    read_vec3(in_, array_.boresight, "array");
+    read_or_throw(in_, array_.tx, "array");
+    read_or_throw(in_, array_.boresight, "array");
     std::uint64_t num_rx = 0;
     read_or_throw(in_, num_rx, "array");
     array_.rx.resize(static_cast<std::size_t>(num_rx));
-    for (auto& rx : array_.rx) read_vec3(in_, rx, "array");
+    for (auto& rx : array_.rx) read_or_throw(in_, rx, "array");
+    shape_ = frame_shape(fmcw_, array_);
 }
 
 bool ReplaySource::next(Frame& frame) {
-    // Only EOF exactly on a frame boundary is a clean end; a partial
-    // timestamp means the recording was cut mid-write.
+    // Only EOF exactly on a record boundary is a clean end; anything short
+    // of a whole record means the recording was cut mid-write.
     if (in_.peek() == std::char_traits<char>::eof()) return false;
-    double time_s = 0.0;
-    read_or_throw(in_, time_s, "frame timestamp");
-
-    std::uint64_t num_sweeps = 0, samples = 0;
-    read_or_throw(in_, num_sweeps, "frame header");
-    read_or_throw(in_, samples, "frame header");
-    // Bound-check against the header's FMCW parameters before sizing the
-    // buffer: a corrupt frame header must fail cleanly, not allocate an
-    // arbitrary amount of memory.
-    if (samples != fmcw_.samples_per_sweep() || num_sweeps == 0 ||
-        num_sweeps > fmcw_.sweeps_per_frame)
-        throw std::runtime_error("ReplaySource: corrupt frame header");
-
-    std::uint8_t truth_flags = 0;
-    read_or_throw(in_, truth_flags, "frame header");
-
-    frame.time_s = time_s;
-    frame.truth.reset();
-    if (truth_flags & 0x01) {
-        GroundTruth truth;
-        read_vec3(in_, truth.position, "ground truth");
-        if (truth_flags & 0x02) {
-            geom::Vec3 second;
-            read_vec3(in_, second, "ground truth");
-            truth.position2 = second;
-        }
-        frame.truth = truth;
-    }
-
-    if (frame.sweeps.num_rx() != array_.rx.size() ||
-        frame.sweeps.num_sweeps() != num_sweeps ||
-        frame.sweeps.samples_per_sweep() != samples)
-        frame.sweeps.resize(array_.rx.size(), static_cast<std::size_t>(num_sweeps),
-                            static_cast<std::size_t>(samples));
-    in_.read(reinterpret_cast<char*>(frame.sweeps.data()),
-             static_cast<std::streamsize>(frame.sweeps.size() * sizeof(double)));
-    if (!in_) throw std::runtime_error("ReplaySource: truncated frame samples");
-
+    std::uint64_t body_bytes = 0;
+    if (!common::read_raw(in_, body_bytes) ||
+        !read_frame(in_, body_bytes, shape_, frame, scratch_))
+        throw std::runtime_error(in_ ? "ReplaySource: corrupt frame"
+                                     : "ReplaySource: truncated frame");
     ++frames_read_;
     return true;
 }

@@ -1,30 +1,27 @@
-// Frame recording and replay. A recording is self-contained -- it carries
-// the FMCW parameters and antenna geometry of the capture next to the raw
-// rx-major samples -- so a replayed session reproduces the live pipeline
-// output bit for bit (doubles are stored verbatim, native endianness).
+// Frame recording and replay. A recording is self-contained -- the
+// capture's FMCW parameters and antenna geometry, then its frames -- so a
+// replayed session reproduces the live pipeline output bit for bit:
 //
-// Layout (version 1, little-endian on all supported platforms):
-//   header:  magic u32 "WTRK" | version u32
-//            fmcw: start_freq, bandwidth, sweep_duration, sample_rate,
-//                  tx_power (f64 x5) | sweeps_per_frame u64
-//            array: tx xyz, boresight xyz (f64 x6) | num_rx u64 |
-//                   rx positions xyz (f64 x3 each)
-//   frames:  time_s f64 | num_sweeps u64 | samples_per_sweep u64 |
-//            truth_flags u8 (bit0 person 1, bit1 person 2) |
-//            [truth xyz f64 x3 per flagged person] |
-//            samples f64 x (num_rx * num_sweeps * samples), rx-major
+//   header: magic u32 "WTRK" | version u32 | FmcwParams (f64 x5 |
+//           sweeps_per_frame u64) | tx, boresight (f64 x3 each) |
+//           num_rx u64 | rx positions (f64 x3 each)
+//   frames: body bytes u64 | frame codec body (engine/frame_codec.hpp)
+//
+// Any version but 2 fails as "unsupported recording version".
 #pragma once
 
 #include <cstdint>
 #include <fstream>
 #include <string>
+#include <vector>
 
+#include "engine/frame_codec.hpp"
 #include "engine/frame_source.hpp"
 
 namespace witrack::engine {
 
 inline constexpr std::uint32_t kReplayMagic = 0x4B525457u;  // "WTRK"
-inline constexpr std::uint32_t kReplayVersion = 1;
+inline constexpr std::uint32_t kReplayVersion = 2;
 
 /// Sink: append every frame of a session to a recording file. Use as a tap
 /// inside the streaming loop (record while tracking) or standalone.
@@ -33,7 +30,8 @@ class Recorder {
     Recorder(const std::string& path, const FmcwParams& fmcw,
              const geom::ArrayGeometry& array);
 
-    /// Append one frame; throws std::runtime_error on write failure.
+    /// Append one frame; throws std::invalid_argument when its shape is not
+    /// the header's, std::runtime_error on write failure.
     void write(const Frame& frame);
 
     std::size_t frames_written() const { return frames_written_; }
@@ -46,9 +44,8 @@ class Recorder {
 
   private:
     std::ofstream out_;
-    std::size_t num_rx_ = 0;
-    std::size_t samples_per_sweep_ = 0;
-    std::size_t sweeps_per_frame_ = 0;
+    FrameShape shape_;
+    std::vector<std::uint8_t> body_;  ///< encoded frame, reused
     std::size_t frames_written_ = 0;
 };
 
@@ -61,6 +58,7 @@ class ReplaySource : public FrameSource {
     /// missing file, bad magic, or unsupported version.
     explicit ReplaySource(const std::string& path);
 
+    /// Throws std::runtime_error on a truncated or corrupt frame.
     bool next(Frame& frame) override;
     const geom::ArrayGeometry& array() const override { return array_; }
     const FmcwParams& fmcw() const override { return fmcw_; }
@@ -79,6 +77,8 @@ class ReplaySource : public FrameSource {
     std::ifstream in_;
     FmcwParams fmcw_;
     geom::ArrayGeometry array_;
+    FrameShape shape_;
+    std::vector<std::uint8_t> scratch_;  ///< truth and lane records, reused
     std::size_t frames_read_ = 0;
 };
 

@@ -1,89 +1,39 @@
 #include "net/frame_protocol.hpp"
 
-#include <cstring>
 #include <limits>
 #include <stdexcept>
 
 #include "common/serialize.hpp"
+#include "engine/frame_codec.hpp"
 
 namespace witrack::net {
 
 namespace {
 
-constexpr std::uint8_t kTruthPerson1 = 1u << 0;
-constexpr std::uint8_t kTruthPerson2 = 1u << 1;
-
-template <typename T>
-void append_raw(Datagram& out, T value) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const auto base = out.size();
-    out.resize(base + sizeof value);
-    std::memcpy(out.data() + base, &value, sizeof value);
-}
-
-void append_bytes(Datagram& out, const void* data, std::size_t len) {
-    const auto base = out.size();
-    out.resize(base + len);
-    std::memcpy(out.data() + base, data, len);
-}
-
-/// Bounds-checked sequential reader over a byte span.
-struct Cursor {
-    std::span<const std::uint8_t> bytes;
-    std::size_t pos = 0;
-
-    template <typename T>
-    bool read(T& value) {
-        static_assert(std::is_trivially_copyable_v<T>);
-        if (bytes.size() - pos < sizeof value) return false;
-        std::memcpy(&value, bytes.data() + pos, sizeof value);
-        pos += sizeof value;
-        return true;
-    }
-};
+using engine::get_raw;
+using engine::put_bytes;
+using engine::put_raw;
 
 Datagram make_datagram(std::uint16_t flags, std::uint64_t token,
                        std::uint64_t frame_seq, std::uint16_t fragment_index,
                        std::uint16_t fragment_count,
                        std::span<const std::uint8_t> payload) {
-    Datagram out;
-    out.reserve(kHeaderBytes + payload.size() + kTrailerBytes);
-    append_raw(out, kProtocolMagic);
-    append_raw(out, kProtocolVersion);
-    append_raw(out, flags);
-    append_raw(out, token);
-    append_raw(out, frame_seq);
-    append_raw(out, fragment_index);
-    append_raw(out, fragment_count);
-    append_raw(out, static_cast<std::uint32_t>(payload.size()));
-    if (!payload.empty()) append_bytes(out, payload.data(), payload.size());
-    append_raw(out, common::crc32(out.data(), out.size()));
+    Datagram out(kHeaderBytes + payload.size() + kTrailerBytes);
+    std::span<std::uint8_t> writer(out);
+    put_raw(writer, kProtocolMagic);
+    put_raw(writer, kProtocolVersion);
+    put_raw(writer, flags);
+    put_raw(writer, token);
+    put_raw(writer, frame_seq);
+    put_raw(writer, fragment_index);
+    put_raw(writer, fragment_count);
+    put_raw(writer, static_cast<std::uint32_t>(payload.size()));
+    put_bytes(writer, payload.data(), payload.size());
+    put_raw(writer, common::crc32(out.data(), out.size() - kTrailerBytes));
     return out;
 }
 
 }  // namespace
-
-const char* to_string(DecodeStatus status) {
-    switch (status) {
-        case DecodeStatus::kOk: return "ok";
-        case DecodeStatus::kTruncated: return "truncated";
-        case DecodeStatus::kBadMagic: return "bad magic";
-        case DecodeStatus::kVersionSkew: return "version skew";
-        case DecodeStatus::kBadCrc: return "bad crc";
-        case DecodeStatus::kMalformed: return "malformed";
-    }
-    return "unknown";
-}
-
-std::size_t frame_body_bytes(const engine::Frame& frame) {
-    std::size_t truth = 0;
-    if (frame.truth) {
-        truth += 3 * sizeof(double);
-        if (frame.truth->position2) truth += 3 * sizeof(double);
-    }
-    return sizeof(double) + 1 + truth + 3 * sizeof(std::uint32_t) +
-           frame.sweeps.size() * sizeof(double);
-}
 
 std::vector<Datagram> pack_frame(const engine::Frame& frame,
                                  std::uint64_t token, std::uint64_t frame_seq,
@@ -93,30 +43,7 @@ std::vector<Datagram> pack_frame(const engine::Frame& frame,
     const std::size_t chunk = mtu_bytes - kHeaderBytes - kTrailerBytes;
 
     Datagram body;
-    body.reserve(frame_body_bytes(frame));
-    append_raw(body, frame.time_s);
-    std::uint8_t truth_flags = 0;
-    if (frame.truth) {
-        truth_flags |= kTruthPerson1;
-        if (frame.truth->position2) truth_flags |= kTruthPerson2;
-    }
-    append_raw(body, truth_flags);
-    if (frame.truth) {
-        append_raw(body, frame.truth->position.x);
-        append_raw(body, frame.truth->position.y);
-        append_raw(body, frame.truth->position.z);
-        if (frame.truth->position2) {
-            append_raw(body, frame.truth->position2->x);
-            append_raw(body, frame.truth->position2->y);
-            append_raw(body, frame.truth->position2->z);
-        }
-    }
-    append_raw(body, static_cast<std::uint32_t>(frame.sweeps.num_rx()));
-    append_raw(body, static_cast<std::uint32_t>(frame.sweeps.num_sweeps()));
-    append_raw(body, static_cast<std::uint32_t>(frame.sweeps.samples_per_sweep()));
-    if (!frame.sweeps.empty())
-        append_bytes(body, frame.sweeps.data(),
-                     frame.sweeps.size() * sizeof(double));
+    engine::encode_frame(frame, body);
 
     const std::size_t fragments = (body.size() + chunk - 1) / chunk;
     if (fragments > std::numeric_limits<std::uint16_t>::max())
@@ -148,29 +75,29 @@ DecodeStatus decode_datagram(std::span<const std::uint8_t> bytes,
     if (bytes.size() < kHeaderBytes + kTrailerBytes)
         return DecodeStatus::kTruncated;
 
-    Cursor cursor{bytes};
+    std::span<const std::uint8_t> reader = bytes;
     std::uint32_t magic = 0;
     std::uint16_t version = 0;
     std::uint32_t payload_bytes = 0;
-    cursor.read(magic);
+    get_raw(reader, magic);
     if (magic != kProtocolMagic) return DecodeStatus::kBadMagic;
-    cursor.read(version);
+    get_raw(reader, version);
     // Version is judged before the CRC on purpose: a future protocol
     // revision may move or widen the CRC field, so "I cannot speak this
     // version" must not be misreported as bit damage.
     if (version != kProtocolVersion) return DecodeStatus::kVersionSkew;
-    cursor.read(header.flags);
-    cursor.read(header.token);
-    cursor.read(header.frame_seq);
-    cursor.read(header.fragment_index);
-    cursor.read(header.fragment_count);
-    cursor.read(payload_bytes);
+    get_raw(reader, header.flags);
+    get_raw(reader, header.token);
+    get_raw(reader, header.frame_seq);
+    get_raw(reader, header.fragment_index);
+    get_raw(reader, header.fragment_count);
+    get_raw(reader, payload_bytes);
 
     if (bytes.size() != kHeaderBytes + payload_bytes + kTrailerBytes)
         return DecodeStatus::kTruncated;
     std::uint32_t stored_crc = 0;
-    std::memcpy(&stored_crc, bytes.data() + bytes.size() - kTrailerBytes,
-                sizeof stored_crc);
+    std::span<const std::uint8_t> trailer = bytes.last(kTrailerBytes);
+    get_raw(trailer, stored_crc);
     if (common::crc32(bytes.data(), bytes.size() - kTrailerBytes) != stored_crc)
         return DecodeStatus::kBadCrc;
 
@@ -189,52 +116,6 @@ DecodeStatus decode_datagram(std::span<const std::uint8_t> bytes,
 
     payload = bytes.subspan(kHeaderBytes, payload_bytes);
     return DecodeStatus::kOk;
-}
-
-bool decode_frame_body(std::span<const std::uint8_t> body, engine::Frame& frame) {
-    if (body.size() > kMaxFrameBodyBytes) return false;
-    Cursor cursor{body};
-    if (!cursor.read(frame.time_s)) return false;
-    std::uint8_t truth_flags = 0;
-    if (!cursor.read(truth_flags)) return false;
-    if ((truth_flags & ~(kTruthPerson1 | kTruthPerson2)) != 0) return false;
-    if ((truth_flags & kTruthPerson2) != 0 && (truth_flags & kTruthPerson1) == 0)
-        return false;
-    frame.truth.reset();
-    if ((truth_flags & kTruthPerson1) != 0) {
-        engine::GroundTruth truth;
-        if (!cursor.read(truth.position.x) || !cursor.read(truth.position.y) ||
-            !cursor.read(truth.position.z))
-            return false;
-        if ((truth_flags & kTruthPerson2) != 0) {
-            geom::Vec3 second;
-            if (!cursor.read(second.x) || !cursor.read(second.y) ||
-                !cursor.read(second.z))
-                return false;
-            truth.position2 = second;
-        }
-        frame.truth = truth;
-    }
-
-    std::uint32_t num_rx = 0, num_sweeps = 0, samples = 0;
-    if (!cursor.read(num_rx) || !cursor.read(num_sweeps) || !cursor.read(samples))
-        return false;
-    // Multiply in stages with a bound check between them so corrupt shape
-    // fields can neither overflow nor match the length by wraparound.
-    const std::uint64_t rows =
-        static_cast<std::uint64_t>(num_rx) * static_cast<std::uint64_t>(num_sweeps);
-    if (rows > kMaxFrameBodyBytes) return false;
-    const std::uint64_t total = rows * static_cast<std::uint64_t>(samples);
-    const std::size_t remaining = body.size() - cursor.pos;
-    if (total * sizeof(double) != remaining) return false;
-
-    if (frame.sweeps.num_rx() != num_rx || frame.sweeps.num_sweeps() != num_sweeps ||
-        frame.sweeps.samples_per_sweep() != samples)
-        frame.sweeps.resize(num_rx, num_sweeps, samples);
-    if (total != 0)
-        std::memcpy(frame.sweeps.data(), body.data() + cursor.pos,
-                    total * sizeof(double));
-    return true;
 }
 
 }  // namespace witrack::net

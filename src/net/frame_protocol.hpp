@@ -1,9 +1,8 @@
-// The UDP frame wire protocol: how one FrameBuffer frame travels from a
-// remote radio to a NetSource. A frame is serialized into a flat body
-// (time, ground truth, shape, raw rx-major samples -- doubles verbatim,
-// native endianness, exactly the Recorder discipline) and split into
-// MTU-sized datagrams, each framed by a fixed header and a trailing CRC32
-// (the one CRC implementation in the tree, common::crc32):
+// The UDP frame wire protocol: how one frame travels from a remote radio
+// to a NetSource. The frame is encoded as one frame_codec body (layout
+// table in engine/frame_codec.hpp) and split into MTU-sized datagrams,
+// each framed by a fixed header and a trailing CRC32 (the one CRC
+// implementation in the tree, common::crc32):
 //
 //   offset  field
 //        0  magic          u32   "WTNF"
@@ -24,8 +23,9 @@
 // receiver account frames that were lost entirely at the tail.
 //
 // Decoding never throws and never trusts a length field: every torn-down
-// path (truncated datagram, foreign magic, version skew, CRC mismatch,
-// nonsense fragment fields) maps to a DecodeStatus the caller counts.
+// path (truncated datagram, foreign magic, version skew including version
+// 1, CRC mismatch, nonsense fragment fields) maps to a DecodeStatus the
+// caller counts.
 #pragma once
 
 #include <cstddef>
@@ -38,7 +38,7 @@
 namespace witrack::net {
 
 inline constexpr std::uint32_t kProtocolMagic = 0x464E5457u;  // "WTNF"
-inline constexpr std::uint16_t kProtocolVersion = 1;
+inline constexpr std::uint16_t kProtocolVersion = 2;
 inline constexpr std::uint16_t kFlagEndOfStream = 1u << 0;
 
 /// Header (32 bytes) + trailing CRC32 frame every datagram.
@@ -74,12 +74,9 @@ enum class DecodeStatus {
     kMalformed,    ///< header decoded but its fields are nonsense
 };
 
-/// "ok" / "truncated" / "bad magic" / ...
-const char* to_string(DecodeStatus status);
-
-/// Serialize `frame` into datagrams of at most `mtu_bytes` each. Throws
-/// std::invalid_argument when the frame cannot fit 65535 fragments at this
-/// MTU, or when the MTU cannot carry any payload at all.
+/// Encode `frame` into datagrams of at most `mtu_bytes` each. Throws
+/// std::invalid_argument as engine::encode_frame does, when the frame cannot
+/// fit 65535 fragments at this MTU, or when the MTU carries no payload.
 std::vector<Datagram> pack_frame(const engine::Frame& frame,
                                  std::uint64_t token, std::uint64_t frame_seq,
                                  std::size_t mtu_bytes = kDefaultMtuBytes);
@@ -93,16 +90,5 @@ Datagram pack_end_of_stream(std::uint64_t token, std::uint64_t end_seq);
 DecodeStatus decode_datagram(std::span<const std::uint8_t> bytes,
                              FrameHeader& header,
                              std::span<const std::uint8_t>& payload);
-
-/// Deserialize a reassembled frame body into `frame` (the FrameBuffer is
-/// resized only on shape change, so a reused Frame stays allocation-free
-/// at steady state). Returns false on a body whose shape fields disagree
-/// with its length or exceed kMaxFrameBodyBytes; `frame` may be partially
-/// overwritten in that case and the caller must drop it.
-bool decode_frame_body(std::span<const std::uint8_t> body, engine::Frame& frame);
-
-/// Body bytes pack_frame will serialize for this frame (header/CRC framing
-/// excluded) -- lets senders size buffers and tests reason about counts.
-std::size_t frame_body_bytes(const engine::Frame& frame);
 
 }  // namespace witrack::net

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <utility>
 
+#include "engine/frame_codec.hpp"
 #include "net/frame_protocol.hpp"
 
 namespace witrack::net {
@@ -46,14 +47,16 @@ bool NetSource::pump() {
 }
 
 bool NetSource::deliver(engine::Frame& frame) {
+    const auto shape = engine::frame_shape(config_.fmcw, config_.array);
     std::uint64_t seq = 0;
     while (tracker_.pop(seq, body_)) {
-        if (decode_frame_body(body_, frame)) {
+        if (engine::decode_frame(body_, shape, frame)) {
             ++stats_.frames_delivered;
             return true;
         }
-        // A body that reassembled but does not parse: every datagram passed
-        // its CRC, so the sender packed garbage. Count it, drop it, go on.
+        // A body that reassembled but does not decode to this session's
+        // shape: every datagram passed its CRC, so the sender packed garbage.
+        // Count it, drop it, go on; the pipeline would evict the session.
         ++stats_.malformed;
     }
     return false;

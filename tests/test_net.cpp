@@ -9,6 +9,7 @@
 // live EngineHost over a socket.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -25,6 +26,7 @@
 
 #include "common/serialize.hpp"
 #include "engine/engine.hpp"
+#include "engine/frame_codec.hpp"
 #include "engine/host.hpp"
 #include "engine/sim_source.hpp"
 #include "hw/fault_injector.hpp"
@@ -65,6 +67,12 @@ std::vector<engine::Frame> record_frames(std::uint64_t seed,
     engine::Frame frame;
     while (source.next(frame)) frames.push_back(frame);
     return frames;
+}
+
+/// The shape a decoder must admit for tiny_frame(), reshaped or not.
+engine::FrameShape shape_of(const engine::Frame& frame) {
+    return {frame.sweeps.num_rx(), frame.sweeps.samples_per_sweep(),
+            frame.sweeps.num_sweeps()};
 }
 
 /// A tiny frame whose body fits any MTU -- protocol unit-test fodder.
@@ -179,10 +187,12 @@ TEST(FrameProtocol, SingleFragmentRoundTrip) {
     EXPECT_EQ(header.fragment_index, 0u);
     EXPECT_EQ(header.fragment_count, 1u);
     EXPECT_FALSE(header.end_of_stream());
-    EXPECT_EQ(payload.size(), net::frame_body_bytes(frame));
+    std::vector<std::uint8_t> body;
+    engine::encode_frame(frame, body);
+    EXPECT_TRUE(std::equal(payload.begin(), payload.end(), body.begin(), body.end()));
 
     engine::Frame decoded;
-    ASSERT_TRUE(net::decode_frame_body(payload, decoded));
+    ASSERT_TRUE(engine::decode_frame(payload, shape_of(frame), decoded));
     expect_same_frame(frame, decoded);
 }
 
@@ -212,7 +222,7 @@ TEST(FrameProtocol, MultiFragmentRoundTrip) {
     ASSERT_TRUE(tracker.pop(seq, body));
     EXPECT_EQ(seq, 0u);
     engine::Frame decoded;
-    ASSERT_TRUE(net::decode_frame_body(body, decoded));
+    ASSERT_TRUE(engine::decode_frame(body, shape_of(frame), decoded));
     expect_same_frame(frame, decoded);
 }
 
@@ -313,19 +323,24 @@ TEST(FrameProtocol, BodyShapeMismatchRejected) {
     ASSERT_EQ(net::decode_datagram(datagrams[0], header, payload),
               DecodeStatus::kOk);
 
-    // Corrupt the num_rx shape field inside the body: the sample count no
-    // longer matches, so the body must be rejected, not misinterpreted.
+    // Corrupt the num_rx shape field inside the body: rejected, not
+    // misinterpreted.
     std::vector<std::uint8_t> body(payload.begin(), payload.end());
-    const std::size_t shape_offset =
-        sizeof(double) + 1 + 6 * sizeof(double);  // time, flags, two truths
+    constexpr std::size_t kNumRxOffset = 16;  // after time and health, f64 each
     std::uint32_t bogus_rx = 7;
-    std::memcpy(body.data() + shape_offset, &bogus_rx, sizeof bogus_rx);
+    std::memcpy(body.data() + kNumRxOffset, &bogus_rx, sizeof bogus_rx);
     engine::Frame decoded;
-    EXPECT_FALSE(net::decode_frame_body(body, decoded));
+    EXPECT_FALSE(engine::decode_frame(body, shape_of(frame), decoded));
 
     // Truncated body: same verdict.
     std::vector<std::uint8_t> short_body(payload.begin(), payload.end() - 8);
-    EXPECT_FALSE(net::decode_frame_body(short_body, decoded));
+    EXPECT_FALSE(engine::decode_frame(short_body, shape_of(frame), decoded));
+
+    // A self-consistent body of another capture's shape: rejected too.
+    EXPECT_TRUE(engine::decode_frame(payload, shape_of(frame), decoded));
+    engine::FrameShape other = shape_of(frame);
+    ++other.samples_per_sweep;
+    EXPECT_FALSE(engine::decode_frame(payload, other, decoded));
 }
 
 // --------------------------------------------------- sequence tracking
@@ -503,6 +518,26 @@ TEST(NetSource, IdleTimeoutEndsTheStream) {
     const auto stats = source.net_stats();
     ASSERT_TRUE(stats.has_value());
     EXPECT_EQ(stats->idle_timeouts, 1u);
+}
+
+TEST(NetSource, MisShapedFrameIsDroppedWithoutEvictingTheSession) {
+    // One CRC-valid frame whose sweeps are one sample short: fed to the
+    // pipeline it would throw and evict the session. It must be counted as
+    // malformed and skipped instead.
+    auto frames = record_frames(305);
+    ASSERT_GT(frames.size(), 20u);
+    FrameBuffer& odd = frames[10].sweeps;
+    odd.resize(odd.num_rx(), odd.num_sweeps(), odd.samples_per_sweep() - 1);
+
+    engine::EngineHost host;
+    const auto id = host.admit("misshaped", walk_config(305),
+                               queue_source(pack_episode(frames, 3), 3));
+    host.run();
+    EXPECT_EQ(host.state(id), engine::SessionState::kFinished);
+    const auto stats = host.take_fleet_stats();
+    EXPECT_EQ(stats.net.malformed, 1u);
+    EXPECT_EQ(stats.net.frames_delivered, frames.size() - 1);
+    EXPECT_EQ(stats.net.frame_gaps, 0u);
 }
 
 // -------------------------------------------------- fault injection
