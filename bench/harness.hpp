@@ -1,13 +1,11 @@
 // Shared experiment harness for the figure benches: runs a scenario through
 // the full WiTrack pipeline and collects per-axis tracking errors against
-// the simulator's ground truth (the stand-in for VICON, Section 8a), plus
-// the one JSON report writer every bench/*.json artifact goes through.
+// the simulator's ground truth (the stand-in for VICON, Section 8a).
 #pragma once
 
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/table.hpp"
@@ -17,79 +15,12 @@
 
 namespace witrack::bench {
 
-/// The one writer for the bench/*.json artifacts. Every report opens the
-/// same way -- benchmark id, scenario description, and the host's CPU
-/// count, so a number can never be read without knowing the machine it came
-/// from -- and closes the same way. The bench-specific body (nested
-/// objects, sweeps) goes straight to stream() between the two; fields
-/// written by this class always leave a trailing comma, so the body starts
-/// a fresh field and the last body field omits its comma.
-class JsonReport {
-  public:
-    JsonReport(const std::string& path, const std::string& benchmark,
-               const std::string& scenario)
-        : path_(path), out_(std::fopen(path.c_str(), "w")) {
-        if (out_ == nullptr) {
-            std::fprintf(stderr, "cannot write %s\n", path.c_str());
-            return;
-        }
-        std::fprintf(out_, "{\n");
-        std::fprintf(out_, "  \"benchmark\": \"%s\",\n", benchmark.c_str());
-        std::fprintf(out_, "  \"scenario\": \"%s\",\n", scenario.c_str());
-        std::fprintf(out_, "  \"host_cpus\": %u,\n", host_cpus());
-    }
-    JsonReport(const JsonReport&) = delete;
-    JsonReport& operator=(const JsonReport&) = delete;
-    ~JsonReport() {
-        if (out_ != nullptr) std::fclose(out_);
-    }
-
-    static unsigned host_cpus() { return std::thread::hardware_concurrency(); }
-    static bool single_core() { return host_cpus() < 2; }
-
-    /// False when the output file could not be opened (already reported to
-    /// stderr); the caller should bail with a nonzero exit.
-    bool ok() const { return out_ != nullptr; }
-
-    /// The open FILE* for the bench-specific body. Only valid when ok().
-    std::FILE* stream() { return out_; }
-
-    /// A free-text note field (no escaping -- callers pass literals). Pass
-    /// a distinct `field` when a report carries more than one note.
-    void note(const std::string& text, const char* field = "note") {
-        std::fprintf(out_, "  \"%s\": \"%s\",\n", field, text.c_str());
-    }
-
-    /// The standing single-core caveat, emitted only on a single-core host:
-    /// `consequence` states what these numbers cannot show there.
-    void single_core_caveat(const std::string& consequence) {
-        if (single_core()) note("single-core host: " + consequence);
-    }
-
-    /// Close the object, flush, and report the artifact path. Returns the
-    /// process exit code (0, or 1 when the file never opened).
-    int close() {
-        if (out_ == nullptr) return 1;
-        std::fprintf(out_, "}\n");
-        std::fclose(out_);
-        out_ = nullptr;
-        std::printf("wrote %s\n", path_.c_str());
-        return 0;
-    }
-
-  private:
-    std::string path_;
-    std::FILE* out_ = nullptr;
-};
-
 struct TrackingErrors {
     std::vector<double> x, y, z;  ///< absolute per-axis errors [m]
     std::vector<double> euclidean;
     std::vector<double> truth_range;  ///< device-to-person distance per sample
     std::size_t frames = 0;
     std::size_t located = 0;
-    double mean_latency_s = 0.0;
-    double max_latency_s = 0.0;
 
     void append(const TrackingErrors& other) {
         x.insert(x.end(), other.x.begin(), other.x.end());
@@ -133,8 +64,6 @@ inline TrackingErrors run_tracking_experiment(sim::Scenario& scenario,
         errors.euclidean.push_back(est.distance_to(truth));
         errors.truth_range.push_back(truth.distance_to(scenario.array().tx));
     }
-    errors.mean_latency_s = tracker.mean_latency_s();
-    errors.max_latency_s = tracker.max_latency_s();
     return errors;
 }
 

@@ -61,7 +61,7 @@ void TofEstimator::process_rx(std::size_t rx, const FrameBuffer& frame,
     }
     auto& antenna_state = per_rx_[rx];
     {
-        ScopedStepTimer timer(step_stats_.fft);
+        common::ScopedLatency timer(step_stats_.fft);
         processor_.process_into(frame.antenna(rx), frame.num_sweeps(), profile_);
     }
     {
@@ -69,7 +69,7 @@ void TofEstimator::process_rx(std::size_t rx, const FrameBuffer& frame,
         // the clipped spectrum must not poison the background history the
         // next frames subtract against (kFrameDiff previous frame /
         // kStaticTraining running model): read-only subtraction.
-        ScopedStepTimer timer(step_stats_.subtract);
+        common::ScopedLatency timer(step_stats_.subtract);
         antenna_state.background.subtract_into(
             profile_, magnitude_,
             /*update_history=*/lane_flags_[rx] != kLaneSaturated);
@@ -83,7 +83,7 @@ void TofEstimator::process_rx(std::size_t rx, const FrameBuffer& frame,
     contour_scratch_.start_frame();  // new profile: drop the noise-floor cache
 
     if (!magnitude_.empty()) {
-        ScopedStepTimer timer(step_stats_.contour);
+        common::ScopedLatency timer(step_stats_.contour);
         if (config_.contour_peaks > 1) {
             contour_.extract_peaks_into(magnitude_, profile_.bin_round_trip_m,
                                         config_.contour_peaks, contour_scratch_,
@@ -117,7 +117,7 @@ void TofEstimator::process_rx(std::size_t rx, const FrameBuffer& frame,
         }
     }
     {
-        ScopedStepTimer timer(step_stats_.denoise);
+        common::ScopedLatency timer(step_stats_.denoise);
         out.denoised_m = antenna_state.denoiser.update(out.contour, dt);
     }
     if (config_.record_profiles)

@@ -9,15 +9,16 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/frame_buffer.hpp"
+#include "common/latency.hpp"
 #include "core/background.hpp"
 #include "core/contour.hpp"
 #include "core/denoise.hpp"
 #include "core/params.hpp"
 #include "core/range_fft.hpp"
-#include "core/step_profiler.hpp"
 
 namespace witrack::common {
 class StateWriter;
@@ -94,25 +95,13 @@ class TofEstimator {
     /// frame. FrameBuffer is the only ingestion type.
     const TofFrame& process_frame(const FrameBuffer& frame, double time_s);
 
-    /// Accumulated per-step cycle counters of the analysis chain (range
-    /// FFT, background subtract, contour+gating, denoise), one sample per
-    /// antenna per frame. take_step_stats() returns and resets the
-    /// accumulation window.
+    /// Per-step latency of the analysis chain (range FFT, background
+    /// subtract, contour+gating, denoise), one sample per antenna per
+    /// frame. take_step_stats() returns and resets the window.
     struct StepStats {
-        StepCounter fft, subtract, contour, denoise;
-
-        void reset() {
-            fft.reset();
-            subtract.reset();
-            contour.reset();
-            denoise.reset();
-        }
+        common::LatencyHistogram fft, subtract, contour, denoise;
     };
-    StepStats take_step_stats() {
-        StepStats stats = step_stats_;
-        step_stats_.reset();
-        return stats;
-    }
+    StepStats take_step_stats() { return std::exchange(step_stats_, StepStats{}); }
 
     /// Static-training extension: learn the empty scene from these frames
     /// (switches the background mode for all antennas).

@@ -1,7 +1,5 @@
 #include "core/tracker.hpp"
 
-#include <algorithm>
-#include <chrono>
 #include <stdexcept>
 
 #include "common/serialize.hpp"
@@ -32,7 +30,7 @@ WiTrackTracker::WiTrackTracker(const PipelineConfig& config,
 
 const WiTrackTracker::FrameResult& WiTrackTracker::process_frame(
     const FrameBuffer& frame, double time_s, PipelineOutputs demanded) {
-    const auto t0 = std::chrono::steady_clock::now();
+    const common::ScopedLatency timer(frame_latency_);
     demanded = with_dependencies(demanded);
 
     // A step re-demanded after undemanded frames (e.g. a subscriber
@@ -66,7 +64,7 @@ const WiTrackTracker::FrameResult& WiTrackTracker::process_frame(
     }
 
     if (demands(demanded, PipelineOutputs::kRawPosition)) {
-        ScopedStepTimer timer(localize_steps_);
+        common::ScopedLatency timer(localize_steps_);
         result_.raw = localize_step_.run(result_.tof);
         if (result_.raw) {
             raw_track_.push_back(*result_.raw);
@@ -75,7 +73,7 @@ const WiTrackTracker::FrameResult& WiTrackTracker::process_frame(
     }
 
     if (demands(demanded, PipelineOutputs::kSmoothedTrack)) {
-        ScopedStepTimer timer(smooth_steps_);
+        common::ScopedLatency timer(smooth_steps_);
         result_.smoothed = smooth_step_.run(result_.raw, time_s, health);
         if (result_.smoothed) {
             track_.push_back(*result_.smoothed);
@@ -89,11 +87,6 @@ const WiTrackTracker::FrameResult& WiTrackTracker::process_frame(
         demands(demanded, PipelineOutputs::kRawPosition) && !result_.raw
             ? 0.0
             : health;
-
-    const auto t1 = std::chrono::steady_clock::now();
-    result_.processing_seconds = std::chrono::duration<double>(t1 - t0).count();
-    total_latency_s_ += result_.processing_seconds;
-    max_latency_s_ = std::max(max_latency_s_, result_.processing_seconds);
     ++frames_;
     return result_;
 }
@@ -107,18 +100,12 @@ void WiTrackTracker::trim_history(std::vector<TrackPoint>& track) {
                 track.begin() + static_cast<std::ptrdiff_t>(track.size() - cap));
 }
 
-double WiTrackTracker::mean_latency_s() const {
-    return frames_ > 0 ? total_latency_s_ / static_cast<double>(frames_) : 0.0;
-}
-
 void WiTrackTracker::reset() {
     tof_step_.reset();
     smooth_step_.reset();
     prev_demanded_ = PipelineOutputs::kNone;
     track_.clear();
     raw_track_.clear();
-    total_latency_s_ = 0.0;
-    max_latency_s_ = 0.0;
     frames_ = 0;
 }
 
@@ -128,8 +115,6 @@ void WiTrackTracker::save_state(common::StateWriter& writer) const {
     // set resumes exactly where the snapshot left off.
     writer.u8(static_cast<std::uint8_t>(prev_demanded_));
     writer.u64(frames_);
-    writer.f64(total_latency_s_);
-    writer.f64(max_latency_s_);
     save_track(writer, track_);
     save_track(writer, raw_track_);
     tof_step_.save_state(writer);
@@ -142,8 +127,6 @@ void WiTrackTracker::load_state(common::StateReader& reader) {
         throw std::runtime_error("WiTrackTracker: corrupt demand set in snapshot");
     prev_demanded_ = static_cast<PipelineOutputs>(demanded);
     frames_ = static_cast<std::size_t>(reader.u64());
-    total_latency_s_ = reader.f64();
-    max_latency_s_ = reader.f64();
     load_track(reader, track_);
     load_track(reader, raw_track_);
     tof_step_.load_state(reader);

@@ -1,13 +1,14 @@
 // WiTrack facade: the full realtime pipeline of paper Section 7 composed
 // from the demand-schedulable steps (TofStep -> LocalizeStep -> SmoothStep)
-// plus per-frame processing-latency accounting (the paper reports < 75 ms
-// from signal reception to 3D output). Callers that only need part of the
-// chain pass a PipelineOutputs demand set and the undemanded steps are
-// skipped entirely -- a TOF-only consumer never pays for the ellipsoid
+// plus per-step and whole-frame latency histograms (the paper reports
+// < 75 ms from signal reception to 3D output). Callers that only need part
+// of the chain pass a PipelineOutputs demand set and the undemanded steps
+// are skipped entirely -- a TOF-only consumer never pays for the ellipsoid
 // solve or the Kalman smoothing.
 #pragma once
 
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/frame_buffer.hpp"
@@ -36,7 +37,6 @@ class WiTrackTracker {
         TofFrame tof;                       ///< per-antenna observations
         std::optional<TrackPoint> raw;      ///< unsmoothed solver output
         std::optional<TrackPoint> smoothed; ///< Kalman-smoothed 3D position
-        double processing_seconds = 0.0;    ///< wall-clock pipeline latency
         PipelineOutputs computed = PipelineOutputs::kNone;  ///< steps that ran
         /// Track confidence for this frame: the frame's hardware health
         /// score, zeroed when localization was demanded but produced no
@@ -63,23 +63,21 @@ class WiTrackTracker {
     const FrameResult& process_frame(const FrameBuffer& frame, double time_s,
                                      PipelineOutputs demanded);
 
-    /// Per-pipeline-step cycle counters (Section 4 chain: fft, subtract,
-    /// contour, denoise from the TOF estimator; localize and smooth from
-    /// this tracker). take_step_stats() returns and resets the window.
+    /// Per-pipeline-step latency (Section 4 chain: fft, subtract, contour,
+    /// denoise from the TOF estimator; localize and smooth from this
+    /// tracker) and the whole process_frame() call, which encloses them.
+    /// take_step_stats() returns and resets the window.
     struct PipelineStepStats {
         TofEstimator::StepStats tof;
-        StepCounter localize;
-        StepCounter smooth;
+        common::LatencyHistogram localize, smooth, frame;
     };
     PipelineStepStats take_step_stats() {
-        PipelineStepStats stats;
-        stats.tof = tof_step_.estimator().take_step_stats();
-        stats.localize = localize_steps_;
-        stats.smooth = smooth_steps_;
-        localize_steps_.reset();
-        smooth_steps_.reset();
-        return stats;
+        return {tof_step_.estimator().take_step_stats(), std::exchange(localize_steps_, {}),
+                std::exchange(smooth_steps_, {}), std::exchange(frame_latency_, {})};
     }
+
+    /// Whole-frame process_frame() latency since the last take_step_stats().
+    const common::LatencyHistogram& frame_latency() const { return frame_latency_; }
 
     /// All smoothed track points so far (bounded by
     /// PipelineConfig::max_track_history when a cap is set).
@@ -89,9 +87,6 @@ class WiTrackTracker {
     /// ~0.4 s) survive here; the smoothed track trades them for lower noise.
     const std::vector<TrackPoint>& raw_track() const { return raw_track_; }
 
-    /// Mean / max processing latency per frame [s].
-    double mean_latency_s() const;
-    double max_latency_s() const { return max_latency_s_; }
     std::size_t frames_processed() const { return frames_; }
 
     TofEstimator& tof_estimator() { return tof_step_.estimator(); }
@@ -100,7 +95,7 @@ class WiTrackTracker {
     void reset();
 
     /// Serialize the full tracker state: demand bookkeeping, track
-    /// histories, latency accounting, and every step's mutable state.
+    /// histories and every step's mutable state. Timing is not state.
     void save_state(common::StateWriter& writer) const;
     void load_state(common::StateReader& reader);
 
@@ -114,11 +109,9 @@ class WiTrackTracker {
     SmoothStep smooth_step_;
     PipelineOutputs prev_demanded_ = PipelineOutputs::kNone;
     FrameResult result_;  ///< persistent per-frame result, reused every frame
-    StepCounter localize_steps_, smooth_steps_;
+    common::LatencyHistogram localize_steps_, smooth_steps_, frame_latency_;
     std::vector<TrackPoint> track_;
     std::vector<TrackPoint> raw_track_;
-    double total_latency_s_ = 0.0;
-    double max_latency_s_ = 0.0;
     std::size_t frames_ = 0;
 };
 

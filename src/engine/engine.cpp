@@ -1,7 +1,5 @@
 #include "engine/engine.hpp"
 
-#include <algorithm>
-#include <chrono>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -50,7 +48,7 @@ Engine::Engine(EngineConfig config, std::unique_ptr<FrameSource> source,
 void Engine::add_stage(std::unique_ptr<AppStage> stage) {
     const StageContext context{config_, pipeline_, source_->array()};
     stage->attach(context, bus_);
-    stage_stats_.push_back(StageStats{std::string(stage->name()), 0, 0.0, 0.0, 0.0});
+    stage_stats_.push_back(StageStats{{}, std::string(stage->name())});
     stages_.push_back(std::move(stage));
 }
 
@@ -97,7 +95,6 @@ bool Engine::step() {
         update.motion_detected = result_.tof.motion_detected();
         update.raw = result_.raw;
         update.smoothed = result_.smoothed;
-        update.processing_seconds = result_.processing_seconds;
         update.truth = frame_.truth;
         update.confidence = result_.confidence;
         bus_.publish(update);
@@ -112,14 +109,8 @@ bool Engine::step() {
 
 void Engine::run_stages() {
     for (std::size_t i = 0; i < stages_.size(); ++i) {
-        const auto t0 = std::chrono::steady_clock::now();
+        const common::ScopedLatency timer(stage_stats_[i]);
         stages_[i]->on_frame(frame_, result_, bus_);
-        const auto t1 = std::chrono::steady_clock::now();
-        const double elapsed = std::chrono::duration<double>(t1 - t0).count();
-        auto& stats = stage_stats_[i];
-        ++stats.frames;
-        stats.total_s += elapsed;
-        stats.max_s = std::max(stats.max_s, elapsed);
     }
 }
 
@@ -138,12 +129,11 @@ void Engine::finish() {
     if (finished_ || state_ == SessionState::kEvicted) return;
     finished_ = true;
     for (std::size_t i = 0; i < stages_.size(); ++i) {
-        const auto t0 = std::chrono::steady_clock::now();
+        const std::uint64_t start = common::profile_ticks();
         stages_[i]->finish(bus_);
-        const auto t1 = std::chrono::steady_clock::now();
         // Episode-scoped work (e.g. the pointing analysis) is accounted
-        // separately so the per-frame mean/max stay meaningful.
-        stage_stats_[i].finish_s += std::chrono::duration<double>(t1 - t0).count();
+        // separately so the per-frame histogram stays meaningful.
+        stage_stats_[i].finish_s += common::seconds_since(start);
     }
     state_ = SessionState::kFinished;
 }
@@ -253,28 +243,18 @@ void Engine::restore(std::istream& in) {
 
 std::vector<Engine::StageStats> Engine::take_stage_stats() {
     std::vector<StageStats> snapshot = stage_stats_;
-    for (auto& stats : stage_stats_) {
-        stats.frames = 0;
-        stats.total_s = 0.0;
-        stats.max_s = 0.0;
-        stats.finish_s = 0.0;
-    }
-    // Append the core pipeline's per-step profile (cycle counters from the
-    // tracker, same snapshot-and-reset window). The entries ride the same
-    // StageStats shape, so FleetStats rollups and the control plane's JSON
-    // rendering pick them up with no further plumbing.
+    for (auto& stats : stage_stats_) stats = StageStats{{}, std::move(stats.name)};
+    // Append the core pipeline's histograms (same snapshot-and-reset
+    // window) in the same StageStats shape, so FleetStats rollups and the
+    // control plane's JSON pick them up with no further plumbing.
     const auto steps = tracker_.take_step_stats();
-    const auto append = [&](const char* name, const core::StepCounter& c) {
-        if (c.frames == 0) return;
-        snapshot.push_back(StageStats{name, static_cast<std::size_t>(c.frames),
-                                      c.total_seconds(), c.max_seconds(), 0.0});
-    };
-    append("pipeline.fft", steps.tof.fft);
-    append("pipeline.subtract", steps.tof.subtract);
-    append("pipeline.contour", steps.tof.contour);
-    append("pipeline.denoise", steps.tof.denoise);
-    append("pipeline.localize", steps.localize);
-    append("pipeline.smooth", steps.smooth);
+    const std::pair<const char*, const common::LatencyHistogram&> pipeline[] = {
+        {"pipeline.fft", steps.tof.fft},         {"pipeline.subtract", steps.tof.subtract},
+        {"pipeline.contour", steps.tof.contour}, {"pipeline.denoise", steps.tof.denoise},
+        {"pipeline.localize", steps.localize},   {"pipeline.smooth", steps.smooth},
+        {"pipeline.frame", steps.frame}};
+    for (const auto& [name, latency] : pipeline)
+        if (latency.frames > 0) snapshot.push_back(StageStats{latency, name});
     return snapshot;
 }
 

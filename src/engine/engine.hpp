@@ -27,6 +27,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/latency.hpp"
 #include "core/pipeline_steps.hpp"
 #include "core/tracker.hpp"
 #include "engine/config.hpp"
@@ -60,8 +61,11 @@ namespace witrack::engine {
 /// Version 4 replaced the simulator's two std::mt19937_64 text dumps
 /// inside "SRC " (~6 KB each) with the fixed-width splitmix64 Rng state:
 /// counter u64 | has_spare u8 | spare f64.
+///
+/// Version 5 dropped the tracker's two latency f64s from "TRK ": timing
+/// is not session state.
 inline constexpr std::uint32_t kSnapshotMagic = 0x53535457u;  // "WTSS"
-inline constexpr std::uint32_t kSnapshotVersion = 4;
+inline constexpr std::uint32_t kSnapshotVersion = 5;
 
 /// Lifecycle of one tracking session:
 ///
@@ -168,31 +172,24 @@ class Engine {
     /// health watchdog and rolls it into FleetStats.
     const QualityStats& quality_stats() const { return quality_stats_; }
 
-    /// Wall-clock accounting per application stage. total_s / mean_s /
-    /// max_s cover the per-frame on_frame() calls; the one-shot finish()
-    /// work (episode-scoped analysis) is reported separately in finish_s.
-    struct StageStats {
+    /// Latency per application stage: the histogram covers the per-frame
+    /// on_frame() calls; the one-shot finish() work (episode-scoped
+    /// analysis) is reported separately in finish_s.
+    struct StageStats : common::LatencyHistogram {
         std::string name;
-        std::size_t frames = 0;
-        double total_s = 0.0;
-        double max_s = 0.0;
         double finish_s = 0.0;
-        double mean_s() const {
-            return frames > 0 ? total_s / static_cast<double>(frames) : 0.0;
-        }
     };
     const std::vector<StageStats>& stage_stats() const { return stage_stats_; }
 
-    /// Snapshot the per-stage stats and reset the running aggregates
-    /// (frames, total_s, max_s, finish_s) so a long-running deployment can
-    /// poll per-window means and p99-ish maxima without restarting the
-    /// Engine. Stage names persist across snapshots. In addition to the
-    /// attached application stages, the snapshot appends one "pipeline.*"
-    /// entry per core pipeline step (fft, subtract, contour, denoise,
-    /// localize, smooth) with cycle-counter timing from the tracker --
-    /// per-antenna samples for the per-RX steps, so `frames` counts
-    /// (frame, antenna) pairs there. Steps with no samples in the window
-    /// are omitted.
+    /// Snapshot the per-stage stats and reset the running histograms and
+    /// finish_s, so a long-running deployment can poll per-window
+    /// percentiles without restarting the Engine. Stage names persist
+    /// across snapshots. After the attached application stages, the
+    /// snapshot appends one "pipeline.*" entry per core pipeline step
+    /// (fft, subtract, contour, denoise, localize, smooth) and
+    /// "pipeline.frame" for the whole tracker call -- per-antenna samples
+    /// for the per-RX steps, so `frames` counts (frame, antenna) pairs
+    /// there. Steps with no samples in the window are omitted.
     std::vector<StageStats> take_stage_stats();
 
     /// Serialize the full session state -- tracker, stages, source cursor,

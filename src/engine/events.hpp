@@ -29,7 +29,6 @@ struct TrackUpdateEvent {
     bool motion_detected = false;            ///< antenna quorum saw motion
     std::optional<core::TrackPoint> raw;      ///< unsmoothed solver output
     std::optional<core::TrackPoint> smoothed; ///< Kalman-smoothed 3D position
-    double processing_seconds = 0.0;          ///< pipeline latency this frame
     std::optional<GroundTruth> truth;         ///< evaluation reference, if known
     /// Track confidence: the frame's hardware health score, zeroed when
     /// localization was demanded but produced no fix. 1.0 on pristine

@@ -28,25 +28,6 @@ std::size_t resolve_worker_count(std::size_t configured) {
     return static_cast<std::size_t>(value);
 }
 
-/// Fold `from` into `into` by stage name: counts and times add, maxima
-/// take the larger. Names missing from `into` are appended in order.
-void merge_stage_stats(std::vector<Engine::StageStats>& into,
-                       std::vector<Engine::StageStats> from) {
-    for (auto& stats : from) {
-        const auto same = std::find_if(
-            into.begin(), into.end(),
-            [&stats](const Engine::StageStats& s) { return s.name == stats.name; });
-        if (same == into.end()) {
-            into.push_back(std::move(stats));
-            continue;
-        }
-        same->frames += stats.frames;
-        same->total_s += stats.total_s;
-        same->max_s = std::max(same->max_s, stats.max_s);
-        same->finish_s += stats.finish_s;
-    }
-}
-
 double steady_seconds() {
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now().time_since_epoch())
@@ -93,6 +74,17 @@ void append_field(std::string& out, const char* key, double value,
     char buf[64];
     std::snprintf(buf, sizeof buf, "\"%s\":%.6g", key, value);
     out += buf;
+}
+
+/// Every latency renders the same way: samples, then mean, p50, p99 and
+/// max in milliseconds.
+void append_latency(std::string& out, const common::LatencyHistogram& latency,
+                    bool leading_comma = true) {
+    append_field(out, "frames", latency.frames, leading_comma);
+    append_field(out, "mean_ms", latency.mean_s() * 1e3);
+    append_field(out, "p50_ms", latency.quantile_s(0.5) * 1e3);
+    append_field(out, "p99_ms", latency.quantile_s(0.99) * 1e3);
+    append_field(out, "max_ms", latency.max_s * 1e3);
 }
 
 void append_quality(std::string& out, const QualityStats& quality) {
@@ -165,9 +157,9 @@ std::string to_json(const FleetStats& stats) {
         out += ",\"state\":\"";
         out += to_string(session.state);
         out += '"';
-        append_field(out, "frames", static_cast<std::uint64_t>(session.frames));
-        append_field(out, "mean_step_ms", session.mean_step_s() * 1e3);
-        append_field(out, "max_step_ms", session.max_step_s * 1e3);
+        out += ",\"step\":{";
+        append_latency(out, session.step, false);
+        out += "}";
         append_field(out, "health", session.recent_health);
         if (session.restarts > 0)
             append_field(out, "restarts",
@@ -187,10 +179,7 @@ std::string to_json(const FleetStats& stats) {
                 if (s > 0) out += ',';
                 out += "{\"name\":";
                 append_json_string(out, stage.name);
-                append_field(out, "frames",
-                             static_cast<std::uint64_t>(stage.frames));
-                append_field(out, "mean_ms", stage.mean_s() * 1e3);
-                append_field(out, "max_ms", stage.max_s * 1e3);
+                append_latency(out, stage);
                 out += "}";
             }
             out += "]";
@@ -453,9 +442,6 @@ std::size_t EngineHost::step_all() {
     for (Session* session : ready_) {
         switch (session->outcome) {
             case Outcome::kProduced:
-                ++session->frames;
-                session->total_step_s += session->step_s;
-                session->max_step_s = std::max(session->max_step_s, session->step_s);
                 session->lag = 0;
                 ++processed;
                 ++frames_window_;
@@ -478,9 +464,10 @@ std::size_t EngineHost::step_all() {
 }
 
 void EngineHost::step_session(Session& session) {
-    const auto t0 = std::chrono::steady_clock::now();
+    const std::uint64_t start = common::profile_ticks();
     try {
         if (session.engine->step()) {
+            session.step.add(common::seconds_since(start));
             session.outcome = Outcome::kProduced;
         } else {
             // Source exhausted: Draining -> deliver the episode finish()
@@ -495,9 +482,6 @@ void EngineHost::step_session(Session& session) {
         session.outcome = Outcome::kThrew;
         session.error = "step() threw a non-std exception";
     }
-    session.step_s = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - t0)
-                         .count();
 }
 
 void EngineHost::watch_health() {
@@ -554,8 +538,8 @@ void EngineHost::restart_session(Session& session) {
         engine->restore(snapshot);
         // The snapshot does not carry timing: keep the outgoing engine's
         // window so the stage rollup still covers every frame it stepped.
-        merge_stage_stats(session.carried_stages,
-                          session.engine->take_stage_stats());
+        for (auto& stage : session.engine->take_stage_stats())
+            session.carried_stages.push_back(std::move(stage));
         session.engine = std::move(engine);
         session.engine->set_session_id(session.id);
         ++session.restarts;
@@ -625,11 +609,23 @@ FleetStats EngineHost::take_fleet_stats() {
         rollup.id = session->id;
         rollup.name = session->name;
         rollup.state = session->engine->session_state();
-        rollup.frames = session->frames;
-        rollup.total_step_s = session->total_step_s;
-        rollup.max_step_s = session->max_step_s;
-        rollup.stages = std::exchange(session->carried_stages, {});
-        merge_stage_stats(rollup.stages, session->engine->take_stage_stats());
+        rollup.step = std::exchange(session->step, {});
+        // Replaced engines' entries first, then the live engine's: one
+        // entry per stage name, histograms merged.
+        auto stages = std::exchange(session->carried_stages, {});
+        for (auto& stage : session->engine->take_stage_stats())
+            stages.push_back(std::move(stage));
+        for (auto& stage : stages) {
+            const auto same = std::find_if(
+                rollup.stages.begin(), rollup.stages.end(),
+                [&stage](const Engine::StageStats& s) { return s.name == stage.name; });
+            if (same == rollup.stages.end()) {
+                rollup.stages.push_back(std::move(stage));
+                continue;
+            }
+            same->merge(stage);
+            same->finish_s += stage.finish_s;
+        }
         rollup.fault = session->fault;
         rollup.net = session->engine->net_stats();
         if (rollup.net) stats.net += *rollup.net;
@@ -639,9 +635,6 @@ FleetStats EngineHost::take_fleet_stats() {
         rollup.restarts = session->restarts;
         stats.sessions.push_back(std::move(rollup));
 
-        session->frames = 0;
-        session->total_step_s = 0.0;
-        session->max_step_s = 0.0;
     }
 
     frames_window_ = 0;

@@ -135,8 +135,9 @@ struct HostConfig {
     }
 };
 
-/// Per-session rollup inside FleetStats. frames / step timing cover the
-/// window since the last take_fleet_stats(); stages comes from the
+/// Per-session rollup inside FleetStats. The step histogram (one sample
+/// per frame processed) covers the window since the last
+/// take_fleet_stats(); stages comes from the
 /// session's Engine::take_stage_stats() (same snapshot-and-reset contract),
 /// including the stats of engines a watchdog restart replaced during the
 /// window.
@@ -144,9 +145,7 @@ struct SessionStats {
     SessionId id = 0;
     std::string name;
     SessionState state = SessionState::kAdmitted;
-    std::size_t frames = 0;        ///< frames processed this window
-    double total_step_s = 0.0;     ///< host-observed step() wall clock
-    double max_step_s = 0.0;
+    common::LatencyHistogram step; ///< host-observed step() per frame
     std::vector<Engine::StageStats> stages;
     std::string fault;             ///< eviction reason, if evicted
     /// Network ingestion counters (cumulative over the source's lifetime,
@@ -160,9 +159,6 @@ struct SessionStats {
     double recent_health = 1.0;
     /// Watchdog restarts this session has survived.
     std::size_t restarts = 0;
-    double mean_step_s() const {
-        return frames > 0 ? total_step_s / static_cast<double>(frames) : 0.0;
-    }
 };
 
 /// Fleet-wide telemetry window: take_fleet_stats() snapshots and resets the
@@ -191,8 +187,10 @@ struct FleetStats {
 
 /// Compact single-line JSON rendering of a fleet telemetry snapshot -- the
 /// one FleetStats serialization, shared by the control plane's stats
-/// scrape (net::ControlServer "STATS"), the witrackd periodic log line and
-/// bench_fleet, so dashboards parse one shape.
+/// scrape (net::ControlServer "STATS") and the witrackd periodic log line,
+/// so dashboards parse one shape. Every latency (host step, each stage,
+/// each pipeline.* step) renders as frames, mean_ms, p50_ms, p99_ms and
+/// max_ms.
 std::string to_json(const FleetStats& stats);
 
 class EngineHost {
@@ -335,12 +333,9 @@ class EngineHost {
         bool paused = false;
         bool accounted = false;        ///< terminal transition already counted
         std::size_t lag = 0;           ///< consecutive rounds without a frame
-        std::size_t frames = 0;        ///< window counter
-        double total_step_s = 0.0;     ///< window counter
-        double max_step_s = 0.0;       ///< window counter
+        common::LatencyHistogram step; ///< window: produced frames' step()
         std::string fault;
         Outcome outcome = Outcome::kProduced;  ///< this round's step
-        double step_s = 0.0;                   ///< this round's step time
         std::string error;                     ///< kThrew: the reason
         /// Self-healing wiring: empty factory = not restartable.
         EngineConfig engine_config;
@@ -348,7 +343,7 @@ class EngineHost {
         std::function<void(Engine&)> wire_stages;
         std::size_t restarts = 0;
         /// Stage stats taken from engines replaced by a watchdog restart
-        /// this window; folded into the next take_fleet_stats() rollup.
+        /// this window, unmerged; take_fleet_stats() folds them by name.
         std::vector<Engine::StageStats> carried_stages;
         /// Watchdog accounting: engine quality counters already consumed
         /// (marks) and the current tumbling health window.

@@ -1,6 +1,8 @@
 #include "engine/replay.hpp"
 
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <type_traits>
 
@@ -83,6 +85,10 @@ ReplaySource::ReplaySource(const std::string& path)
     read_or_throw(in_, array_.boresight, "array");
     std::uint64_t num_rx = 0;
     read_or_throw(in_, num_rx, "array");
+    // A frame's quality-lane count is a u16, so no frame of a wider array
+    // could decode: refuse the header before it sizes anything.
+    if (num_rx > std::numeric_limits<std::uint16_t>::max())
+        throw std::runtime_error("ReplaySource: corrupt recording (antenna count)");
     array_.rx.resize(static_cast<std::size_t>(num_rx));
     for (auto& rx : array_.rx) read_or_throw(in_, rx, "array");
     shape_ = frame_shape(fmcw_, array_);

@@ -118,7 +118,8 @@ class FaultInjector {
 };
 
 /// Parse a "key=value,key=value" fault spec -- the WITRACK_HW_FAULTS
-/// environment format, also accepted by scenario files and bench_fleet.
+/// environment format, also accepted by scenario files and witrackd's
+/// ADMIT sim.
 /// Keys: dropout, saturation, sat_level, sweep_drop, sweep_short, drift,
 /// drift_ppm, burst, burst_gain, seed. Rates must be in [0, 1]. Throws
 /// std::invalid_argument naming the offending key on anything malformed.

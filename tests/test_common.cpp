@@ -1,5 +1,5 @@
 // Unit tests for src/common: FMCW parameter derivations (paper Eq. 1-4),
-// unit conversions, and the deterministic RNG.
+// unit conversions, the deterministic RNG and the latency histogram.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +11,7 @@
 
 #include "common/cli.hpp"
 #include "common/constants.hpp"
+#include "common/latency.hpp"
 #include "common/random.hpp"
 #include "common/units.hpp"
 
@@ -272,6 +273,102 @@ TEST(Cli, SeedDefaultsAndOverrides) {
     EXPECT_EQ(args.get_seed(), 1234u);
     CliArgs empty(0, nullptr);
     EXPECT_EQ(empty.get_seed(99), 99u);
+}
+
+// ------------------------------------------------------- latency histogram
+
+/// Log-uniform samples from 100 ns to 100 ms, the range frame timings span.
+std::vector<double> latency_samples(std::uint64_t seed, std::size_t n) {
+    Rng rng(seed);
+    std::vector<double> out(n);
+    for (double& s : out) s = 1e-7 * std::pow(10.0, rng.uniform(0.0, 6.0));
+    return out;
+}
+
+TEST(LatencyHistogram, EmptyReadsAllZeros) {
+    const common::LatencyHistogram h;
+    EXPECT_EQ(h.frames, 0u);
+    EXPECT_EQ(h.total_s, 0.0);
+    EXPECT_EQ(h.max_s, 0.0);
+    EXPECT_EQ(h.mean_s(), 0.0);
+    EXPECT_EQ(h.quantile_s(0.5), 0.0);
+    EXPECT_EQ(h.quantile_s(1.0), 0.0);
+    EXPECT_LT(sizeof h, 2048u);
+}
+
+TEST(LatencyHistogram, QuantilesWithinOneBucketOfTheExactQuantile) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+        auto samples = latency_samples(seed, 5000);
+        common::LatencyHistogram h;
+        for (const double s : samples) h.add(s);
+        std::sort(samples.begin(), samples.end());
+        EXPECT_EQ(h.frames, samples.size());
+        EXPECT_EQ(h.max_s, samples.back());
+        for (const double q : {0.0, 0.01, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0}) {
+            const auto rank = std::max<std::size_t>(
+                1, static_cast<std::size_t>(std::ceil(q * static_cast<double>(samples.size()))));
+            const double exact = samples[rank - 1];
+            // A bucket is at most 1/8 of its lower bound wide (plus the
+            // nanosecond the sample was truncated to).
+            EXPECT_NEAR(h.quantile_s(q), exact, exact / 8.0 + 1e-9)
+                << "seed " << seed << " q " << q;
+        }
+        EXPECT_EQ(h.quantile_s(1.0), h.max_s);
+    }
+}
+
+TEST(LatencyHistogram, MergeEqualsAddingEverySampleToOne) {
+    const auto a_samples = latency_samples(11, 700);
+    const auto b_samples = latency_samples(12, 1300);
+    common::LatencyHistogram a, b, all;
+    for (const double s : a_samples) a.add(s), all.add(s);
+    for (const double s : b_samples) b.add(s), all.add(s);
+    a.merge(b);
+    EXPECT_EQ(a.frames, all.frames);
+    EXPECT_EQ(a.counts, all.counts);
+    EXPECT_EQ(a.max_s, all.max_s);
+    EXPECT_NEAR(a.total_s, all.total_s, 1e-12 * all.total_s);
+    for (const double q : {0.5, 0.9, 0.99}) EXPECT_EQ(a.quantile_s(q), all.quantile_s(q));
+}
+
+TEST(LatencyHistogram, ResetEmptiesEverything) {
+    common::LatencyHistogram h;
+    for (const double s : latency_samples(5, 100)) h.add(s);
+    h.reset();
+    const common::LatencyHistogram empty;
+    EXPECT_EQ(h.frames, 0u);
+    EXPECT_EQ(h.total_s, 0.0);
+    EXPECT_EQ(h.max_s, 0.0);
+    EXPECT_EQ(h.counts, empty.counts);
+    EXPECT_EQ(h.quantile_s(0.99), 0.0);
+}
+
+TEST(LatencyHistogram, SamplesPastTheTopBucketClampButKeepMaxExact) {
+    common::LatencyHistogram h;
+    h.add(1e-3);
+    h.add(10.0);
+    h.add(123.456);
+    EXPECT_EQ(h.frames, 3u);
+    EXPECT_EQ(h.max_s, 123.456);
+    EXPECT_DOUBLE_EQ(h.total_s, 1e-3 + 10.0 + 123.456);
+    EXPECT_EQ(h.counts.back(), 2u);
+    EXPECT_EQ(h.quantile_s(1.0), 123.456);
+    EXPECT_GT(h.quantile_s(0.5), 4.0);  // the top bucket starts near 2^32 ns
+    EXPECT_LE(h.quantile_s(0.5), h.max_s);
+}
+
+TEST(LatencyHistogram, ScopedLatencyRecordsOneSampleOnTheProfileClock) {
+    common::LatencyHistogram h;
+    const std::uint64_t start = common::profile_ticks();
+    {
+        const common::ScopedLatency timer(h);
+        volatile double sink = 0.0;
+        for (int i = 0; i < 1000; ++i) sink = sink + std::sqrt(static_cast<double>(i));
+    }
+    const double outer = common::seconds_since(start);
+    EXPECT_EQ(h.frames, 1u);
+    EXPECT_GT(h.total_s, 0.0);
+    EXPECT_LE(h.total_s, outer);
 }
 
 }  // namespace

@@ -519,15 +519,15 @@ TEST(Watchdog, RestartKeepsTheSessionTimingWindow) {
     const auto stats = host.take_fleet_stats();
     ASSERT_EQ(stats.sessions.size(), 1u);
     const auto& session = stats.sessions[0];
-    EXPECT_EQ(session.frames, 120u);  // 1.5 s at 12.5 ms per frame
+    EXPECT_EQ(session.step.frames, 120u);  // 1.5 s at 12.5 ms per frame
     const auto* counter = find_stage(session, "counter");
     ASSERT_NE(counter, nullptr);
-    EXPECT_EQ(counter->frames, session.frames);
+    EXPECT_EQ(counter->frames, session.step.frames);
     // The range FFT runs once per live antenna: 3 per frame, minus the 40
     // frames whose lane 0 was dead.
     const auto* fft = find_stage(session, "pipeline.fft");
     ASSERT_NE(fft, nullptr);
-    EXPECT_EQ(fft->frames, 3 * session.frames - 40);
+    EXPECT_EQ(fft->frames, 3 * session.step.frames - 40);
 
     // The carried window was consumed: the next one starts empty.
     const auto next = host.take_fleet_stats();

@@ -9,9 +9,11 @@
 // WorkerPool multi-client and nesting semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -23,6 +25,7 @@
 #include "dsp/fft_plan_cache.hpp"
 #include "engine/engine.hpp"
 #include "engine/host.hpp"
+#include "engine/plugins.hpp"
 #include "engine/replay.hpp"
 #include "engine/sim_source.hpp"
 #include "hw/fault_injector.hpp"
@@ -405,7 +408,7 @@ TEST(Fleet, MixedFleetParityAndRoundOrderAtOneAndFourWorkers) {
     for (std::size_t i = 0; i < a.sessions.size(); ++i) {
         EXPECT_EQ(a.sessions[i].id, b.sessions[i].id);
         EXPECT_EQ(a.sessions[i].state, b.sessions[i].state);
-        EXPECT_EQ(a.sessions[i].frames, b.sessions[i].frames);
+        EXPECT_EQ(a.sessions[i].step.frames, b.sessions[i].step.frames);
         EXPECT_EQ(a.sessions[i].fault, b.sessions[i].fault);
     }
     EXPECT_NE(a.sessions[2].fault.find("tenant bug"), std::string::npos);
@@ -787,12 +790,12 @@ TEST(Fleet, TakeFleetStatsSnapshotsAndResets) {
     EXPECT_EQ(window1.active_sessions, 1u);
     ASSERT_EQ(window1.sessions.size(), 1u);
     EXPECT_EQ(window1.sessions[0].name, "s");
-    EXPECT_EQ(window1.sessions[0].frames, 25u);
-    EXPECT_GT(window1.sessions[0].total_step_s, 0.0);
-    EXPECT_GE(window1.sessions[0].max_step_s, window1.sessions[0].mean_step_s());
+    EXPECT_EQ(window1.sessions[0].step.frames, 25u);
+    EXPECT_GT(window1.sessions[0].step.total_s, 0.0);
+    EXPECT_GE(window1.sessions[0].step.max_s, window1.sessions[0].step.mean_s());
     // The per-stage rollup rides the same snapshot (take_stage_stats);
-    // the demanded pipeline steps' cycle-counter entries follow the
-    // application stages.
+    // the demanded pipeline steps' histograms follow the application
+    // stages.
     ASSERT_GE(window1.sessions[0].stages.size(), 2u);
     EXPECT_EQ(window1.sessions[0].stages[0].name, "tof_tap");
     EXPECT_EQ(window1.sessions[0].stages[0].frames, 25u);
@@ -804,8 +807,48 @@ TEST(Fleet, TakeFleetStatsSnapshotsAndResets) {
     for (int i = 0; i < 10; ++i) host.step_all();
     auto window2 = host.take_fleet_stats();
     EXPECT_EQ(window2.frames, 10u);
-    EXPECT_EQ(window2.sessions[0].frames, 10u);
+    EXPECT_EQ(window2.sessions[0].step.frames, 10u);
     EXPECT_EQ(window2.sessions[0].stages[0].frames, 10u);
+}
+
+TEST(Fleet, LatencyLayersNestOnOneClock) {
+    // Every layer records into the same histogram type on the same clock,
+    // so the host step encloses the app stages plus the whole pipeline
+    // frame, and the pipeline frame encloses its steps -- in every window.
+    engine::EngineHost host(engine::HostConfig{}.with_workers(2));
+    for (const std::uint64_t seed : {471u, 472u, 473u}) {
+        const auto id = host.admit("s" + std::to_string(seed), walk_config(seed),
+                                   std::make_unique<engine::SimSource>(
+                                       walk_config(seed), walk_script()));
+        host.session(id)->emplace_stage<engine::FallMonitorStage>();
+        host.session(id)->emplace_stage<TofTapStage>();
+    }
+    const char* const steps[] = {"pipeline.fft",     "pipeline.subtract",
+                                 "pipeline.contour", "pipeline.denoise",
+                                 "pipeline.localize", "pipeline.smooth"};
+    for (int window = 0; window < 3; ++window) {
+        for (int i = 0; i < 20; ++i) host.step_all();
+        const auto stats = host.take_fleet_stats();
+        ASSERT_EQ(stats.sessions.size(), 3u);
+        for (const auto& session : stats.sessions) {
+            SCOPED_TRACE(session.name + " window " + std::to_string(window));
+            EXPECT_EQ(session.step.frames, 20u);
+            double app_s = 0.0, steps_s = 0.0;
+            const engine::Engine::StageStats* frame = nullptr;
+            for (const auto& stage : session.stages) {
+                if (stage.name == "pipeline.frame") frame = &stage;
+                else if (stage.name.rfind("pipeline.", 0) != 0) app_s += stage.total_s;
+                else if (std::find(std::begin(steps), std::end(steps), stage.name) !=
+                         std::end(steps))
+                    steps_s += stage.total_s;
+            }
+            ASSERT_NE(frame, nullptr);
+            EXPECT_EQ(frame->frames, session.step.frames);
+            EXPECT_GT(steps_s, 0.0);
+            EXPECT_GE(frame->total_s, steps_s);
+            EXPECT_GE(session.step.total_s, app_s + frame->total_s);
+        }
+    }
 }
 
 // ------------------------------------------------------- FFT plan sharing

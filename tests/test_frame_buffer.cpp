@@ -359,8 +359,8 @@ TEST(FrameBufferTest, TrackerDeterministicAcrossInstances) {
     }
 
     EXPECT_EQ(first.frames_processed(), frames.size());
-    EXPECT_GT(first.mean_latency_s(), 0.0);
-    EXPECT_GE(first.max_latency_s(), first.mean_latency_s());
+    EXPECT_GT(first.frame_latency().mean_s(), 0.0);
+    EXPECT_GE(first.frame_latency().max_s, first.frame_latency().mean_s());
     EXPECT_EQ(first.track().size(), second.track().size());
     EXPECT_EQ(first.raw_track().size(), second.raw_track().size());
 }

@@ -396,6 +396,27 @@ class MutationRig {
         ++cases_;
     }
 
+    /// Replay of a recording whose header claims `num_rx` antennas,
+    /// followed by a valid record: refused with std::runtime_error, never
+    /// an allocation sized by the claim.
+    void header_num_rx(std::uint64_t num_rx, const Bytes& record) {
+        // The header ends with num_rx u64 and one Vec3 per antenna.
+        Bytes file = header_;
+        const std::size_t at = file.size() - sizeof num_rx - shape_.num_rx * sizeof(Vec3);
+        std::memcpy(file.data() + at, &num_rx, sizeof num_rx);
+        file.insert(file.end(), record.begin(), record.end());
+        write_file(path_, file);
+        try {
+            engine::ReplaySource replay(path_);
+            ADD_FAILURE() << "a header claiming " << num_rx << " antennas was accepted";
+        } catch (const std::runtime_error&) {
+        } catch (const std::exception& error) {
+            ADD_FAILURE() << "num_rx " << num_rx
+                          << ": ReplaySource threw a non-runtime_error: " << error.what();
+        }
+        ++cases_;
+    }
+
     /// Both decoders on one body, the record carrying `length` as its prefix.
     void both(const Bytes& body, std::uint64_t length) {
         wire(body);
@@ -436,6 +457,19 @@ TEST(FrameCodecFuzz, SeededMutationsOfBothDecoders) {
     MutationRig rig;
     for (const auto& seed : corpus) rig.both(seed.body);
     EXPECT_EQ(rig.accepted(), std::size(corpus));
+
+    // Recording headers claiming more antennas than a frame can carry
+    // quality lanes for (u16).
+    {
+        const Bytes& body = corpus[0].body;
+        const std::uint64_t length = body.size();
+        Bytes record(sizeof length);
+        std::memcpy(record.data(), &length, sizeof length);
+        record.insert(record.end(), body.begin(), body.end());
+        for (const std::uint64_t num_rx :
+             {std::uint64_t{1} << 16, std::uint64_t{1} << 32, ~std::uint64_t{0}})
+            rig.header_num_rx(num_rx, record);
+    }
 
     // Truncation at every boundary, keeping the original length prefix.
     for (const auto& [body, lane] : corpus)

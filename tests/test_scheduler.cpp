@@ -385,7 +385,7 @@ TEST(Scheduler, TakeStageStatsSnapshotsAndResets) {
 
     for (int i = 0; i < 25; ++i) ASSERT_TRUE(eng.step());
     const auto window1 = eng.take_stage_stats();
-    // Application stages lead; the demanded pipeline steps' cycle-counter
+    // Application stages lead; the demanded pipeline steps' histogram
     // entries are appended after them (per-antenna samples for the per-RX
     // steps, so their frames count (frame, antenna) pairs).
     ASSERT_GE(window1.size(), 2u);

@@ -465,25 +465,35 @@ TEST(Snapshot, RejectsTruncatedCorruptAndForeignStreams) {
     expect_rejected("definitely not a snapshot");
 }
 
-TEST(Snapshot, RefusesVersionThreeStreams) {
-    // Version 3 carried the simulator RNGs as std::mt19937_64 text; a v3
-    // stream must be refused by name, not parsed against the v4 layout.
+/// A current snapshot relabelled as `version` must be refused by name,
+/// not parsed against the current layout.
+void expect_version_refused(std::uint32_t version) {
     auto session = make_full_session();
     for (int i = 0; i < 10; ++i) ASSERT_TRUE(session->step());
     std::string bytes = snapshot_bytes(*session);
-    const std::uint32_t v3 = 3;
-    bytes.replace(sizeof(std::uint32_t), sizeof v3,
-                  reinterpret_cast<const char*>(&v3), sizeof v3);
+    bytes.replace(sizeof(std::uint32_t), sizeof version,
+                  reinterpret_cast<const char*>(&version), sizeof version);
     auto target = make_full_session();
     std::istringstream in(bytes);
     try {
         target->restore(in);
-        FAIL() << "a version-3 snapshot was accepted";
+        FAIL() << "a version-" << version << " snapshot was accepted";
     } catch (const std::runtime_error& e) {
-        EXPECT_NE(std::string(e.what()).find("unsupported snapshot version 3"),
+        EXPECT_NE(std::string(e.what()).find("unsupported snapshot version " +
+                                             std::to_string(version)),
                   std::string::npos)
             << e.what();
     }
+}
+
+TEST(Snapshot, RefusesVersionThreeStreams) {
+    // Version 3 carried the simulator RNGs as std::mt19937_64 text.
+    expect_version_refused(3);
+}
+
+TEST(Snapshot, RefusesVersionFourStreams) {
+    // Version 4 carried two tracker latency f64s inside "TRK ".
+    expect_version_refused(4);
 }
 
 TEST(Snapshot, RejectsStructuralMismatch) {
