@@ -54,7 +54,7 @@ AblationResult run_variant(std::uint64_t seed, double seconds,
     core::TofEstimator tof(pipeline, 3);
     core::ContourTracker contour(pipeline);
     core::Localizer localizer(scenario.array(), pipeline);
-    core::SweepProcessor processor(pipeline.fmcw, pipeline.window, pipeline.fft_size);
+    core::SweepProcessor processor(pipeline.fmcw);
     std::vector<core::BackgroundSubtractor> backgrounds(3);
 
     std::vector<double> errors;
@@ -103,6 +103,7 @@ AblationResult run_variant(std::uint64_t seed, double seconds,
 }  // namespace
 
 int main(int argc, char** argv) {
+    bench::ShapeChecks checks;
     CliArgs args(argc, argv);
     const double seconds = args.get_double("seconds", args.quick() ? 8.0 : 15.0);
     const std::uint64_t seed = args.get_seed(16);
@@ -165,12 +166,12 @@ int main(int argc, char** argv) {
 
     std::cout << "\nShape checks:\n"
               << "  averaging helps (5 sweeps <= 1 sweep median): "
-              << (avg5.median_3d_cm <= avg1.median_3d_cm + 1.0 ? "PASS" : "FAIL") << "\n"
+              << checks.verdict(avg5.median_3d_cm <= avg1.median_3d_cm + 1.0) << "\n"
               << "  paper's 5-sweep choice within 20% of 10-sweep: "
-              << (avg5.median_3d_cm <= 1.2 * avg10.median_3d_cm + 1.0 ? "PASS" : "FAIL")
+              << checks.verdict(avg5.median_3d_cm <= 1.2 * avg10.median_3d_cm + 1.0)
               << "\n"
               << "Note: background subtraction cannot be ablated to 'off' -- without\n"
               << "it the flash effect leaves no detectable person at all (Section 4.2);\n"
               << "bench_fig3_tof quantifies its static-clutter suppression instead.\n";
-    return 0;
+    return checks.exit_code();
 }

@@ -20,6 +20,7 @@
 using namespace witrack;
 
 int main(int argc, char** argv) {
+    bench::ShapeChecks checks;
     CliArgs args(argc, argv);
     const int experiments = args.get_int("experiments", args.quick() ? 2 : 6);
     const double seconds = args.get_double("seconds", args.quick() ? 10.0 : 20.0);
@@ -80,6 +81,6 @@ int main(int argc, char** argv) {
     std::cout << "\nWiTrack accuracy advantage: " << Table::num(advantage, 1)
               << "x (paper: >5x)\n"
               << "Shape check (advantage >= 3x): "
-              << (advantage >= 3.0 ? "PASS" : "FAIL") << "\n";
-    return 0;
+              << checks.verdict(advantage >= 3.0) << "\n";
+    return checks.exit_code();
 }

@@ -19,6 +19,7 @@
 using namespace witrack;
 
 int main(int argc, char** argv) {
+    bench::ShapeChecks checks;
     CliArgs args(argc, argv);
     int per_activity = args.get_int("per-activity", args.quick() ? 6 : 12);
     if (args.has("full")) per_activity = 33;  // the paper's exact scale
@@ -83,13 +84,12 @@ int main(int argc, char** argv) {
     const bool no_upright_false_alarms = confusion[0][3] == 0 && confusion[1][3] == 0;
     std::cout << "\nShape checks:\n"
               << "  no walk/sit-chair classified as fall: "
-              << (no_upright_false_alarms ? "PASS" : "FAIL") << "\n"
-              << "  precision >= 85%: " << (precision >= 85.0 ? "PASS" : "FAIL") << "\n"
-              << "  recall >= 85%: " << (recall >= 85.0 ? "PASS" : "FAIL") << "\n"
+              << checks.verdict(no_upright_false_alarms) << "\n"
+              << "  precision >= 85%: " << checks.verdict(precision >= 85.0) << "\n"
+              << "  recall >= 85%: " << checks.verdict(recall >= 85.0) << "\n"
               << "  confusion confined to fall <-> sit-floor: "
-              << ((fn == confusion[3][2] + confusion[3][1] && fp == confusion[2][3])
-                      ? "PASS"
-                      : "FAIL")
+              << checks.verdict(fn == confusion[3][2] + confusion[3][1] &&
+                                fp == confusion[2][3])
               << "\n";
-    return 0;
+    return checks.exit_code();
 }

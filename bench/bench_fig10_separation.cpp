@@ -17,6 +17,7 @@
 using namespace witrack;
 
 int main(int argc, char** argv) {
+    bench::ShapeChecks checks;
     CliArgs args(argc, argv);
     const int experiments = args.get_int("experiments", args.quick() ? 2 : 5);
     const double seconds = args.get_double("seconds", args.quick() ? 10.0 : 20.0);
@@ -59,12 +60,10 @@ int main(int argc, char** argv) {
                           med_z.front() > med_z.back();
     std::cout << "\nShape checks:\n"
               << "  2 m separation better than 25 cm on all axes: "
-              << (improves ? "PASS" : "FAIL") << "\n"
+              << checks.verdict(improves) << "\n"
               << "  25 cm medians usable (x<35, y<25, z<60 cm; paper 17/12/31): "
-              << ((med_x.front() < 0.35 && med_y.front() < 0.25 &&
-                   med_z.front() < 0.60)
-                      ? "PASS"
-                      : "FAIL")
+              << checks.verdict(med_x.front() < 0.35 && med_y.front() < 0.25 &&
+                                med_z.front() < 0.60)
               << "\n";
-    return 0;
+    return checks.exit_code();
 }

@@ -21,6 +21,7 @@
 using namespace witrack;
 
 int main(int argc, char** argv) {
+    bench::ShapeChecks checks;
     CliArgs args(argc, argv);
     const int trials = args.get_int("trials", args.quick() ? 10 : 40);
     const std::uint64_t seed = args.get_seed(12);
@@ -89,10 +90,10 @@ int main(int argc, char** argv) {
 
     std::cout << "\nShape checks:\n"
               << "  median within 3x of paper (< 33.6 deg): "
-              << (cdf.median() < 33.6 ? "PASS" : "FAIL") << "\n"
+              << checks.verdict(cdf.median() < 33.6) << "\n"
               << "  90th percentile < 80 deg: "
-              << (cdf.percentile(90) < 80.0 ? "PASS" : "FAIL") << "\n"
+              << checks.verdict(cdf.percentile(90) < 80.0) << "\n"
               << "  >1/2 of gestures detected: "
-              << (2 * detected > trials ? "PASS" : "FAIL") << "\n";
-    return 0;
+              << checks.verdict(2 * detected > trials) << "\n";
+    return checks.exit_code();
 }

@@ -21,6 +21,7 @@
 using namespace witrack;
 
 int main(int argc, char** argv) {
+    bench::ShapeChecks checks;
     CliArgs args(argc, argv);
     const double seconds = args.get_double("seconds", args.quick() ? 8.0 : 20.0);
     const std::uint64_t seed = args.get_seed(7);
@@ -37,7 +38,7 @@ int main(int argc, char** argv) {
     auto pipeline = bench::default_pipeline(config);
     pipeline.record_profiles = true;
 
-    core::SweepProcessor processor(pipeline.fmcw, pipeline.window, pipeline.fft_size);
+    core::SweepProcessor processor(pipeline.fmcw);
     core::TofEstimator tof(pipeline, 3);
 
     // Stage statistics for receive antenna 0.
@@ -118,12 +119,11 @@ int main(int argc, char** argv) {
                       dsp::median(denoised_err) <= dsp::median(raw_contour_err) + 0.01;
     std::cout << "\nShape checks:\n"
               << "  background subtraction removes static stripes (>10x): "
-              << (suppression > 10.0 ? "PASS" : "FAIL") << "\n"
+              << checks.verdict(suppression > 10.0) << "\n"
               << "  denoising does not degrade the contour: "
-              << (dsp::median(denoised_err) <= dsp::median(raw_contour_err) + 0.01
-                      ? "PASS"
-                      : "FAIL")
+              << checks.verdict(dsp::median(denoised_err) <=
+                                dsp::median(raw_contour_err) + 0.01)
               << "\n"
               << (pass ? "Fig. 3 shape reproduced.\n" : "Fig. 3 shape NOT reproduced.\n");
-    return 0;
+    return checks.exit_code();
 }

@@ -36,6 +36,7 @@ double mean_extent(sim::Scenario& scenario, const core::PipelineConfig& pipeline
 }  // namespace
 
 int main(int argc, char** argv) {
+    bench::ShapeChecks checks;
     CliArgs args(argc, argv);
     const int trials = args.get_int("trials", args.quick() ? 3 : 8);
     const std::uint64_t seed = args.get_seed(11);
@@ -87,10 +88,8 @@ int main(int argc, char** argv) {
     std::cout << "\nBody/arm extent ratio: " << Table::num(ratio, 2)
               << "x (paper: body variance 'significantly larger')\n"
               << "Shape check (ratio > 1.5 and both classifiers >= 2/3 correct): "
-              << ((ratio > 1.5 && 3 * arm_classified >= 2 * trials &&
-                   3 * body_classified >= 2 * trials)
-                      ? "PASS"
-                      : "FAIL")
+              << checks.verdict(ratio > 1.5 && 3 * arm_classified >= 2 * trials &&
+                                3 * body_classified >= 2 * trials)
               << "\n";
-    return 0;
+    return checks.exit_code();
 }

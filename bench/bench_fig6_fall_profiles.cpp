@@ -17,6 +17,7 @@
 using namespace witrack;
 
 int main(int argc, char** argv) {
+    bench::ShapeChecks checks;
     CliArgs args(argc, argv);
     const std::uint64_t seed = args.get_seed(5);
     const auto env = sim::make_through_wall_lab();
@@ -86,6 +87,6 @@ int main(int argc, char** argv) {
         (rows[3].analysis.drop_duration_s < rows[2].analysis.drop_duration_s ||
          rows[2].analysis.drop_duration_s == 0.0);            // fall faster
     std::cout << "\nShape check (same separations as paper Fig. 6): "
-              << (separations ? "PASS" : "FAIL") << "\n";
-    return 0;
+              << checks.verdict(separations) << "\n";
+    return checks.exit_code();
 }

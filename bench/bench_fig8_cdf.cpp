@@ -55,6 +55,7 @@ void print_mode(const ModeResult& mode, double paper_x_cm, double paper_y_cm,
 }  // namespace
 
 int main(int argc, char** argv) {
+    bench::ShapeChecks checks;
     CliArgs args(argc, argv);
     // Paper scale: 100 experiments x 60 s per mode. Default here is reduced
     // for runtime; --full restores the paper's scale.
@@ -89,23 +90,20 @@ int main(int argc, char** argv) {
     const dsp::EmpiricalCdf wx(wall.errors.x), wy(wall.errors.y), wz(wall.errors.z);
     std::cout << "\nShape checks (through-wall):\n"
               << "  y median < x median: "
-              << (wy.median() < wx.median() ? "PASS" : "FAIL") << "\n"
+              << checks.verdict(wy.median() < wx.median()) << "\n"
               << "  x median < z median: "
-              << (wx.median() < wz.median() ? "PASS" : "FAIL") << "\n"
+              << checks.verdict(wx.median() < wz.median()) << "\n"
               << "  90th pct x/y within one foot (30.5 cm): "
-              << ((wx.percentile(90) < 0.305 && wy.percentile(90) < 0.305) ? "PASS"
-                                                                           : "FAIL")
+              << checks.verdict(wx.percentile(90) < 0.305 && wy.percentile(90) < 0.305)
               << "\n"
               << "  90th pct z within two feet (61 cm): "
-              << (wz.percentile(90) < 0.61 ? "PASS" : "FAIL") << "\n";
+              << checks.verdict(wz.percentile(90) < 0.61) << "\n";
 
     const dsp::EmpiricalCdf lx(los.errors.x), ly(los.errors.y), lz(los.errors.z);
     std::cout << "  LOS median <= through-wall median (each axis): "
-              << ((lx.median() <= wx.median() + 0.02 &&
-                   ly.median() <= wy.median() + 0.02 &&
-                   lz.median() <= wz.median() + 0.02)
-                      ? "PASS"
-                      : "FAIL")
+              << checks.verdict(lx.median() <= wx.median() + 0.02 &&
+                                ly.median() <= wy.median() + 0.02 &&
+                                lz.median() <= wz.median() + 0.02)
               << "\n";
 
     if (args.has("csv")) {
@@ -124,5 +122,5 @@ int main(int argc, char** argv) {
                      Table::num(wz.percentile(90) * 100, 2)});
         csv.write_csv(args.get("csv"));
     }
-    return 0;
+    return checks.exit_code();
 }

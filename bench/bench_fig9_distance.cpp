@@ -18,6 +18,7 @@
 using namespace witrack;
 
 int main(int argc, char** argv) {
+    bench::ShapeChecks checks;
     CliArgs args(argc, argv);
     const int experiments = args.get_int("experiments", args.quick() ? 4 : 10);
     const double seconds = args.get_double("seconds", args.quick() ? 12.0 : 30.0);
@@ -102,8 +103,8 @@ int main(int argc, char** argv) {
                           dsp::median(all_x) < dsp::median(all_z);
     std::cout << "\nShape checks:\n"
               << "  error grows with range (x, <=5 m vs >=8 m): "
-              << (grows ? "PASS" : "FAIL") << "\n"
-              << "  y < x < z overall: " << (ordering ? "PASS" : "FAIL") << "\n"
+              << checks.verdict(grows) << "\n"
+              << "  y < x < z overall: " << checks.verdict(ordering) << "\n"
               << "Paper: median changes by 5-10 cm from 3 m to 11 m; y best, z worst.\n";
-    return 0;
+    return checks.exit_code();
 }

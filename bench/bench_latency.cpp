@@ -104,7 +104,7 @@ BENCHMARK(BM_EngineStep)->Unit(benchmark::kMillisecond);
 void BM_RangeFftPerAntenna(benchmark::State& state) {
     const auto& frames = captured_frames();
     core::PipelineConfig pipeline;
-    core::SweepProcessor processor(pipeline.fmcw, pipeline.window, pipeline.fft_size);
+    core::SweepProcessor processor(pipeline.fmcw);
     const auto& frame = frames[0].sweeps;
     core::RangeProfile profile;
     for (auto _ : state) {
@@ -113,20 +113,6 @@ void BM_RangeFftPerAntenna(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_RangeFftPerAntenna)->Unit(benchmark::kMicrosecond);
-
-void BM_PaperLiteralFft2500(benchmark::State& state) {
-    // Paper-literal mode: Bluestein FFT sized exactly to the sweep.
-    const auto& frames = captured_frames();
-    core::PipelineConfig pipeline;
-    core::SweepProcessor processor(pipeline.fmcw, pipeline.window, 0);
-    const auto& frame = frames[0].sweeps;
-    core::RangeProfile profile;
-    for (auto _ : state) {
-        processor.process_into(frame.antenna(0), frame.num_sweeps(), profile);
-        benchmark::DoNotOptimize(profile.re.data());
-    }
-}
-BENCHMARK(BM_PaperLiteralFft2500)->Unit(benchmark::kMicrosecond);
 
 void BM_ClosedFormSolve(benchmark::State& state) {
     const auto array = geom::make_t_array({0, 0, 1.3}, 1.0);

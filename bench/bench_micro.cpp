@@ -1,5 +1,5 @@
-// Microbenchmarks for the substrate hot paths: FFT engine (radix-2 vs
-// Bluestein), baseband synthesis, receiver noise generation, channel path
+// Microbenchmarks for the substrate hot paths: the radix-4 FFT kernel and
+// the pruned r2c range transform, baseband synthesis, receiver noise generation, channel path
 // enumeration, contour extraction and the Kalman filters.
 #include <benchmark/benchmark.h>
 
@@ -17,53 +17,39 @@ using namespace witrack;
 namespace {
 
 void BM_FftPow2Kernel(benchmark::State& state) {
-    // Complex API over the SoA radix-4 kernel; caller-owned scratch, so
-    // the loop is allocation-free once warm.
+    // The SoA radix-4 kernel, dense; caller-owned planes, so the loop is
+    // allocation-free.
     const auto n = static_cast<std::size_t>(state.range(0));
-    const std::vector<dsp::cplx> data(n, dsp::cplx(1.0, -0.5));
-    std::vector<dsp::cplx> work;
-    dsp::FftScratch scratch;
-    const dsp::Fft& plan = dsp::fft_plan(n);
+    const dsp::kernels::Pow2Kernel plan(n);
+    std::vector<double> re(n), im(n), wr(n), wi(n);
     for (auto _ : state) {
-        work = data;  // reuses capacity after the first pass
-        plan.forward(work, scratch);
-        benchmark::DoNotOptimize(work.data());
+        std::fill(re.begin(), re.end(), 1.0);
+        std::fill(im.begin(), im.end(), -0.5);
+        plan.forward(re.data(), im.data(), wr.data(), wi.data());
+        benchmark::DoNotOptimize(re.data());
     }
     state.SetComplexityN(static_cast<int64_t>(n));
 }
 BENCHMARK(BM_FftPow2Kernel)->Arg(1024)->Arg(4096)->Arg(16384)->Complexity();
 
-void BM_FftBluestein2500(benchmark::State& state) {
-    const std::vector<dsp::cplx> data(2500, dsp::cplx(0.3, 0.1));
-    std::vector<dsp::cplx> work;
-    dsp::FftScratch scratch;
-    const dsp::Fft& plan = dsp::fft_plan(2500);
-    for (auto _ : state) {
-        work = data;
-        plan.forward(work, scratch);
-        benchmark::DoNotOptimize(work.data());
-    }
-}
-BENCHMARK(BM_FftBluestein2500);
-
 void BM_RealFftHalfSpectrum(benchmark::State& state) {
-    // The production r2c shape: 2500 real samples zero-padded into a
-    // 4096-point transform. Arg selects dense (0) vs pruned (1) plans.
-    const bool pruned = state.range(0) != 0;
-    const std::size_t n = 4096, nz = 2500;
-    std::vector<double> input(pruned ? nz : n, 0.0);
+    // The production r2c shape: 2500 windowed real samples zero-padded into
+    // a 4096-point transform (power-of-two sweeps run dense). Arg is the
+    // sweep length.
+    const auto nz = static_cast<std::size_t>(state.range(0));
+    std::vector<double> input(nz);
     for (std::size_t i = 0; i < nz; ++i)
         input[i] = std::sin(0.05 * static_cast<double>(i));
-    const dsp::RealFft plan(n, pruned ? nz : 0);
+    const std::vector<double> window(nz, 1.0);
+    const dsp::RealFft plan(nz);
     dsp::FftScratch scratch;
-    std::vector<dsp::cplx> out;
+    std::vector<double> out_re, out_im;
     for (auto _ : state) {
-        plan.forward(input, out, scratch);
-        benchmark::DoNotOptimize(out.data());
+        plan.forward(input, window, out_re, out_im, scratch);
+        benchmark::DoNotOptimize(out_re.data());
     }
-    state.counters["pruned"] = pruned ? 1.0 : 0.0;
 }
-BENCHMARK(BM_RealFftHalfSpectrum)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_RealFftHalfSpectrum)->Arg(2500)->Arg(4096)->Unit(benchmark::kMicrosecond);
 
 void BM_MixerSynthesis(benchmark::State& state) {
     const auto paths_count = static_cast<std::size_t>(state.range(0));

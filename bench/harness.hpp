@@ -35,6 +35,22 @@ struct TrackingErrors {
     }
 };
 
+/// Shape-check ledger for the paper programs: verdict() returns the word
+/// to print for one check and remembers a failure, and exit_code() is the
+/// value main returns -- nonzero when any check printed FAIL, so a script
+/// or CI step can gate on the paper's claims.
+class ShapeChecks {
+  public:
+    const char* verdict(bool pass) {
+        failed_ = failed_ || !pass;
+        return pass ? "PASS" : "FAIL";
+    }
+    int exit_code() const { return failed_ ? 1 : 0; }
+
+  private:
+    bool failed_ = false;
+};
+
 /// Default pipeline configuration matched to a scenario's FMCW parameters.
 inline core::PipelineConfig default_pipeline(const sim::ScenarioConfig& scenario) {
     core::PipelineConfig config;

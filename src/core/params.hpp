@@ -1,27 +1,18 @@
 // Pipeline configuration for the WiTrack processing chain (paper Sections
 // 4, 5, 7). Defaults follow the paper where it is explicit (sweep geometry,
-// 5-sweep averaging, 2.5 ms FFT size) and use calibrated values elsewhere.
+// 5-sweep averaging) and use calibrated values elsewhere. The range FFT is
+// not configured here: SweepProcessor always Hann-windows the averaged
+// sweep and zero-pads it to the next power of two.
 #pragma once
 
 #include <cstddef>
 
 #include "common/constants.hpp"
-#include "dsp/window.hpp"
 
 namespace witrack::core {
 
 struct PipelineConfig {
     FmcwParams fmcw;
-
-    /// Window applied to the averaged sweep before the range FFT.
-    dsp::WindowType window = dsp::WindowType::kHann;
-
-    /// Range-FFT length. The paper takes the FFT over exactly one sweep
-    /// (2500 samples at 1 MS/s); zero-padding to the next power of two
-    /// computes the same spectrum on a finer grid ~4x faster (radix-2
-    /// instead of Bluestein) without changing the C/2B resolution.
-    /// 0 = match the sweep length exactly (paper-literal mode).
-    std::size_t fft_size = 4096;
 
     /// Contour detection: a local maximum counts as motion when its
     /// magnitude exceeds noise_floor * contour_threshold (paper Section 4.3

@@ -70,11 +70,8 @@ std::string to_string(PipelineOutputs v);
 /// chains one antenna after another.
 class TofStep {
   public:
-    /// `plans` is the FFT plan cache shared by the range transforms
-    /// (nullptr = process-global), threaded down to the SweepProcessor.
-    TofStep(const PipelineConfig& config, std::size_t num_rx,
-            dsp::FftPlanCache* plans = nullptr)
-        : estimator_(config, num_rx, plans) {}
+    TofStep(const PipelineConfig& config, std::size_t num_rx)
+        : estimator_(config, num_rx) {}
 
     void run(const FrameBuffer& frame, double time_s, TofFrame& out) {
         out = estimator_.process_frame(frame, time_s);

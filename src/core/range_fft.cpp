@@ -2,44 +2,38 @@
 
 #include <stdexcept>
 
+#include "dsp/window.hpp"
+
 namespace witrack::core {
 
 namespace {
 
-std::size_t checked_fft_size(const FmcwParams& fmcw, std::size_t fft_size) {
+std::size_t validated_sweep_length(const FmcwParams& fmcw) {
     fmcw.validate();
-    const std::size_t n = fmcw.samples_per_sweep();
-    const std::size_t resolved = fft_size == 0 ? n : fft_size;
-    if (resolved < n)
-        throw std::invalid_argument("SweepProcessor: fft_size below sweep length");
-    return resolved;
+    return fmcw.samples_per_sweep();
 }
 
 }  // namespace
 
-SweepProcessor::SweepProcessor(const FmcwParams& fmcw, dsp::WindowType window,
-                               std::size_t fft_size, dsp::FftPlanCache* plans)
+SweepProcessor::SweepProcessor(const FmcwParams& fmcw)
     : fmcw_(fmcw),
-      fft_size_(checked_fft_size(fmcw, fft_size)),
-      rfft_((plans != nullptr ? *plans : dsp::FftPlanCache::global())
-                .real_plan(fft_size_, fmcw.samples_per_sweep())) {
-    const std::size_t n = fmcw_.samples_per_sweep();
-    window_ = dsp::make_window(window, n);
+      rfft_(validated_sweep_length(fmcw)),
+      window_(dsp::hann_window(rfft_.n_nonzero())) {
     // Normalize to unity coherent gain so thresholds are window-independent.
     const double gain = dsp::window_gain(window_) / static_cast<double>(window_.size());
     for (auto& w : window_) w /= gain;
     // Only the live sweep samples are buffered; the zero-padded tail up to
-    // fft_size_ is structural and lives inside the pruned FFT plan.
-    averaged_.assign(n, 0.0);
+    // the FFT size is structural and lives inside the pruned FFT plan.
+    averaged_.assign(rfft_.n_nonzero(), 0.0);
 }
 
 void SweepProcessor::transform(RangeProfile& out) {
-    rfft_->forward_windowed_soa(averaged_, window_, out.re, out.im, scratch_);
+    rfft_.forward(averaged_, window_, out.re, out.im, scratch_);
     // One FFT bin spans fs/Nfft in beat frequency; Eq. 4 maps that to
     // round-trip meters via C/slope.
-    const double bin_hz = fmcw_.sample_rate_hz / static_cast<double>(fft_size_);
+    const double bin_hz = fmcw_.sample_rate_hz / static_cast<double>(rfft_.size());
     out.bin_round_trip_m = kSpeedOfLight * bin_hz / fmcw_.slope();
-    out.usable_bins = fft_size_ / 2;
+    out.usable_bins = rfft_.size() / 2;
 }
 
 void SweepProcessor::average(std::span<const double> sweeps,

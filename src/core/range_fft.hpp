@@ -1,8 +1,10 @@
 // Sweep-to-range transform (paper Section 7): coherently average the
 // sweeps_per_frame sweeps of one frame in the time domain (human motion is
 // negligible over 12.5 ms, so the body reflection adds coherently while
-// noise adds incoherently), window, and FFT. One FFT bin maps to a
-// round-trip distance of C / (slope * Tsweep) meters (Eq. 4).
+// noise adds incoherently), Hann-window, and FFT, zero-padded to the next
+// power of two (4096 points for the 2500-sample sweep: the same C/2B
+// resolution on a finer grid). One FFT bin of N points maps to a round-trip
+// distance of C * (fs / N) / slope meters (Eq. 4).
 //
 // The hot path is fused: the first sweep assigns the (scaled) averaging
 // buffer, later sweeps accumulate into it, and the window is applied during
@@ -15,17 +17,13 @@
 // zero heap allocations per frame.
 #pragma once
 
-#include <complex>
 #include <cstddef>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "common/constants.hpp"
 #include "common/frame_buffer.hpp"
 #include "dsp/fft.hpp"
-#include "dsp/fft_plan_cache.hpp"
-#include "dsp/window.hpp"
 
 namespace witrack::core {
 
@@ -41,7 +39,7 @@ struct RangeProfile {
     std::vector<double> re;         ///< r2c half spectrum, real plane
     std::vector<double> im;         ///< r2c half spectrum, imaginary plane
     double bin_round_trip_m = 0.0;  ///< round-trip meters per FFT bin
-    std::size_t usable_bins = 0;    ///< bins below Nyquist (fft_size/2)
+    std::size_t usable_bins = 0;    ///< bins below Nyquist (FFT size/2)
 
     /// Bins materialized: usable_bins + 1 once transformed, 0 before.
     std::size_t spectrum_size() const { return re.size(); }
@@ -53,16 +51,12 @@ struct RangeProfile {
 
 /// Not const-callable and not thread-safe: both entry points reuse the
 /// owned averaging buffer and FFT scratch. Use one SweepProcessor per
-/// thread; the FFT *plan* itself is immutable and shared through an
-/// FftPlanCache, so any number of processors (one per session) transform
-/// with one set of twiddle tables.
+/// thread (one per session); each owns its plan (~48 KB of twiddle tables
+/// at the paper's sweep length).
 class SweepProcessor {
   public:
-    /// fft_size 0 = exactly one sweep (paper-literal); larger values
-    /// zero-pad for speed and finer bin spacing (same C/2B resolution).
-    /// `plans` selects the plan cache (nullptr = the process-global one).
-    SweepProcessor(const FmcwParams& fmcw, dsp::WindowType window,
-                   std::size_t fft_size = 0, dsp::FftPlanCache* plans = nullptr);
+    /// The FFT size is the next power of two >= fmcw.samples_per_sweep().
+    explicit SweepProcessor(const FmcwParams& fmcw);
 
     /// Average and transform `sweep_count` back-to-back sweeps of
     /// samples_per_sweep() doubles (e.g. FrameBuffer::antenna), writing into
@@ -77,12 +71,6 @@ class SweepProcessor {
     void process_frame_into(const FrameBuffer& frame, std::vector<RangeProfile>& out);
 
     const FmcwParams& params() const { return fmcw_; }
-    std::size_t fft_size() const { return fft_size_; }
-
-    /// The shared immutable plan this processor transforms with. Two
-    /// processors built against the same cache and size report the same
-    /// pointer -- the observable proof that the tables are not duplicated.
-    const dsp::RealFft* plan() const { return rfft_.get(); }
 
   private:
     /// FFT the averaged sweep in averaged_ into `out` (window fused into
@@ -94,11 +82,9 @@ class SweepProcessor {
     void average(std::span<const double> sweeps, std::size_t sweep_count);
 
     FmcwParams fmcw_;
-    std::size_t fft_size_ = 0;
-    std::vector<double> window_;
+    dsp::RealFft rfft_;             ///< pruned to the sweep length
+    std::vector<double> window_;    ///< Hann, unity coherent gain
     std::vector<double> averaged_;  ///< samples_per_sweep doubles (no pad)
-    std::shared_ptr<const dsp::RealFft> rfft_;  ///< shared via FftPlanCache,
-                                                ///< pruned to the sweep length
     dsp::FftScratch scratch_;
 };
 

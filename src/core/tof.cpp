@@ -8,10 +8,9 @@
 
 namespace witrack::core {
 
-TofEstimator::TofEstimator(const PipelineConfig& config, std::size_t num_rx,
-                           dsp::FftPlanCache* plans)
+TofEstimator::TofEstimator(const PipelineConfig& config, std::size_t num_rx)
     : config_(config),
-      processor_(config.fmcw, config.window, config.fft_size, plans),
+      processor_(config.fmcw),
       contour_(config) {
     if (num_rx == 0) throw std::invalid_argument("TofEstimator: need >= 1 antenna");
     per_rx_.reserve(num_rx);

@@ -81,12 +81,7 @@ struct TofFrame {
 
 class TofEstimator {
   public:
-    /// `plans` selects the FFT plan cache shared by the per-antenna range
-    /// transforms (nullptr = the process-global FftPlanCache), so many
-    /// estimators -- e.g. one per tracking session in a fleet host -- never
-    /// duplicate twiddle tables.
-    TofEstimator(const PipelineConfig& config, std::size_t num_rx,
-                 dsp::FftPlanCache* plans = nullptr);
+    TofEstimator(const PipelineConfig& config, std::size_t num_rx);
 
     /// Process one frame of raw sweeps (contiguous rx-major storage). This
     /// is the realtime hot path: zero heap allocations at steady state.

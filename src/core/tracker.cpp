@@ -21,10 +21,9 @@ void load_track(common::StateReader& reader, std::vector<TrackPoint>& track) {
 }  // namespace
 
 WiTrackTracker::WiTrackTracker(const PipelineConfig& config,
-                               const geom::ArrayGeometry& array,
-                               dsp::FftPlanCache* plans)
+                               const geom::ArrayGeometry& array)
     : config_(config),
-      tof_step_(config, array.rx.size(), plans),
+      tof_step_(config, array.rx.size()),
       localize_step_(array, config),
       smooth_step_(config) {}
 

@@ -27,11 +27,7 @@ namespace witrack::core {
 
 class WiTrackTracker {
   public:
-    /// `plans` selects the FFT plan cache for the TOF step's range
-    /// transforms (nullptr = the process-global FftPlanCache): trackers of
-    /// many concurrent sessions share one set of immutable plan tables.
-    WiTrackTracker(const PipelineConfig& config, const geom::ArrayGeometry& array,
-                   dsp::FftPlanCache* plans = nullptr);
+    WiTrackTracker(const PipelineConfig& config, const geom::ArrayGeometry& array);
 
     struct FrameResult {
         TofFrame tof;                       ///< per-antenna observations

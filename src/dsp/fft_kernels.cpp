@@ -71,56 +71,23 @@ void forward_scalar(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
     run_forward_t<simd::ScalarD>(plan, xr, xi, wr, wi, nzb);
 }
 
-void inverse_scalar(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
-                    double* wi) {
-    run_inverse_t<simd::ScalarD>(plan, xr, xi, wr, wi);
-}
-
 }  // namespace detail
-
-namespace {
 
 // Runtime dispatch. simd::active() never exceeds simd::detect(), so the
 // sse2/avx2 entry points are only reached on hardware that supports them
 // (the per-ISA translation units degrade to the next level down when the
 // *build* lacks the ISA entirely, e.g. a non-x86 target).
-
-void dispatch_forward(const Pow2Kernel& plan, double* xr, double* xi,
-                      double* wr, double* wi, std::size_t nzb) {
-    switch (simd::active()) {
-        case simd::Level::kAvx2:
-            detail::forward_avx2(plan, xr, xi, wr, wi, nzb);
-            return;
-        case simd::Level::kSse2:
-            detail::forward_sse2(plan, xr, xi, wr, wi, nzb);
-            return;
-        case simd::Level::kScalar: break;
-    }
-    detail::forward_scalar(plan, xr, xi, wr, wi, nzb);
-}
-
-}  // namespace
-
 void Pow2Kernel::forward(double* xr, double* xi, double* wr, double* wi) const {
-    dispatch_forward(*this, xr, xi, wr, wi, nz_);
-}
-
-void Pow2Kernel::forward_dense(double* xr, double* xi, double* wr,
-                               double* wi) const {
-    dispatch_forward(*this, xr, xi, wr, wi, n_);
-}
-
-void Pow2Kernel::inverse(double* xr, double* xi, double* wr, double* wi) const {
     switch (simd::active()) {
         case simd::Level::kAvx2:
-            detail::inverse_avx2(*this, xr, xi, wr, wi);
+            detail::forward_avx2(*this, xr, xi, wr, wi, nz_);
             return;
         case simd::Level::kSse2:
-            detail::inverse_sse2(*this, xr, xi, wr, wi);
+            detail::forward_sse2(*this, xr, xi, wr, wi, nz_);
             return;
         case simd::Level::kScalar: break;
     }
-    detail::inverse_scalar(*this, xr, xi, wr, wi);
+    detail::forward_scalar(*this, xr, xi, wr, wi, nz_);
 }
 
 }  // namespace witrack::dsp::kernels

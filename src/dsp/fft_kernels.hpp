@@ -1,18 +1,17 @@
 // Power-of-two FFT kernel engine: structure-of-arrays (separate re/im
-// planes), iterative Stockham radix-4 with a radix-2 fixup stage, per-stage
-// sequentially-laid-out twiddle tables, and *separate* forward/inverse
-// butterfly loops (no direction branch and no conj inside the hot loop).
-// The butterfly loops are written once as lane templates over the SIMD
-// layer in simd.hpp (fft_kernels_impl.hpp) and instantiated per ISA --
-// scalar, SSE2, AVX2 -- with a runtime-dispatched entry point, so one plan
-// serves every dispatch level with bit-identical results.
+// planes), iterative Stockham radix-4 with a radix-2 fixup stage, and
+// per-stage sequentially-laid-out twiddle tables. It computes the forward
+// transform only (the range pipeline never inverts a spectrum). The
+// butterfly loops are written once as lane templates over the SIMD layer in
+// simd.hpp (fft_kernels_impl.hpp) and instantiated per ISA -- scalar, SSE2,
+// AVX2 -- with a runtime-dispatched entry point, so one plan serves every
+// dispatch level with bit-identical results.
 //
 // Input pruning: a kernel built with n_nonzero < n treats the input tail
 // [n_nonzero, n) as structurally zero and skips the early-stage butterflies
 // whose operands are all inside that tail. The range pipeline zero-pads a
 // 2500-sample sweep into a 4096-point transform, so the packed half-length
-// sequence it actually transforms is ~39% structural zeros; the Bluestein
-// convolution (2500 nonzero samples in an 8192-point buffer) is ~69% zeros.
+// sequence it actually transforms is ~39% structural zeros.
 // Pruned and unpruned kernels of one size produce results equal under
 // operator== (skipped butterflies may flip the sign of an exact zero, which
 // IEEE-754 compares equal).
@@ -51,15 +50,6 @@ class Pow2Kernel {
     /// planes must hold size() doubles; the result lands in (xr, xi).
     void forward(double* xr, double* xi, double* wr, double* wi) const;
 
-    /// Forward DFT reading all size() input entries regardless of the
-    /// plan's pruning (used for one-shot dense transforms such as the
-    /// Bluestein chirp-spectrum precompute).
-    void forward_dense(double* xr, double* xi, double* wr, double* wi) const;
-
-    /// Inverse DFT scaled by 1/n. Always dense: inverse inputs (spectra)
-    /// have no structural zero tail.
-    void inverse(double* xr, double* xi, double* wr, double* wi) const;
-
     static bool is_power_of_two(std::size_t n) {
         return n != 0 && (n & (n - 1)) == 0;
     }
@@ -78,8 +68,7 @@ class Pow2Kernel {
     //   [w1.re | w1.im | w2.re | w2.im | w3.re | w3.im],
     // w_k[p] = exp(-2*pi*i * k*p / sub_n), so every butterfly loop walks
     // its tables linearly. The radix-2 fixup stage (sub_n = 2) needs no
-    // table (its only twiddle is 1). Inverse kernels reuse the same tables
-    // with the imaginary sign folded into their butterfly expressions.
+    // table (its only twiddle is 1).
     std::vector<double> tw_;
 };
 

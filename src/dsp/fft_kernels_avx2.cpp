@@ -15,21 +15,11 @@ void forward_avx2(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
     run_forward_t<simd::AvxD>(plan, xr, xi, wr, wi, nzb);
 }
 
-void inverse_avx2(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
-                  double* wi) {
-    run_inverse_t<simd::AvxD>(plan, xr, xi, wr, wi);
-}
-
 #else  // !__AVX2__
 
 void forward_avx2(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
                   double* wi, std::size_t nzb) {
     forward_sse2(plan, xr, xi, wr, wi, nzb);
-}
-
-void inverse_avx2(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
-                  double* wi) {
-    inverse_sse2(plan, xr, xi, wr, wi);
 }
 
 #endif  // __AVX2__

@@ -7,8 +7,8 @@
 // so the compiler cannot contract on wider -march targets), which is what
 // makes all dispatch levels bit-identical.
 //
-// run_forward_t / run_inverse_t vectorize the contiguous q loop inside each
-// butterfly group. Early stages have stride s < width and fall through to
+// run_forward_t vectorizes the contiguous q loop inside each butterfly
+// group. Early stages have stride s < width and fall through to
 // the scalar tail.
 //
 // This header is included by the per-ISA translation units
@@ -250,100 +250,6 @@ void run_forward_t(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
     }
 }
 
-template <class L>
-void run_inverse_t(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
-                   double* wi) {
-    const std::size_t n = plan.size();
-    const auto& stages = plan.plan_stages();
-    const double* tw = plan.twiddles().data();
-
-    double* sr = xr;
-    double* si = xi;
-    double* dr = wr;
-    double* di = wi;
-    if (stages.size() % 2 == 1) {
-        std::copy(xr, xr + n, wr);
-        std::copy(xi, xi + n, wi);
-        sr = wr;
-        si = wi;
-        dr = xr;
-        di = xi;
-    }
-
-    const std::size_t n4 = n / 4;
-    for (const FftStage& st : stages) {
-        const std::size_t s = st.stride;
-        if (st.radix == 2) {
-            const std::size_t h = n / 2;
-            lane_loop<L>(h, [&]<class V>(std::size_t q) {
-                const auto ar = V::load(sr + q), ai = V::load(si + q);
-                const auto br = V::load(sr + q + h), bi = V::load(si + q + h);
-                V::store(dr + q, V::add(ar, br));
-                V::store(di + q, V::add(ai, bi));
-                V::store(dr + q + h, V::sub(ar, br));
-                V::store(di + q + h, V::sub(ai, bi));
-            });
-            std::swap(sr, dr);
-            std::swap(si, di);
-            continue;
-        }
-        const std::size_t m = st.m;
-        const double* w1r = tw + st.tw_offset;
-        const double* w1i = w1r + m;
-        const double* w2r = w1i + m;
-        const double* w2i = w2r + m;
-        const double* w3r = w2i + m;
-        const double* w3i = w3r + m;
-        for (std::size_t p = 0; p < m; ++p) {
-            // Conjugated twiddles and +i rotation, signs folded into the
-            // expressions -- no branch, no conj call.
-            const double* x0r = sr + s * p;
-            const double* x0i = si + s * p;
-            double* y0r = dr + 4 * s * p;
-            double* y0i = di + 4 * s * p;
-            lane_loop<L>(s, [&]<class V>(std::size_t q) {
-                const auto ar = V::load(x0r + q), ai = V::load(x0i + q);
-                const auto br = V::load(x0r + q + n4), bi = V::load(x0i + q + n4);
-                const auto cr = V::load(x0r + q + 2 * n4);
-                const auto ci = V::load(x0i + q + 2 * n4);
-                const auto er = V::load(x0r + q + 3 * n4);
-                const auto ei = V::load(x0i + q + 3 * n4);
-                const auto apcr = V::add(ar, cr), apci = V::add(ai, ci);
-                const auto amcr = V::sub(ar, cr), amci = V::sub(ai, ci);
-                const auto bpdr = V::add(br, er), bpdi = V::add(bi, ei);
-                const auto jr = V::sub(ei, bi), ji = V::sub(br, er);  // i*(b-d)
-                V::store(y0r + q, V::add(apcr, bpdr));
-                V::store(y0i + q, V::add(apci, bpdi));
-                const auto u1r = V::set1(w1r[p]), u1i = V::set1(w1i[p]);
-                const auto t1r = V::add(amcr, jr), t1i = V::add(amci, ji);
-                V::store(y0r + q + s, V::add(V::mul(u1r, t1r), V::mul(u1i, t1i)));
-                V::store(y0i + q + s, V::sub(V::mul(u1r, t1i), V::mul(u1i, t1r)));
-                const auto u2r = V::set1(w2r[p]), u2i = V::set1(w2i[p]);
-                const auto t2r = V::sub(apcr, bpdr), t2i = V::sub(apci, bpdi);
-                V::store(y0r + q + 2 * s,
-                         V::add(V::mul(u2r, t2r), V::mul(u2i, t2i)));
-                V::store(y0i + q + 2 * s,
-                         V::sub(V::mul(u2r, t2i), V::mul(u2i, t2r)));
-                const auto u3r = V::set1(w3r[p]), u3i = V::set1(w3i[p]);
-                const auto t3r = V::sub(amcr, jr), t3i = V::sub(amci, ji);
-                V::store(y0r + q + 3 * s,
-                         V::add(V::mul(u3r, t3r), V::mul(u3i, t3i)));
-                V::store(y0i + q + 3 * s,
-                         V::sub(V::mul(u3r, t3i), V::mul(u3i, t3r)));
-            });
-        }
-        std::swap(sr, dr);
-        std::swap(si, di);
-    }
-
-    const double scale = 1.0 / static_cast<double>(n);
-    lane_loop<L>(n, [&]<class V>(std::size_t i) {
-        const auto k = V::set1(scale);
-        V::store(xr + i, V::mul(V::load(xr + i), k));
-        V::store(xi + i, V::mul(V::load(xi + i), k));
-    });
-}
-
 // ------------------------------------------------ per-level entry points
 //
 // Each translation unit defines its level's set (fft_kernels.cpp: scalar +
@@ -357,12 +263,5 @@ void forward_sse2(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
                   double* wi, std::size_t nzb);
 void forward_avx2(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
                   double* wi, std::size_t nzb);
-
-void inverse_scalar(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
-                    double* wi);
-void inverse_sse2(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
-                  double* wi);
-void inverse_avx2(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
-                  double* wi);
 
 }  // namespace witrack::dsp::kernels::detail

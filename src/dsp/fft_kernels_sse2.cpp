@@ -14,21 +14,11 @@ void forward_sse2(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
     run_forward_t<simd::SseD>(plan, xr, xi, wr, wi, nzb);
 }
 
-void inverse_sse2(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
-                  double* wi) {
-    run_inverse_t<simd::SseD>(plan, xr, xi, wr, wi);
-}
-
 #else  // !__SSE2__
 
 void forward_sse2(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
                   double* wi, std::size_t nzb) {
     forward_scalar(plan, xr, xi, wr, wi, nzb);
-}
-
-void inverse_sse2(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
-                  double* wi) {
-    inverse_scalar(plan, xr, xi, wr, wi);
 }
 
 #endif  // __SSE2__

@@ -41,101 +41,4 @@ void OnePoleHighPass::load_state(common::StateReader& reader) {
     prev_y_ = reader.f64();
 }
 
-OnePoleLowPass::OnePoleLowPass(double cutoff_hz, double sample_rate_hz) {
-    if (cutoff_hz <= 0 || sample_rate_hz <= 0 || cutoff_hz >= sample_rate_hz / 2)
-        throw std::invalid_argument("OnePoleLowPass: bad cutoff/sample rate");
-    const double rc = 1.0 / (2.0 * M_PI * cutoff_hz);
-    const double dt = 1.0 / sample_rate_hz;
-    a_ = dt / (rc + dt);
-}
-
-double OnePoleLowPass::process(double x) {
-    if (!primed_) {
-        y_ = x;
-        primed_ = true;
-    } else {
-        y_ += a_ * (x - y_);
-    }
-    return y_;
-}
-
-void OnePoleLowPass::reset() {
-    y_ = 0.0;
-    primed_ = false;
-}
-
-MovingAverage::MovingAverage(std::size_t window) : window_(window) {
-    if (window == 0) throw std::invalid_argument("MovingAverage: zero window");
-}
-
-double MovingAverage::process(double x) {
-    samples_.push_back(x);
-    sum_ += x;
-    if (samples_.size() > window_) {
-        sum_ -= samples_.front();
-        samples_.pop_front();
-    }
-    return value();
-}
-
-double MovingAverage::value() const {
-    return samples_.empty() ? 0.0 : sum_ / static_cast<double>(samples_.size());
-}
-
-void MovingAverage::reset() {
-    samples_.clear();
-    sum_ = 0.0;
-}
-
-std::vector<double> design_lowpass_fir(double cutoff_hz, double sample_rate_hz,
-                                       std::size_t taps) {
-    if (taps < 3 || cutoff_hz <= 0 || cutoff_hz >= sample_rate_hz / 2)
-        throw std::invalid_argument("design_lowpass_fir: bad parameters");
-    const double fc = cutoff_hz / sample_rate_hz;  // normalized cutoff
-    const double mid = static_cast<double>(taps - 1) / 2.0;
-    std::vector<double> h(taps);
-    double sum = 0.0;
-    for (std::size_t i = 0; i < taps; ++i) {
-        const double m = static_cast<double>(i) - mid;
-        const double sinc = m == 0.0 ? 2.0 * fc
-                                     : std::sin(2.0 * M_PI * fc * m) / (M_PI * m);
-        const double hamming =
-            0.54 - 0.46 * std::cos(2.0 * M_PI * static_cast<double>(i) /
-                                   static_cast<double>(taps - 1));
-        h[i] = sinc * hamming;
-        sum += h[i];
-    }
-    for (auto& v : h) v /= sum;  // unity DC gain
-    return h;
-}
-
-FirFilter::FirFilter(std::vector<double> coefficients)
-    : coeffs_(std::move(coefficients)), history_(coeffs_.size(), 0.0) {
-    if (coeffs_.empty()) throw std::invalid_argument("FirFilter: empty coefficients");
-}
-
-double FirFilter::process(double x) {
-    history_[head_] = x;
-    double acc = 0.0;
-    std::size_t idx = head_;
-    for (std::size_t i = 0; i < coeffs_.size(); ++i) {
-        acc += coeffs_[i] * history_[idx];
-        idx = idx == 0 ? history_.size() - 1 : idx - 1;
-    }
-    head_ = (head_ + 1) % history_.size();
-    return acc;
-}
-
-std::vector<double> FirFilter::process(const std::vector<double>& signal) {
-    std::vector<double> out;
-    out.reserve(signal.size());
-    for (double v : signal) out.push_back(process(v));
-    return out;
-}
-
-void FirFilter::reset() {
-    std::fill(history_.begin(), history_.end(), 0.0);
-    head_ = 0;
-}
-
 }  // namespace witrack::dsp

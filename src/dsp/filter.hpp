@@ -1,13 +1,8 @@
-// Small filter blocks. The receive chain uses a one-pole high-pass to mimic
-// the analog high-pass that suppresses the Tx-leakage beat (paper Fig. 7);
-// the denoising stage uses moving averages; the FIR designer supports the
-// anti-alias model in the ADC.
+// The receive chain's one-pole high-pass, which mimics the analog high-pass
+// that suppresses the Tx-leakage beat (paper Fig. 7).
 #pragma once
 
-#include <cstddef>
-#include <deque>
 #include <span>
-#include <vector>
 
 namespace witrack::common {
 class StateWriter;
@@ -37,54 +32,6 @@ class OnePoleHighPass {
     double a_ = 0.0;
     double prev_x_ = 0.0;
     double prev_y_ = 0.0;
-};
-
-/// First-order low-pass IIR: y[n] = y[n-1] + a * (x[n] - y[n-1]).
-class OnePoleLowPass {
-  public:
-    OnePoleLowPass(double cutoff_hz, double sample_rate_hz);
-    double process(double x);
-    void reset();
-
-  private:
-    double a_ = 0.0;
-    double y_ = 0.0;
-    bool primed_ = false;
-};
-
-/// Sliding-window moving average with O(1) updates.
-class MovingAverage {
-  public:
-    explicit MovingAverage(std::size_t window);
-    double process(double x);
-    bool full() const { return samples_.size() == window_; }
-    double value() const;
-    void reset();
-
-  private:
-    std::size_t window_;
-    std::deque<double> samples_;
-    double sum_ = 0.0;
-};
-
-/// Windowed-sinc low-pass FIR design (Hamming window). Returns `taps`
-/// coefficients normalized to unity DC gain.
-std::vector<double> design_lowpass_fir(double cutoff_hz, double sample_rate_hz,
-                                       std::size_t taps);
-
-/// Direct-form FIR filter.
-class FirFilter {
-  public:
-    explicit FirFilter(std::vector<double> coefficients);
-    double process(double x);
-    std::vector<double> process(const std::vector<double>& signal);
-    void reset();
-    std::size_t taps() const { return coeffs_.size(); }
-
-  private:
-    std::vector<double> coeffs_;
-    std::vector<double> history_;  // circular buffer
-    std::size_t head_ = 0;
 };
 
 }  // namespace witrack::dsp

@@ -43,30 +43,6 @@ LineFit fit_ols(const std::vector<double>& x, const std::vector<double>& y) {
     return weighted_ols(x, y, std::vector<double>(x.size(), 1.0));
 }
 
-LineFit fit_theil_sen(const std::vector<double>& x, const std::vector<double>& y) {
-    check_inputs(x, y);
-    const std::size_t n = x.size();
-    if (n < 2) return {};
-
-    std::vector<double> slopes;
-    slopes.reserve(n * (n - 1) / 2);
-    for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = i + 1; j < n; ++j) {
-            const double dx = x[j] - x[i];
-            if (std::abs(dx) < 1e-12) continue;
-            slopes.push_back((y[j] - y[i]) / dx);
-        }
-    if (slopes.empty()) return {};
-
-    LineFit fit;
-    fit.slope = median(slopes);
-    std::vector<double> intercepts(n);
-    for (std::size_t i = 0; i < n; ++i) intercepts[i] = y[i] - fit.slope * x[i];
-    fit.intercept = median(intercepts);
-    fit.valid = true;
-    return fit;
-}
-
 LineFit fit_huber(const std::vector<double>& x, const std::vector<double>& y,
                   double delta, std::size_t iterations) {
     check_inputs(x, y);
@@ -98,18 +74,6 @@ LineFit fit_huber(const std::vector<double>& x, const std::vector<double>& y,
         if (change < 1e-10) break;
     }
     return fit;
-}
-
-double fit_residual_stddev(const LineFit& fit, const std::vector<double>& x,
-                           const std::vector<double>& y) {
-    check_inputs(x, y);
-    if (!fit.valid || x.empty()) return 0.0;
-    double acc = 0.0;
-    for (std::size_t i = 0; i < x.size(); ++i) {
-        const double r = y[i] - fit.at(x[i]);
-        acc += r * r;
-    }
-    return std::sqrt(acc / static_cast<double>(x.size()));
 }
 
 }  // namespace witrack::dsp

@@ -1,6 +1,6 @@
 // Line fitting for the pointing-gesture estimator (paper Section 6.1:
 // "We perform robust regression on the location estimates of the moving
-// hand"). Provides ordinary least squares plus two robust alternatives.
+// hand"). Huber IRLS, seeded from ordinary least squares.
 #pragma once
 
 #include <cstddef>
@@ -20,17 +20,9 @@ struct LineFit {
 /// Ordinary least squares.
 LineFit fit_ols(const std::vector<double>& x, const std::vector<double>& y);
 
-/// Theil-Sen estimator: median of pairwise slopes; up to ~29% outlier
-/// breakdown. O(n^2) pairs, fine for gesture-length segments.
-LineFit fit_theil_sen(const std::vector<double>& x, const std::vector<double>& y);
-
 /// Iteratively reweighted least squares with the Huber loss.
 /// delta is in units of residual; iterations bounds the IRLS loop.
 LineFit fit_huber(const std::vector<double>& x, const std::vector<double>& y,
                   double delta = 1.0, std::size_t iterations = 20);
-
-/// Residual standard deviation of a fit over the data.
-double fit_residual_stddev(const LineFit& fit, const std::vector<double>& x,
-                           const std::vector<double>& y);
 
 }  // namespace witrack::dsp

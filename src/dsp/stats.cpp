@@ -84,24 +84,6 @@ std::vector<EmpiricalCdf::Point> EmpiricalCdf::curve(std::size_t n_points) const
     return points;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-    if (bins == 0 || hi <= lo) throw std::invalid_argument("Histogram: bad configuration");
-}
-
-void Histogram::add(double value) {
-    ++total_;
-    if (value < lo_ || value >= hi_) return;  // out-of-range values counted in total only
-    const auto bin = static_cast<std::size_t>((value - lo_) / (hi_ - lo_) *
-                                              static_cast<double>(counts_.size()));
-    counts_[std::min(bin, counts_.size() - 1)]++;
-}
-
-double Histogram::bin_center(std::size_t bin) const {
-    const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-    return lo_ + (static_cast<double>(bin) + 0.5) * width;
-}
-
 void RunningStats::add(double value) {
     ++n_;
     const double delta = value - mean_;

@@ -52,22 +52,6 @@ class EmpiricalCdf {
     std::vector<double> sorted_;
 };
 
-/// Fixed-width histogram with explicit range.
-class Histogram {
-  public:
-    Histogram(double lo, double hi, std::size_t bins);
-    void add(double value);
-    std::size_t bin_count(std::size_t bin) const { return counts_.at(bin); }
-    std::size_t bins() const { return counts_.size(); }
-    std::size_t total() const { return total_; }
-    double bin_center(std::size_t bin) const;
-
-  private:
-    double lo_, hi_;
-    std::vector<std::size_t> counts_;
-    std::size_t total_ = 0;
-};
-
 /// Streaming mean/variance (Welford). Used by the contour tracker's noise
 /// floor estimate and by the gesture-vs-body variance classifier (Fig. 5).
 class RunningStats {

@@ -6,56 +6,21 @@
 
 namespace witrack::dsp {
 
-std::vector<double> make_window(WindowType type, std::size_t length) {
-    if (length == 0) throw std::invalid_argument("make_window: zero length");
+std::vector<double> hann_window(std::size_t length) {
+    if (length == 0) throw std::invalid_argument("hann_window: zero length");
     std::vector<double> w(length, 1.0);
-    if (length == 1 || type == WindowType::kRectangular) return w;
+    if (length == 1) return w;
 
     const double denom = static_cast<double>(length - 1);
     for (std::size_t i = 0; i < length; ++i) {
         const double x = static_cast<double>(i) / denom;  // in [0, 1]
-        const double c1 = std::cos(2.0 * M_PI * x);
-        const double c2 = std::cos(4.0 * M_PI * x);
-        const double c3 = std::cos(6.0 * M_PI * x);
-        switch (type) {
-            case WindowType::kHann:
-                w[i] = 0.5 - 0.5 * c1;
-                break;
-            case WindowType::kHamming:
-                w[i] = 0.54 - 0.46 * c1;
-                break;
-            case WindowType::kBlackman:
-                w[i] = 0.42 - 0.5 * c1 + 0.08 * c2;
-                break;
-            case WindowType::kBlackmanHarris:
-                w[i] = 0.35875 - 0.48829 * c1 + 0.14128 * c2 - 0.01168 * c3;
-                break;
-            case WindowType::kRectangular:
-                break;
-        }
+        w[i] = 0.5 - 0.5 * std::cos(2.0 * M_PI * x);
     }
     return w;
 }
 
 double window_gain(const std::vector<double>& window) {
     return std::accumulate(window.begin(), window.end(), 0.0);
-}
-
-void apply_window(std::vector<double>& signal, const std::vector<double>& window) {
-    if (signal.size() != window.size())
-        throw std::invalid_argument("apply_window: length mismatch");
-    for (std::size_t i = 0; i < signal.size(); ++i) signal[i] *= window[i];
-}
-
-std::string window_name(WindowType type) {
-    switch (type) {
-        case WindowType::kRectangular: return "rectangular";
-        case WindowType::kHann: return "hann";
-        case WindowType::kHamming: return "hamming";
-        case WindowType::kBlackman: return "blackman";
-        case WindowType::kBlackmanHarris: return "blackman-harris";
-    }
-    return "unknown";
 }
 
 }  // namespace witrack::dsp

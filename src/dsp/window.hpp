@@ -1,33 +1,18 @@
-// Window functions applied before the range FFT to control spectral leakage
+// The Hann window applied before the range FFT to control spectral leakage
 // from the strong static reflectors ("flash effect", paper Section 4.2).
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace witrack::dsp {
 
-enum class WindowType {
-    kRectangular,
-    kHann,
-    kHamming,
-    kBlackman,
-    kBlackmanHarris,
-};
+/// Hann window of `length` coefficients, w[i] = 0.5 - 0.5*cos(2*pi*i/(length-1))
+/// (a single coefficient of 1 when length == 1).
+std::vector<double> hann_window(std::size_t length);
 
-/// Generate window coefficients of the given length.
-std::vector<double> make_window(WindowType type, std::size_t length);
-
-/// Sum of coefficients; used to normalize FFT magnitudes so windowed and
-/// rectangular spectra have comparable peak levels.
+/// Sum of coefficients; used to normalize FFT magnitudes to unity coherent
+/// gain so detection thresholds do not depend on the window.
 double window_gain(const std::vector<double>& window);
-
-/// Multiply a signal by a window in place. The window must be the same
-/// length as the signal.
-void apply_window(std::vector<double>& signal, const std::vector<double>& window);
-
-/// Name for logs and bench tables.
-std::string window_name(WindowType type);
 
 }  // namespace witrack::dsp

@@ -20,8 +20,7 @@ const char* to_string(SessionState state) {
     return "unknown";
 }
 
-Engine::Engine(EngineConfig config, std::unique_ptr<FrameSource> source,
-               dsp::FftPlanCache* plans)
+Engine::Engine(EngineConfig config, std::unique_ptr<FrameSource> source)
     : config_(std::move(config)),
       owned_source_(std::move(source)),
       source_([&]() -> FrameSource* {
@@ -38,7 +37,7 @@ Engine::Engine(EngineConfig config, std::unique_ptr<FrameSource> source,
           pipeline.fmcw = source_->fmcw();
           return pipeline;
       }()),
-      tracker_(pipeline_, source_->array(), plans) {
+      tracker_(pipeline_, source_->array()) {
     // Keep the stored config coherent with the resolved pipeline: stages
     // and subscribers reading config().fmcw must see what the pipeline
     // actually runs with.

@@ -14,9 +14,8 @@
 // step() is serial code: the per-RX TOF chains run one antenna after
 // another and the stages run in attachment order on the calling thread.
 // Parallelism is a fleet decision: inside an engine::EngineHost the Engine
-// is one session, the host steps whole sessions in parallel on its
-// WorkerPool and shares its FFT plan cache with every session -- see
-// engine/host.hpp.
+// is one session, and the host steps whole sessions in parallel on its
+// WorkerPool -- see engine/host.hpp.
 #pragma once
 
 #include <cstddef>
@@ -95,12 +94,8 @@ class Engine {
   public:
     /// The Engine owns its source, so the session is one self-contained
     /// object with no lifetime fine print (and the shape an EngineHost
-    /// admits). FFT plans come from `plans` (nullptr = the process-global
-    /// FftPlanCache); an EngineHost passes its shared cache, which is
-    /// borrowed and must outlive the Engine. Throws std::invalid_argument
-    /// on a null source.
-    Engine(EngineConfig config, std::unique_ptr<FrameSource> source,
-           dsp::FftPlanCache* plans = nullptr);
+    /// admits). Throws std::invalid_argument on a null source.
+    Engine(EngineConfig config, std::unique_ptr<FrameSource> source);
 
     /// Attach an application stage (attach() runs immediately).
     void add_stage(std::unique_ptr<AppStage> stage);

@@ -196,9 +196,7 @@ std::string to_json(const FleetStats& stats) {
 
 EngineHost::EngineHost(HostConfig config)
     : config_(config),
-      workers_(resolve_worker_count(config.workers)),
-      plans_(config.plan_cache != nullptr ? config.plan_cache
-                                          : &dsp::FftPlanCache::global()) {
+      workers_(resolve_worker_count(config.workers)) {
     if (config_.max_sessions == 0)
         throw std::invalid_argument("EngineHost: max_sessions must be >= 1");
     if (workers_ > 1) pool_ = std::make_unique<common::WorkerPool>(workers_);
@@ -218,9 +216,7 @@ SessionId EngineHost::admit(std::string name, EngineConfig config,
     session->id = next_id_++;
     session->name = std::move(name);
     session->queued = full;
-    // The fleet-session Engine: FFT plans from the shared cache.
-    session->engine =
-        std::make_unique<Engine>(std::move(config), std::move(source), plans_);
+    session->engine = std::make_unique<Engine>(std::move(config), std::move(source));
     session->engine->set_session_id(session->id);
     const SessionId id = session->id;
     sessions_.push_back(std::move(session));
@@ -268,8 +264,7 @@ SessionId EngineHost::restore_session(
     // Build and restore the Engine BEFORE registering anything: a corrupt
     // snapshot throws out of restore() and the host -- including every live
     // session -- is left exactly as it was.
-    auto engine =
-        std::make_unique<Engine>(std::move(config), std::move(source), plans_);
+    auto engine = std::make_unique<Engine>(std::move(config), std::move(source));
     if (wire_stages) wire_stages(*engine);
     engine->restore(snapshot);
 
@@ -532,8 +527,8 @@ void EngineHost::restart_session(Session& session) {
         // record. Siblings never observe any of it.
         std::stringstream snapshot;
         session.engine->snapshot(snapshot);
-        auto engine = std::make_unique<Engine>(session.engine_config,
-                                               session.factory(), plans_);
+        auto engine =
+            std::make_unique<Engine>(session.engine_config, session.factory());
         if (session.wire_stages) session.wire_stages(*engine);
         engine->restore(snapshot);
         // The snapshot does not carry timing: keep the outgoing engine's

@@ -9,7 +9,7 @@
 //   Session 1..N  ◄── step_all ──┤  scheduler   │
 //      │  session fan-out        └──┬────────┬──┘
 //      ▼                            ▼        ▼
-//   shared common::WorkerPool   FftPlanCache  FleetStats
+//   shared common::WorkerPool            FleetStats
 //
 // The scheduler is fair round-robin: every running session processes
 // exactly one frame per step_all() round, so no tenant starves another.
@@ -53,7 +53,6 @@
 #include <vector>
 
 #include "common/worker_pool.hpp"
-#include "dsp/fft_plan_cache.hpp"
 #include "engine/engine.hpp"
 
 namespace witrack::engine {
@@ -80,10 +79,6 @@ struct HostConfig {
     /// to consume frames (paused) before the host evicts it. 0 = never
     /// evict on lag.
     std::size_t max_frame_lag = 0;
-
-    /// FFT plan cache shared by every session's range transforms
-    /// (nullptr = the process-global FftPlanCache::global()).
-    dsp::FftPlanCache* plan_cache = nullptr;
 
     /// Self-healing watchdog: when > 0, a restartable session (see
     /// admit_restartable) whose mean frame health over one health_window
@@ -115,10 +110,6 @@ struct HostConfig {
     }
     HostConfig& with_max_frame_lag(std::size_t rounds) {
         max_frame_lag = rounds;
-        return *this;
-    }
-    HostConfig& with_plan_cache(dsp::FftPlanCache* cache) {
-        plan_cache = cache;
         return *this;
     }
     HostConfig& with_health_threshold(double threshold) {
@@ -291,9 +282,6 @@ class EngineHost {
     std::size_t workers() const { return workers_; }
     common::WorkerPool* worker_pool() { return pool_.get(); }
 
-    /// The FFT plan cache every session shares.
-    dsp::FftPlanCache& plan_cache() { return *plans_; }
-
     const HostConfig& config() const { return config_; }
 
     /// Snapshot fleet telemetry and reset the per-window aggregates (host
@@ -379,7 +367,6 @@ class EngineHost {
     HostConfig config_;
     std::size_t workers_ = 1;
     std::unique_ptr<common::WorkerPool> pool_;  ///< shared; only workers_ > 1
-    dsp::FftPlanCache* plans_;                  ///< config's or the global one
     std::vector<std::unique_ptr<Session>> sessions_;  ///< admission order
     std::vector<Session*> ready_;      ///< this round's picks, reused
     bool in_round_ = false;            ///< step_all() is running

@@ -251,10 +251,11 @@ FaultConfig parse_fault_spec(const std::string& spec) {
                 throw std::invalid_argument(
                     "hw fault spec: 'burst_gain' must be >= 0");
         } else if (key == "seed") {
-            try {
-                std::size_t used = 0;
-                config.seed = std::stoull(value, &used);
-                if (used != value.size()) throw std::invalid_argument(value);
+            try {  // digits only: std::stoull would wrap a sign ("-1")
+                if (value.empty() ||
+                    value.find_first_not_of("0123456789") != std::string::npos)
+                    throw std::invalid_argument(value);
+                config.seed = std::stoull(value);
             } catch (const std::exception&) {
                 throw std::invalid_argument(
                     "hw fault spec: bad value for 'seed': '" + value + "'");

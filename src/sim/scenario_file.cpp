@@ -56,11 +56,11 @@ double parse_double(const Context& ctx, const std::string& key,
 
 std::uint64_t parse_u64(const Context& ctx, const std::string& key,
                         const std::string& value) {
+    // Digits only: std::stoull accepts a sign, and "-1" would wrap.
     try {
-        std::size_t used = 0;
-        const std::uint64_t parsed = std::stoull(value, &used);
-        if (used != value.size()) throw std::invalid_argument(value);
-        return parsed;
+        if (value.empty() || value.find_first_not_of("0123456789") != std::string::npos)
+            throw std::invalid_argument(value);
+        return std::stoull(value);
     } catch (const std::exception&) {
         ctx.fail("bad integer for '" + key + "': '" + value + "'");
     }

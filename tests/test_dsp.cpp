@@ -1,5 +1,5 @@
-// Unit tests for the DSP toolbox: windows, statistics, peak finding,
-// filters, Kalman filters and robust regression.
+// Unit tests for the DSP toolbox: the Hann window, statistics, peak finding,
+// the high-pass filter, Kalman filters and robust regression.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -18,51 +18,33 @@ namespace {
 
 // ---------------------------------------------------------------- windows
 
-class Windows : public ::testing::TestWithParam<WindowType> {};
-
-TEST_P(Windows, SymmetricAndBounded) {
-    const auto w = make_window(GetParam(), 101);
+TEST(Windows, HannSymmetricBoundedAndPeaksAtCenter) {
+    const auto w = hann_window(101);
     ASSERT_EQ(w.size(), 101u);
     for (std::size_t i = 0; i < w.size(); ++i) {
         EXPECT_NEAR(w[i], w[w.size() - 1 - i], 1e-12);
-        EXPECT_GE(w[i], -1e-6);
-        EXPECT_LE(w[i], 1.0 + 1e-12);
+        EXPECT_GE(w[i], 0.0);
+        EXPECT_LE(w[i], w[50]);
     }
+    EXPECT_DOUBLE_EQ(w[50], 1.0);
 }
-
-TEST_P(Windows, PeaksAtCenter) {
-    const auto w = make_window(GetParam(), 101);
-    const double center = w[50];
-    for (double v : w) EXPECT_LE(v, center + 1e-12);
-}
-
-INSTANTIATE_TEST_SUITE_P(AllTypes, Windows,
-                         ::testing::Values(WindowType::kRectangular, WindowType::kHann,
-                                           WindowType::kHamming, WindowType::kBlackman,
-                                           WindowType::kBlackmanHarris),
-                         [](const ::testing::TestParamInfo<WindowType>& info) {
-                             std::string n = window_name(info.param);
-                             n.erase(std::remove(n.begin(), n.end(), '-'), n.end());
-                             return n;
-                         });
 
 TEST(Windows, HannEndpointsAreZero) {
-    const auto w = make_window(WindowType::kHann, 64);
+    const auto w = hann_window(64);
     EXPECT_NEAR(w.front(), 0.0, 1e-12);
     EXPECT_NEAR(w.back(), 0.0, 1e-12);
 }
 
+TEST(Windows, HannDegenerateLengths) {
+    EXPECT_THROW(hann_window(0), std::invalid_argument);
+    EXPECT_EQ(hann_window(1), std::vector<double>{1.0});
+}
+
 TEST(Windows, GainIsCoefficientSum) {
-    const auto w = make_window(WindowType::kHamming, 10);
+    const auto w = hann_window(10);
     double sum = 0.0;
     for (double v : w) sum += v;
     EXPECT_DOUBLE_EQ(window_gain(w), sum);
-}
-
-TEST(Windows, ApplyWindowRequiresMatchingLength) {
-    std::vector<double> signal(8, 1.0);
-    const auto w = make_window(WindowType::kHann, 4);
-    EXPECT_THROW(apply_window(signal, w), std::invalid_argument);
 }
 
 // ------------------------------------------------------------- statistics
@@ -117,16 +99,6 @@ TEST(Stats, CdfCurveIsMonotone) {
         EXPECT_LT(curve[i - 1].value, curve[i].value);
     }
     EXPECT_NEAR(curve.back().fraction, 1.0, 1e-12);
-}
-
-TEST(Stats, HistogramBinning) {
-    Histogram h(0.0, 10.0, 10);
-    for (int i = 0; i < 10; ++i) h.add(static_cast<double>(i) + 0.5);
-    h.add(-1.0);   // below range: total only
-    h.add(100.0);  // above range: total only
-    for (std::size_t b = 0; b < 10; ++b) EXPECT_EQ(h.bin_count(b), 1u);
-    EXPECT_EQ(h.total(), 12u);
-    EXPECT_DOUBLE_EQ(h.bin_center(0), 0.5);
 }
 
 TEST(Stats, RunningStatsMatchesBatch) {
@@ -222,47 +194,6 @@ TEST(Filter, HighPassBlocksDcPassesHighFrequency) {
 TEST(Filter, HighPassRejectsBadConfig) {
     EXPECT_THROW(OnePoleHighPass(0.0, 1e6), std::invalid_argument);
     EXPECT_THROW(OnePoleHighPass(6e5, 1e6), std::invalid_argument);
-}
-
-TEST(Filter, LowPassTracksDc) {
-    OnePoleLowPass lp(100.0, 1e4);
-    double out = 0.0;
-    for (int i = 0; i < 10000; ++i) out = lp.process(2.5);
-    EXPECT_NEAR(out, 2.5, 1e-6);
-}
-
-TEST(Filter, MovingAverageConverges) {
-    MovingAverage ma(4);
-    ma.process(1.0);
-    ma.process(2.0);
-    ma.process(3.0);
-    EXPECT_DOUBLE_EQ(ma.process(4.0), 2.5);
-    EXPECT_DOUBLE_EQ(ma.process(5.0), 3.5);  // window slides
-    EXPECT_TRUE(ma.full());
-}
-
-TEST(Filter, FirLowPassAttenuatesStopband) {
-    const auto taps = design_lowpass_fir(5e4, 1e6, 101);
-    FirFilter fir(taps);
-    double pass_peak = 0.0, stop_peak = 0.0;
-    for (int i = 0; i < 4000; ++i) {
-        const double t = static_cast<double>(i) / 1e6;
-        pass_peak = std::max(pass_peak, std::abs(fir.process(std::sin(2 * M_PI * 1e4 * t))));
-    }
-    fir.reset();
-    for (int i = 0; i < 4000; ++i) {
-        const double t = static_cast<double>(i) / 1e6;
-        stop_peak = std::max(stop_peak, std::abs(fir.process(std::sin(2 * M_PI * 3e5 * t))));
-    }
-    EXPECT_GT(pass_peak, 0.9);
-    EXPECT_LT(stop_peak, 0.05);
-}
-
-TEST(Filter, FirUnityDcGain) {
-    const auto taps = design_lowpass_fir(1e5, 1e6, 31);
-    double sum = 0.0;
-    for (double t : taps) sum += t;
-    EXPECT_NEAR(sum, 1.0, 1e-9);
 }
 
 // ----------------------------------------------------------------- linalg
@@ -414,22 +345,6 @@ TEST(Regression, DegenerateInputsInvalid) {
     EXPECT_THROW(fit_ols({1.0, 2.0}, {1.0}), std::invalid_argument);
 }
 
-TEST(Regression, TheilSenResistsOutliers) {
-    std::vector<double> x, y;
-    for (int i = 0; i < 30; ++i) {
-        x.push_back(i);
-        y.push_back(1.5 * i + 3.0);
-    }
-    y[4] += 100.0;  // gross outliers
-    y[17] -= 80.0;
-    const auto robust = fit_theil_sen(x, y);
-    ASSERT_TRUE(robust.valid);
-    EXPECT_NEAR(robust.slope, 1.5, 0.05);
-    EXPECT_NEAR(robust.intercept, 3.0, 1.0);
-    const auto ols = fit_ols(x, y);
-    EXPECT_GT(std::abs(ols.slope - 1.5), std::abs(robust.slope - 1.5));
-}
-
 TEST(Regression, HuberResistsOutliers) {
     std::vector<double> x, y;
     std::mt19937 rng(8);
@@ -447,13 +362,6 @@ TEST(Regression, HuberResistsOutliers) {
 
 TEST(Regression, HuberRejectsBadDelta) {
     EXPECT_THROW(fit_huber({1, 2, 3}, {1, 2, 3}, -1.0), std::invalid_argument);
-}
-
-TEST(Regression, ResidualStddevZeroOnPerfectFit) {
-    const std::vector<double> x{0, 1, 2, 3};
-    const std::vector<double> y{1, 3, 5, 7};
-    const auto fit = fit_ols(x, y);
-    EXPECT_NEAR(fit_residual_stddev(fit, x, y), 0.0, 1e-9);
 }
 
 }  // namespace

@@ -335,6 +335,10 @@ TEST(ScenarioFile, MalformedInputsFailWithLineNumbers) {
     expect_parse_error("fault = dropout 0 1 rx=-3\n", "scn:1: 'rx'");
     expect_parse_error("fault_rates = dropout=1.5\n", "scn:1: hw fault spec");
     expect_parse_error("seed = 1\n", "scenario needs at least one 'person");
+    // A sign is not a digit: "-1" must not wrap to 2^64 - 1.
+    expect_parse_error("seed = -1\n", "scn:1: bad integer for 'seed'");
+    expect_parse_error("seed = +7\n", "scn:1: bad integer for 'seed'");
+    expect_parse_error("fault_rates = seed=-1\n", "scn:1: hw fault spec");
     expect_parse_error(
         "person = still 0,5,0.9\nperson = still 0,6,0.9\n"
         "person = still 0,7,0.9\n",

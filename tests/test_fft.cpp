@@ -1,35 +1,45 @@
-// FFT engine tests: correctness against analytic DFTs, algebraic properties
-// (linearity, Parseval), cross-checks between the radix-4 kernel and
-// Bluestein paths, the paper's sweep-sized transform (N = 2500), the pruned
-// (zero-padded-input) kernels, the r2c half-spectrum plans, and the shared
-// FftPlanCache (pointer identity, shape-keyed pruned entries, cache-built ==
-// privately-built plans).
+// Range-transform tests: the radix-4 Pow2Kernel against a direct DFT
+// (dense power-of-two sizes and pruned zero-padded shapes, plus linearity
+// and Parseval), pruned == dense at one shape, the r2c RealFft at the
+// production shape (2500 samples into 4096 points) and at dense
+// power-of-two shapes, the fused window, and bit-identity of the scalar,
+// SSE2 and AVX2 dispatch levels.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <complex>
 #include <random>
-#include <span>
-#include <thread>
+#include <string>
 #include <vector>
 
 #include "dsp/fft.hpp"
-#include "dsp/fft_plan_cache.hpp"
+#include "dsp/fft_kernels.hpp"
 #include "dsp/simd.hpp"
 
 namespace witrack::dsp {
 namespace {
 
+using kernels::Pow2Kernel;
+
+/// Direct DFT, X_k = sum_t x_t exp(-2*pi*i*k*t/N), through one twiddle
+/// table indexed by k*t mod N (exact index arithmetic, and no libm call in
+/// the O(N^2) loop).
 std::vector<cplx> naive_dft(const std::vector<cplx>& in) {
     const std::size_t n = in.size();
+    std::vector<double> cos_t(n), sin_t(n);
+    for (std::size_t j = 0; j < n; ++j) {
+        const double angle = 2.0 * M_PI * static_cast<double>(j) / static_cast<double>(n);
+        cos_t[j] = std::cos(angle);
+        sin_t[j] = std::sin(angle);
+    }
     std::vector<cplx> out(n);
     for (std::size_t k = 0; k < n; ++k) {
-        cplx acc{0.0, 0.0};
-        for (std::size_t t = 0; t < n; ++t) {
-            const double angle = -2.0 * M_PI * static_cast<double>(k * t) / n;
-            acc += in[t] * cplx(std::cos(angle), std::sin(angle));
+        double re = 0.0, im = 0.0;
+        for (std::size_t t = 0, j = 0; t < n; ++t, j = (j + k) % n) {
+            re += in[t].real() * cos_t[j] + in[t].imag() * sin_t[j];
+            im += in[t].imag() * cos_t[j] - in[t].real() * sin_t[j];
         }
-        out[k] = acc;
+        out[k] = cplx(re, im);
     }
     return out;
 }
@@ -48,16 +58,39 @@ double max_error(const std::vector<cplx>& a, const std::vector<cplx>& b) {
     return err;
 }
 
-TEST(Fft, RejectsZeroSize) { EXPECT_THROW(Fft(0), std::invalid_argument); }
-
-TEST(Fft, ImpulseHasFlatSpectrum) {
-    std::vector<cplx> data(64, cplx(0, 0));
-    data[0] = cplx(1, 0);
-    fft_plan(64).forward(data);
-    for (const auto& v : data) EXPECT_NEAR(std::abs(v - cplx(1, 0)), 0.0, 1e-12);
+/// Forward transform of `data` (size() of the plan) through a kernel plan.
+std::vector<cplx> kernel_forward(const Pow2Kernel& plan, const std::vector<cplx>& data) {
+    const std::size_t n = plan.size();
+    std::vector<double> re(n), im(n), wr(n), wi(n);
+    for (std::size_t k = 0; k < n; ++k) {
+        re[k] = data[k].real();
+        im[k] = data[k].imag();
+    }
+    plan.forward(re.data(), im.data(), wr.data(), wi.data());
+    std::vector<cplx> out(n);
+    for (std::size_t k = 0; k < n; ++k) out[k] = cplx(re[k], im[k]);
+    return out;
 }
 
-TEST(Fft, SingleToneLandsInOneBin) {
+/// Half spectrum of a real sweep through a RealFft plan, as complex bins.
+std::vector<cplx> real_forward(const RealFft& plan, const std::vector<double>& x,
+                               const std::vector<double>& window,
+                               FftScratch& scratch) {
+    std::vector<double> re, im;
+    plan.forward(x, window, re, im, scratch);
+    std::vector<cplx> out(re.size());
+    for (std::size_t k = 0; k < re.size(); ++k) out[k] = cplx(re[k], im[k]);
+    return out;
+}
+
+// ------------------------------------------------------- kernel: dense
+
+TEST(Pow2Kernel, RejectsNonPowerOfTwo) {
+    EXPECT_THROW(Pow2Kernel(0), std::invalid_argument);
+    EXPECT_THROW(Pow2Kernel(2500), std::invalid_argument);
+}
+
+TEST(Pow2Kernel, SingleToneLandsInOneBin) {
     const std::size_t n = 256;
     const std::size_t tone = 37;
     std::vector<cplx> data(n);
@@ -65,196 +98,58 @@ TEST(Fft, SingleToneLandsInOneBin) {
         const double angle = 2.0 * M_PI * static_cast<double>(tone * t) / n;
         data[t] = cplx(std::cos(angle), std::sin(angle));
     }
-    fft_plan(n).forward(data);
+    const auto spec = kernel_forward(Pow2Kernel(n), data);
     for (std::size_t k = 0; k < n; ++k) {
         if (k == tone)
-            EXPECT_NEAR(std::abs(data[k]), static_cast<double>(n), 1e-8);
+            EXPECT_NEAR(std::abs(spec[k]), static_cast<double>(n), 1e-8);
         else
-            EXPECT_NEAR(std::abs(data[k]), 0.0, 1e-7);
+            EXPECT_NEAR(std::abs(spec[k]), 0.0, 1e-7);
     }
 }
 
-TEST(Fft, RealInputHasConjugateSymmetry) {
-    std::vector<double> x(128);
-    std::mt19937 rng(3);
-    std::normal_distribution<double> dist;
-    for (auto& v : x) v = dist(rng);
-    std::vector<cplx> spec(x.size());
-    for (std::size_t i = 0; i < x.size(); ++i) spec[i] = cplx(x[i], 0.0);
-    fft_plan(x.size()).forward(spec);
-    for (std::size_t k = 1; k < x.size(); ++k) {
-        EXPECT_NEAR(spec[k].real(), spec[x.size() - k].real(), 1e-9);
-        EXPECT_NEAR(spec[k].imag(), -spec[x.size() - k].imag(), 1e-9);
-    }
-}
+class KernelSizes : public ::testing::TestWithParam<std::size_t> {};
 
-struct FftSizeCase {
-    std::size_t n;
-};
-
-class FftSizes : public ::testing::TestWithParam<FftSizeCase> {};
-
-TEST_P(FftSizes, MatchesNaiveDft) {
-    const std::size_t n = GetParam().n;
+TEST_P(KernelSizes, MatchesNaiveDft) {
+    const std::size_t n = GetParam();
     const auto in = random_signal(n, static_cast<unsigned>(n));
-    auto fast = in;
-    fft_plan(n).forward(fast);
-    const auto slow = naive_dft(in);
-    EXPECT_LT(max_error(fast, slow), 1e-6 * static_cast<double>(n));
+    EXPECT_LT(max_error(kernel_forward(Pow2Kernel(n), in), naive_dft(in)),
+              1e-6 * static_cast<double>(n));
 }
 
-TEST_P(FftSizes, InverseRoundTrips) {
-    const std::size_t n = GetParam().n;
-    const auto in = random_signal(n, static_cast<unsigned>(n) + 1);
-    auto data = in;
-    const Fft& plan = fft_plan(n);
-    plan.forward(data);
-    plan.inverse(data);
-    EXPECT_LT(max_error(data, in), 1e-9 * static_cast<double>(n));
-}
-
-TEST_P(FftSizes, ParsevalEnergyConservation) {
-    const std::size_t n = GetParam().n;
+TEST_P(KernelSizes, ParsevalEnergyConservation) {
+    const std::size_t n = GetParam();
     const auto in = random_signal(n, static_cast<unsigned>(n) + 2);
     double time_energy = 0.0;
     for (const auto& v : in) time_energy += std::norm(v);
-    auto spec = in;
-    fft_plan(n).forward(spec);
     double freq_energy = 0.0;
-    for (const auto& v : spec) freq_energy += std::norm(v);
+    for (const auto& v : kernel_forward(Pow2Kernel(n), in)) freq_energy += std::norm(v);
     EXPECT_NEAR(freq_energy / static_cast<double>(n), time_energy,
                 1e-8 * std::max(1.0, time_energy));
 }
 
-TEST_P(FftSizes, Linearity) {
-    const std::size_t n = GetParam().n;
+TEST_P(KernelSizes, Linearity) {
+    const std::size_t n = GetParam();
     const auto a = random_signal(n, 10);
     const auto b = random_signal(n, 11);
     const cplx ca(1.5, -0.25), cb(-2.0, 0.5);
     std::vector<cplx> combo(n);
     for (std::size_t i = 0; i < n; ++i) combo[i] = ca * a[i] + cb * b[i];
-    auto fa = a, fb = b;
-    const Fft& plan = fft_plan(n);
-    plan.forward(fa);
-    plan.forward(fb);
-    plan.forward(combo);
+    const Pow2Kernel plan(n);
+    const auto fa = kernel_forward(plan, a);
+    const auto fb = kernel_forward(plan, b);
     std::vector<cplx> expected(n);
     for (std::size_t i = 0; i < n; ++i) expected[i] = ca * fa[i] + cb * fb[i];
-    EXPECT_LT(max_error(combo, expected), 1e-7 * static_cast<double>(n));
+    EXPECT_LT(max_error(kernel_forward(plan, combo), expected),
+              1e-7 * static_cast<double>(n));
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    PowerOfTwoAndArbitrary, FftSizes,
-    ::testing::Values(FftSizeCase{2}, FftSizeCase{4}, FftSizeCase{16},
-                      FftSizeCase{64}, FftSizeCase{256}, FftSizeCase{1024},
-                      FftSizeCase{2048}, FftSizeCase{4096},
-                      FftSizeCase{3}, FftSizeCase{5}, FftSizeCase{12},
-                      FftSizeCase{100}, FftSizeCase{625}, FftSizeCase{2500}),
-    [](const ::testing::TestParamInfo<FftSizeCase>& info) {
-        return "N" + std::to_string(info.param.n);
-    });
+INSTANTIATE_TEST_SUITE_P(PowerOfTwo, KernelSizes,
+                         ::testing::Values(2, 4, 16, 64, 256, 1024, 2048, 4096),
+                         [](const ::testing::TestParamInfo<std::size_t>& info) {
+                             return "N" + std::to_string(info.param);
+                         });
 
-TEST(Fft, SweepSizedTransformMatchesBluesteinDefinition) {
-    // N = 2500 is the production size (2.5 ms at 1 MS/s). Verify a known
-    // tone at a non-integer-power position.
-    const std::size_t n = 2500;
-    const std::size_t tone = 123;
-    std::vector<cplx> data(n);
-    for (std::size_t t = 0; t < n; ++t) {
-        const double angle = 2.0 * M_PI * static_cast<double>(tone * t) / n;
-        data[t] = cplx(std::cos(angle), std::sin(angle));
-    }
-    fft_plan(n).forward(data);
-    EXPECT_NEAR(std::abs(data[tone]), static_cast<double>(n), 1e-5);
-    double off_peak = 0.0;
-    for (std::size_t k = 0; k < n; ++k)
-        if (k != tone) off_peak = std::max(off_peak, std::abs(data[k]));
-    EXPECT_LT(off_peak, 1e-5);
-}
-
-TEST(Fft, PlanCacheReturnsSameInstance) {
-    const Fft& a = fft_plan(512);
-    const Fft& b = fft_plan(512);
-    EXPECT_EQ(&a, &b);
-    EXPECT_EQ(a.size(), 512u);
-}
-
-TEST(FftPlanCacheSuite, SharesOnePlanPerSizeAndKind) {
-    FftPlanCache cache;
-    const auto complex_a = cache.complex_plan(640);
-    const auto complex_b = cache.complex_plan(640);
-    EXPECT_EQ(complex_a.get(), complex_b.get());
-    const auto real_a = cache.real_plan(640);
-    const auto real_b = cache.real_plan(640);
-    EXPECT_EQ(real_a.get(), real_b.get());
-    // Distinct sizes and distinct caches give distinct plans.
-    EXPECT_NE(cache.complex_plan(320).get(), complex_a.get());
-    FftPlanCache other;
-    EXPECT_NE(other.complex_plan(640).get(), complex_a.get());
-    // The real(640) plan's internal half plan is the cached complex(320),
-    // so the cache holds exactly complex{640, 320} + real{640}.
-    EXPECT_EQ(cache.cached_plans(), 3u);
-}
-
-TEST(FftPlanCacheSuite, CacheBuiltPlansMatchPrivateOnesBitForBit) {
-    // A cache-built RealFft (shared internal half plan) must transform
-    // exactly like a privately-built one: sharing is memoization, not a
-    // different algorithm. N = 2500 is the production sweep size.
-    FftPlanCache cache;
-    const auto shared_plan = cache.real_plan(2500);
-    const RealFft private_plan(2500);
-
-    std::vector<double> x(2500);
-    std::mt19937 rng(77);
-    std::uniform_real_distribution<double> dist(-1.0, 1.0);
-    for (auto& v : x) v = dist(rng);
-
-    FftScratch scratch_a, scratch_b;
-    std::vector<cplx> out_a, out_b;
-    shared_plan->forward(x, out_a, scratch_a);
-    private_plan.forward(x, out_b, scratch_b);
-    ASSERT_EQ(out_a.size(), out_b.size());
-    for (std::size_t k = 0; k < out_a.size(); ++k) {
-        EXPECT_EQ(out_a[k].real(), out_b[k].real());
-        EXPECT_EQ(out_a[k].imag(), out_b[k].imag());
-    }
-}
-
-TEST(FftPlanCacheSuite, ConcurrentFirstRequestsConvergeOnOnePlan) {
-    FftPlanCache cache;
-    constexpr std::size_t kThreads = 8;
-    std::vector<std::shared_ptr<const RealFft>> seen(kThreads);
-    {
-        std::vector<std::thread> threads;
-        threads.reserve(kThreads);
-        for (std::size_t t = 0; t < kThreads; ++t)
-            threads.emplace_back(
-                [&cache, &seen, t] { seen[t] = cache.real_plan(1250); });
-        for (auto& thread : threads) thread.join();
-    }
-    // Losers of the build race may briefly have held a duplicate, but every
-    // caller must have been handed the one cached instance.
-    for (std::size_t t = 1; t < kThreads; ++t)
-        EXPECT_EQ(seen[0].get(), seen[t].get());
-}
-
-TEST(Fft, RealHalfSpectrumMatchesComplexPath) {
-    std::vector<double> x(100);
-    for (std::size_t i = 0; i < x.size(); ++i)
-        x[i] = std::sin(0.37 * static_cast<double>(i)) + 0.2;
-    RealFft rfft(x.size());
-    FftScratch scratch;
-    std::vector<cplx> via_real;
-    rfft.forward(x, via_real, scratch);
-    std::vector<cplx> via_complex(x.size());
-    for (std::size_t i = 0; i < x.size(); ++i) via_complex[i] = cplx(x[i], 0.0);
-    fft_plan(x.size()).forward(via_complex);
-    ASSERT_EQ(via_real.size(), x.size() / 2 + 1);
-    for (std::size_t k = 0; k < via_real.size(); ++k)
-        EXPECT_LT(std::abs(via_real[k] - via_complex[k]), 1e-9) << "k=" << k;
-}
-
-// ------------------------------------------------------- pruned kernels
+// ------------------------------------------------------- kernel: pruned
 
 struct PrunedCase {
     std::size_t n;        ///< transform size (power of two)
@@ -267,11 +162,10 @@ TEST_P(PrunedShapes, PrunedMatchesNaiveDft) {
     const auto [n, nz] = GetParam();
     auto in = random_signal(nz, static_cast<unsigned>(n + nz));
     in.resize(n, cplx(0.0, 0.0));  // explicit zero pad for the reference
-    const Fft pruned(n, nz);
+    const Pow2Kernel pruned(n, nz);
     EXPECT_EQ(pruned.n_nonzero(), nz);
-    auto fast = in;
-    pruned.forward(fast);
-    EXPECT_LT(max_error(fast, naive_dft(in)), 1e-6 * static_cast<double>(n));
+    EXPECT_LT(max_error(kernel_forward(pruned, in), naive_dft(in)),
+              1e-6 * static_cast<double>(n));
 }
 
 TEST_P(PrunedShapes, PrunedEqualsDenseAtIdenticalShape) {
@@ -282,10 +176,8 @@ TEST_P(PrunedShapes, PrunedEqualsDenseAtIdenticalShape) {
     const auto [n, nz] = GetParam();
     auto in = random_signal(nz, static_cast<unsigned>(2 * n + nz));
     in.resize(n, cplx(0.0, 0.0));
-    auto dense_out = in;
-    fft_plan(n).forward(dense_out);
-    auto pruned_out = in;
-    Fft(n, nz).forward(pruned_out);
+    const auto dense_out = kernel_forward(Pow2Kernel(n), in);
+    const auto pruned_out = kernel_forward(Pow2Kernel(n, nz), in);
     for (std::size_t k = 0; k < n; ++k) {
         EXPECT_EQ(pruned_out[k].real(), dense_out[k].real()) << "k=" << k;
         EXPECT_EQ(pruned_out[k].imag(), dense_out[k].imag()) << "k=" << k;
@@ -296,8 +188,7 @@ INSTANTIATE_TEST_SUITE_P(
     ZeroPaddedShapes, PrunedShapes,
     ::testing::Values(PrunedCase{64, 40}, PrunedCase{256, 17},
                       PrunedCase{2048, 1250},  // packed half of the sweep
-                      PrunedCase{4096, 2500},  // production zero-pad shape
-                      PrunedCase{8192, 2500},  // Bluestein convolution shape
+                      PrunedCase{4096, 2500},
                       PrunedCase{4096, 1}, PrunedCase{4096, 4095}),
     [](const ::testing::TestParamInfo<PrunedCase>& info) {
         return "N" + std::to_string(info.param.n) + "nz" +
@@ -307,15 +198,14 @@ INSTANTIATE_TEST_SUITE_P(
 // --------------------------------------------------- r2c half spectrum
 
 struct RealCase {
-    std::size_t n;        ///< real transform size
-    std::size_t nonzero;  ///< live input samples (0 = dense)
+    std::size_t samples;  ///< sweep length the plan is built for
+    std::size_t n;        ///< expected transform size
 };
 
 class RealShapes : public ::testing::TestWithParam<RealCase> {};
 
 TEST_P(RealShapes, HalfSpectrumMatchesNaiveDft) {
-    const auto [n, nz_raw] = GetParam();
-    const std::size_t nz = nz_raw == 0 ? n : nz_raw;
+    const auto [nz, n] = GetParam();
     std::mt19937 rng(static_cast<unsigned>(n + 3 * nz));
     std::normal_distribution<double> dist;
     std::vector<double> x(nz);
@@ -325,12 +215,12 @@ TEST_P(RealShapes, HalfSpectrumMatchesNaiveDft) {
     for (std::size_t i = 0; i < nz; ++i) padded[i] = cplx(x[i], 0.0);
     const auto reference = naive_dft(padded);
 
-    RealFft rfft(n, nz_raw);
+    const RealFft rfft(nz);
+    EXPECT_EQ(rfft.size(), n);
     EXPECT_EQ(rfft.n_nonzero(), nz);
     EXPECT_EQ(rfft.spectrum_size(), n / 2 + 1);
     FftScratch scratch;
-    std::vector<cplx> out;
-    rfft.forward(x, out, scratch);
+    const auto out = real_forward(rfft, x, std::vector<double>(nz, 1.0), scratch);
     ASSERT_EQ(out.size(), n / 2 + 1);
     for (std::size_t k = 0; k < out.size(); ++k)
         EXPECT_LT(std::abs(out[k] - reference[k]), 1e-6 * static_cast<double>(n))
@@ -338,8 +228,7 @@ TEST_P(RealShapes, HalfSpectrumMatchesNaiveDft) {
 }
 
 TEST_P(RealShapes, WindowedForwardEqualsPremultiplied) {
-    const auto [n, nz_raw] = GetParam();
-    const std::size_t nz = nz_raw == 0 ? n : nz_raw;
+    const auto [nz, n] = GetParam();
     std::mt19937 rng(static_cast<unsigned>(5 * n + nz));
     std::uniform_real_distribution<double> dist(-1.0, 1.0);
     std::vector<double> x(nz), w(nz), xw(nz);
@@ -348,11 +237,11 @@ TEST_P(RealShapes, WindowedForwardEqualsPremultiplied) {
         w[i] = 0.5 + 0.5 * dist(rng);
         xw[i] = x[i] * w[i];
     }
-    RealFft rfft(n, nz_raw);
+    const RealFft rfft(nz);
     FftScratch sa, sb;
-    std::vector<cplx> fused, premultiplied;
-    rfft.forward_windowed(x, w, fused, sa);
-    rfft.forward(xw, premultiplied, sb);
+    const auto fused = real_forward(rfft, x, w, sa);
+    const auto premultiplied =
+        real_forward(rfft, xw, std::vector<double>(nz, 1.0), sb);
     ASSERT_EQ(fused.size(), premultiplied.size());
     for (std::size_t k = 0; k < fused.size(); ++k) {
         EXPECT_EQ(fused[k].real(), premultiplied[k].real()) << "k=" << k;
@@ -362,63 +251,28 @@ TEST_P(RealShapes, WindowedForwardEqualsPremultiplied) {
 
 INSTANTIATE_TEST_SUITE_P(
     DenseAndPruned, RealShapes,
-    ::testing::Values(RealCase{16, 0}, RealCase{64, 0}, RealCase{2048, 0},
-                      RealCase{4096, 0},
-                      RealCase{250, 0},        // Bluestein half (125 points)
-                      RealCase{2500, 0},       // paper-literal sweep size
-                      RealCase{17, 0},         // odd-N fallback
-                      RealCase{17, 9},         // odd-N fallback, padded
-                      RealCase{512, 250},      // pruned: test-sized sweep
-                      RealCase{4096, 2500},    // pruned: production shape
-                      RealCase{4096, 2501},    // odd live prefix
-                      RealCase{1024, 1000}),   // prune beyond half
+    ::testing::Values(RealCase{2, 2}, RealCase{16, 16}, RealCase{64, 64},
+                      RealCase{2048, 2048}, RealCase{4096, 4096},
+                      RealCase{250, 256},     // test-sized sweep
+                      RealCase{2500, 4096},   // production shape
+                      RealCase{2501, 4096},   // odd sweep length
+                      RealCase{1000, 1024}),  // prune beyond half
     [](const ::testing::TestParamInfo<RealCase>& info) {
         return "N" + std::to_string(info.param.n) + "nz" +
-               std::to_string(info.param.nonzero);
+               std::to_string(info.param.samples);
     });
 
-TEST(RealFftSuite, PrunedEqualsDenseOnPaddedInput) {
-    // Same real input, once through the pruned plan (short span) and once
-    // through the dense plan (explicitly padded span): equal under ==.
-    const std::size_t n = 4096, nz = 2500;
-    std::mt19937 rng(11);
-    std::normal_distribution<double> dist;
-    std::vector<double> x(nz);
-    for (auto& v : x) v = dist(rng);
-    std::vector<double> padded = x;
-    padded.resize(n, 0.0);
-
-    FftScratch sa, sb;
-    std::vector<cplx> pruned_out, dense_out;
-    RealFft(n, nz).forward(x, pruned_out, sa);
-    RealFft(n).forward(padded, dense_out, sb);
-    ASSERT_EQ(pruned_out.size(), dense_out.size());
-    for (std::size_t k = 0; k < pruned_out.size(); ++k) {
-        EXPECT_EQ(pruned_out[k].real(), dense_out[k].real()) << "k=" << k;
-        EXPECT_EQ(pruned_out[k].imag(), dense_out[k].imag()) << "k=" << k;
-    }
-}
-
-TEST(FftPlanCacheSuite, PrunedAndDensePlansAreDistinctSharedEntries) {
-    FftPlanCache cache;
-    // Pruned and dense complex plans of one size are different schedules,
-    // so they are distinct cache entries...
-    const auto dense = cache.complex_plan(4096);
-    const auto pruned = cache.complex_plan(4096, 2500);
-    EXPECT_NE(dense.get(), pruned.get());
-    EXPECT_EQ(dense->n_nonzero(), 4096u);
-    EXPECT_EQ(pruned->n_nonzero(), 2500u);
-    // ...while each shape stays one shared entry across sessions.
-    EXPECT_EQ(cache.complex_plan(4096, 2500).get(), pruned.get());
-    const auto real_pruned = cache.real_plan(4096, 2500);
-    EXPECT_NE(cache.real_plan(4096).get(), real_pruned.get());
-    EXPECT_EQ(cache.real_plan(4096, 2500).get(), real_pruned.get());
-    // Degenerate pruning requests normalize onto the dense entry...
-    EXPECT_EQ(cache.complex_plan(4096, 4096).get(), dense.get());
-    EXPECT_EQ(cache.complex_plan(4096, 0).get(), dense.get());
-    // ...and non-power-of-two sizes always plan dense.
-    EXPECT_EQ(cache.complex_plan(2500, 1000).get(),
-              cache.complex_plan(2500).get());
+TEST(RealFftSuite, RejectsBadShapes) {
+    EXPECT_THROW(RealFft(0), std::invalid_argument);
+    EXPECT_THROW(RealFft(1), std::invalid_argument);
+    const RealFft plan(250);
+    FftScratch scratch;
+    std::vector<double> re, im;
+    const std::vector<double> sweep(250, 0.0), short_sweep(249, 0.0);
+    EXPECT_THROW(plan.forward(short_sweep, sweep, re, im, scratch),
+                 std::invalid_argument);
+    EXPECT_THROW(plan.forward(sweep, short_sweep, re, im, scratch),
+                 std::invalid_argument);
 }
 
 // ------------------------------------------------- SIMD dispatch levels
@@ -443,12 +297,12 @@ class ForcedLevel {
 constexpr simd::Level kAllLevels[] = {simd::Level::kScalar, simd::Level::kSse2,
                                       simd::Level::kAvx2};
 
-/// The shapes the production pipeline actually plans (the pruned-kernel
-/// suite above), reused by the dispatch-level gates.
+/// The kernel shapes the dispatch-level gates run: the pruned shapes above
+/// plus one dense plan.
 constexpr PrunedCase kKernelShapes[] = {{64, 40},     {256, 17},
                                         {2048, 1250}, {4096, 2500},
-                                        {8192, 2500}, {4096, 1},
-                                        {4096, 4095}, {1024, 1024}};
+                                        {4096, 1},    {4096, 4095},
+                                        {1024, 1024}};
 
 TEST(SimdDispatch, ForceClampsToHardware) {
     ForcedLevel guard(simd::Level::kAvx2);
@@ -457,9 +311,9 @@ TEST(SimdDispatch, ForceClampsToHardware) {
 }
 
 TEST(SimdDispatch, EveryLevelMatchesNaiveDft) {
-    // The accuracy gate of the FftSizes/PrunedShapes suites, repeated under
-    // every dispatch level this machine supports: no ISA path gets to trade
-    // accuracy for speed.
+    // The accuracy gate of the KernelSizes/PrunedShapes suites, repeated
+    // under every dispatch level this machine supports: no ISA path gets to
+    // trade accuracy for speed.
     for (const simd::Level level : kAllLevels) {
         ForcedLevel guard(level);
         if (guard.granted() != level) continue;  // hardware lacks this level
@@ -468,14 +322,13 @@ TEST(SimdDispatch, EveryLevelMatchesNaiveDft) {
             SCOPED_TRACE("N" + std::to_string(n) + "nz" + std::to_string(nz));
             auto in = random_signal(nz, static_cast<unsigned>(n + nz));
             in.resize(n, cplx(0.0, 0.0));
-            auto fast = in;
-            Fft(n, nz).forward(fast);
-            EXPECT_LT(max_error(fast, naive_dft(in)), 1e-6 * static_cast<double>(n));
+            EXPECT_LT(max_error(kernel_forward(Pow2Kernel(n, nz), in), naive_dft(in)),
+                      1e-6 * static_cast<double>(n));
         }
     }
 }
 
-TEST(SimdDispatch, AllLevelsBitIdenticalForwardAndInverse) {
+TEST(SimdDispatch, AllLevelsBitIdenticalForward) {
     // The lane templates perform the same IEEE-754 operations per element
     // at every width, so scalar / sse2 / avx2 must agree bit for bit --
     // WITRACK_SIMD triage runs and heterogeneous fleets see one answer.
@@ -483,30 +336,22 @@ TEST(SimdDispatch, AllLevelsBitIdenticalForwardAndInverse) {
         SCOPED_TRACE("N" + std::to_string(n) + "nz" + std::to_string(nz));
         auto in = random_signal(nz, static_cast<unsigned>(3 * n + nz));
         in.resize(n, cplx(0.0, 0.0));
-        const Fft plan(n, nz);
+        const Pow2Kernel plan(n, nz);
 
-        std::vector<cplx> reference, reference_inv;
+        std::vector<cplx> reference;
         {
             ForcedLevel guard(simd::Level::kScalar);
             ASSERT_EQ(guard.granted(), simd::Level::kScalar);
-            reference = in;
-            plan.forward(reference);
-            reference_inv = reference;
-            plan.inverse(reference_inv);
+            reference = kernel_forward(plan, in);
         }
         for (const simd::Level level : {simd::Level::kSse2, simd::Level::kAvx2}) {
             ForcedLevel guard(level);
             if (guard.granted() != level) continue;
             SCOPED_TRACE(simd::to_string(level));
-            auto forward = in;
-            plan.forward(forward);
-            auto inverse = forward;
-            plan.inverse(inverse);
+            const auto forward = kernel_forward(plan, in);
             for (std::size_t k = 0; k < n; ++k) {
                 ASSERT_EQ(forward[k].real(), reference[k].real()) << "k=" << k;
                 ASSERT_EQ(forward[k].imag(), reference[k].imag()) << "k=" << k;
-                ASSERT_EQ(inverse[k].real(), reference_inv[k].real()) << "k=" << k;
-                ASSERT_EQ(inverse[k].imag(), reference_inv[k].imag()) << "k=" << k;
             }
         }
     }
@@ -515,7 +360,7 @@ TEST(SimdDispatch, AllLevelsBitIdenticalForwardAndInverse) {
 TEST(SimdDispatch, RealWindowedPathBitIdenticalAcrossLevels) {
     // End-to-end r2c hot path (fused window, pruned production shape)
     // across dispatch levels.
-    const std::size_t n = 4096, nz = 2500;
+    const std::size_t nz = 2500;
     std::mt19937 rng(29);
     std::uniform_real_distribution<double> dist(-1.0, 1.0);
     std::vector<double> x(nz), w(nz);
@@ -523,19 +368,18 @@ TEST(SimdDispatch, RealWindowedPathBitIdenticalAcrossLevels) {
         x[i] = dist(rng);
         w[i] = 0.5 + 0.5 * dist(rng);
     }
-    const RealFft plan(n, nz);
+    const RealFft plan(nz);
     FftScratch scratch;
     std::vector<cplx> reference;
     {
         ForcedLevel guard(simd::Level::kScalar);
-        plan.forward_windowed(x, w, reference, scratch);
+        reference = real_forward(plan, x, w, scratch);
     }
     for (const simd::Level level : {simd::Level::kSse2, simd::Level::kAvx2}) {
         ForcedLevel guard(level);
         if (guard.granted() != level) continue;
         SCOPED_TRACE(simd::to_string(level));
-        std::vector<cplx> out;
-        plan.forward_windowed(x, w, out, scratch);
+        const auto out = real_forward(plan, x, w, scratch);
         ASSERT_EQ(out.size(), reference.size());
         for (std::size_t k = 0; k < out.size(); ++k) {
             ASSERT_EQ(out[k].real(), reference[k].real()) << "k=" << k;

@@ -5,8 +5,8 @@
 // with sessions stepped serially or in parallel -- and the same lifecycle
 // sequence at every worker count, while admission control, backpressure
 // eviction, fault isolation and the round-boundary contract keep tenants
-// from hurting each other. Plus the FftPlanCache sharing proof and
-// WorkerPool multi-client and nesting semantics.
+// from hurting each other. Plus WorkerPool multi-client and nesting
+// semantics.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,7 +22,6 @@
 
 #include "common/worker_pool.hpp"
 #include "core/pipeline_steps.hpp"
-#include "dsp/fft_plan_cache.hpp"
 #include "engine/engine.hpp"
 #include "engine/host.hpp"
 #include "engine/plugins.hpp"
@@ -849,44 +848,6 @@ TEST(Fleet, LatencyLayersNestOnOneClock) {
             EXPECT_GE(session.step.total_s, app_s + frame->total_s);
         }
     }
-}
-
-// ------------------------------------------------------- FFT plan sharing
-
-TEST(Fleet, SessionsShareOneFftPlan) {
-    engine::EngineHost host;
-    const auto a = host.admit("a", walk_config(461),
-                              std::make_unique<engine::SimSource>(
-                                  walk_config(461), walk_script()));
-    const auto b = host.admit("b", walk_config(462),
-                              std::make_unique<engine::SimSource>(
-                                  walk_config(462), walk_script()));
-    const auto* plan_a =
-        host.session(a)->tracker().tof_estimator().processor().plan();
-    const auto* plan_b =
-        host.session(b)->tracker().tof_estimator().processor().plan();
-    ASSERT_NE(plan_a, nullptr);
-    // Same pointer: the twiddle/chirp tables exist once for the fleet.
-    EXPECT_EQ(plan_a, plan_b);
-    // And they came from the host's cache (the process-global one here).
-    // The processor's plan shape is (fft_size, pruned to the sweep length).
-    const auto& shared_pipeline = host.session(a)->pipeline_config();
-    EXPECT_EQ(plan_a, host.plan_cache()
-                          .real_plan(shared_pipeline.fft_size,
-                                     shared_pipeline.fmcw.samples_per_sweep())
-                          .get());
-
-    // A host with a private cache is isolated from the global plans.
-    dsp::FftPlanCache isolated;
-    engine::EngineHost tenant_host(
-        engine::HostConfig{}.with_plan_cache(&isolated));
-    const auto c = tenant_host.admit("c", walk_config(463),
-                                     std::make_unique<engine::SimSource>(
-                                         walk_config(463), walk_script()));
-    const auto* plan_c =
-        tenant_host.session(c)->tracker().tof_estimator().processor().plan();
-    EXPECT_NE(plan_c, plan_a);
-    EXPECT_GT(isolated.cached_plans(), 0u);
 }
 
 // ------------------------------------------- WorkerPool multi-client safety

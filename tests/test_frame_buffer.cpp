@@ -20,7 +20,6 @@
 #include "core/range_fft.hpp"
 #include "core/tof.hpp"
 #include "core/tracker.hpp"
-#include "dsp/fft.hpp"
 #include "sim/scenario.hpp"
 
 // ---------------------------------------------------------------------------
@@ -145,52 +144,23 @@ TEST(FrameBufferTest, SpectraBitForBitAcrossEntryPoints) {
     const std::size_t n = fmcw.samples_per_sweep();
     const auto frame = FrameBuffer::from_nested(make_nested(5, 3, n));
 
-    for (const std::size_t fft_size : {std::size_t{0}, std::size_t{512}}) {
-        core::SweepProcessor processor(fmcw, dsp::WindowType::kHann, fft_size);
-        std::vector<core::RangeProfile> batched;
-        processor.process_frame_into(frame, batched);
-        ASSERT_EQ(batched.size(), 3u);
+    core::SweepProcessor processor(fmcw);
+    std::vector<core::RangeProfile> batched;
+    processor.process_frame_into(frame, batched);
+    ASSERT_EQ(batched.size(), 3u);
 
-        for (std::size_t rx = 0; rx < 3; ++rx) {
-            core::RangeProfile contiguous;
-            processor.process_into(frame.antenna(rx), frame.num_sweeps(), contiguous);
+    for (std::size_t rx = 0; rx < 3; ++rx) {
+        core::RangeProfile contiguous;
+        processor.process_into(frame.antenna(rx), frame.num_sweeps(), contiguous);
 
-            ASSERT_EQ(contiguous.spectrum_size(), batched[rx].spectrum_size());
-            EXPECT_EQ(contiguous.bin_round_trip_m, batched[rx].bin_round_trip_m);
-            EXPECT_EQ(contiguous.usable_bins, batched[rx].usable_bins);
-            // Bit-for-bit, per SoA plane: both paths run identical arithmetic.
-            EXPECT_EQ(0, std::memcmp(contiguous.re.data(), batched[rx].re.data(),
-                                     contiguous.re.size() * sizeof(double)));
-            EXPECT_EQ(0, std::memcmp(contiguous.im.data(), batched[rx].im.data(),
-                                     contiguous.im.size() * sizeof(double)));
-        }
-    }
-}
-
-TEST(FrameBufferTest, RealFftMatchesComplexReference) {
-    // Even (packed path, power-of-two half), even with Bluestein half, odd
-    // (fallback): the half spectrum must agree with the non-redundant bins
-    // of the reference complex transform of the same real input.
-    for (const std::size_t n : {16u, 250u, 17u}) {
-        std::mt19937 rng(n);
-        std::normal_distribution<double> dist(0.0, 1.0);
-        std::vector<double> x(n);
-        for (auto& v : x) v = dist(rng);
-
-        std::vector<dsp::cplx> reference(n);
-        for (std::size_t i = 0; i < n; ++i) reference[i] = dsp::cplx(x[i], 0.0);
-        dsp::fft_plan(n).forward(reference);
-
-        dsp::RealFft rfft(n);
-        dsp::FftScratch scratch;
-        std::vector<dsp::cplx> out;
-        rfft.forward(x, out, scratch);
-
-        ASSERT_EQ(out.size(), n / 2 + 1);
-        for (std::size_t k = 0; k < out.size(); ++k) {
-            EXPECT_NEAR(out[k].real(), reference[k].real(), 1e-9) << "k=" << k;
-            EXPECT_NEAR(out[k].imag(), reference[k].imag(), 1e-9) << "k=" << k;
-        }
+        ASSERT_EQ(contiguous.spectrum_size(), batched[rx].spectrum_size());
+        EXPECT_EQ(contiguous.bin_round_trip_m, batched[rx].bin_round_trip_m);
+        EXPECT_EQ(contiguous.usable_bins, batched[rx].usable_bins);
+        // Bit-for-bit, per SoA plane: both paths run identical arithmetic.
+        EXPECT_EQ(0, std::memcmp(contiguous.re.data(), batched[rx].re.data(),
+                                 contiguous.re.size() * sizeof(double)));
+        EXPECT_EQ(0, std::memcmp(contiguous.im.data(), batched[rx].im.data(),
+                                 contiguous.im.size() * sizeof(double)));
     }
 }
 
@@ -202,30 +172,26 @@ TEST(FrameBufferTest, SweepProcessorSteadyStateDoesNotAllocate) {
     const std::size_t n = fmcw.samples_per_sweep();
     FrameBuffer frame = FrameBuffer::from_nested(make_nested(5, 3, n));
 
-    // Both transform shapes must be allocation-free once buffers are warm:
+    // The range transform must be allocation-free once buffers are warm:
     // the zero-padded pruned r2c kernel path (250 live samples into a
-    // 512-point plan, power-of-two half) and the paper-literal Bluestein
-    // path (fft_size 0, non-power-of-two half). This covers the SoA
-    // scratch layout (packing planes + kernel ping-pong planes + Bluestein
-    // convolution planes) and the fused background difference-and-store.
-    for (const std::size_t fft_size : {std::size_t{512}, std::size_t{0}}) {
-        core::SweepProcessor processor(fmcw, dsp::WindowType::kHann, fft_size);
-        core::BackgroundSubtractor background;
-        core::RangeProfile profile;
-        std::vector<double> magnitude;
-        for (int warm = 0; warm < 3; ++warm) {
-            processor.process_into(frame.antenna(0), frame.num_sweeps(), profile);
-            background.subtract_into(profile, magnitude);
-        }
-
-        const std::size_t before = g_allocations.load();
-        for (int pass = 0; pass < 10; ++pass) {
-            processor.process_into(frame.antenna(0), frame.num_sweeps(), profile);
-            background.subtract_into(profile, magnitude);
-        }
-        EXPECT_EQ(g_allocations.load() - before, 0u)
-            << "fft_size=" << fft_size;
+    // 256-point plan). This covers the SoA scratch layout (packing planes +
+    // kernel ping-pong planes) and the fused background
+    // difference-and-store.
+    core::SweepProcessor processor(fmcw);
+    core::BackgroundSubtractor background;
+    core::RangeProfile profile;
+    std::vector<double> magnitude;
+    for (int warm = 0; warm < 3; ++warm) {
+        processor.process_into(frame.antenna(0), frame.num_sweeps(), profile);
+        background.subtract_into(profile, magnitude);
     }
+
+    const std::size_t before = g_allocations.load();
+    for (int pass = 0; pass < 10; ++pass) {
+        processor.process_into(frame.antenna(0), frame.num_sweeps(), profile);
+        background.subtract_into(profile, magnitude);
+    }
+    EXPECT_EQ(g_allocations.load() - before, 0u);
 }
 
 TEST(FrameBufferTest, StaticTrainingSubtractSteadyStateDoesNotAllocate) {
@@ -236,7 +202,7 @@ TEST(FrameBufferTest, StaticTrainingSubtractSteadyStateDoesNotAllocate) {
     const std::size_t n = fmcw.samples_per_sweep();
     FrameBuffer frame = FrameBuffer::from_nested(make_nested(5, 1, n));
 
-    core::SweepProcessor processor(fmcw, dsp::WindowType::kHann, 512);
+    core::SweepProcessor processor(fmcw);
     core::BackgroundSubtractor background(core::BackgroundMode::kStaticTraining);
     core::RangeProfile profile;
     std::vector<double> magnitude;
@@ -268,7 +234,6 @@ TEST(FrameBufferTest, FullAnalysisTailSteadyStateDoesNotAllocate) {
 
     core::PipelineConfig pipeline;
     pipeline.fmcw = fmcw;
-    pipeline.fft_size = 512;
     for (const bool static_training : {false, true}) {
         core::TofEstimator estimator(pipeline, 2);
         if (static_training) {

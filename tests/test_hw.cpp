@@ -12,9 +12,7 @@
 
 #include "common/constants.hpp"
 #include "common/random.hpp"
-#include "dsp/fft.hpp"
 #include "dsp/simd.hpp"
-#include "dsp/fft_plan_cache.hpp"
 #include "hw/adc.hpp"
 #include "hw/frontend.hpp"
 #include "hw/mixer.hpp"
@@ -28,13 +26,27 @@ namespace {
 using geom::Vec3;
 using rf::BodyScatterer;
 
-/// r2c half spectrum (N/2 + 1 bins) of a real sweep through a shared
-/// cached RealFft plan -- every bin these tests inspect is below Nyquist.
-std::vector<dsp::cplx> half_spectrum(const std::vector<double>& x) {
-    const auto plan = dsp::FftPlanCache::global().real_plan(x.size());
-    dsp::FftScratch scratch;
-    std::vector<dsp::cplx> out;
-    plan->forward(x, out, scratch);
+/// Exact-length half spectrum (N/2 + 1 bins, N = x.size()) of a real sweep
+/// by direct DFT, X_k = sum_t x_t exp(-2*pi*i*k*t/N), through one twiddle
+/// table indexed by k*t mod N. These tests place tones on the N-point grid
+/// of one unpadded sweep, which the padded range transform does not use.
+std::vector<std::complex<double>> half_spectrum(const std::vector<double>& x) {
+    const std::size_t n = x.size();
+    std::vector<double> cos_t(n), sin_t(n);
+    for (std::size_t j = 0; j < n; ++j) {
+        const double angle = 2.0 * M_PI * static_cast<double>(j) / static_cast<double>(n);
+        cos_t[j] = std::cos(angle);
+        sin_t[j] = std::sin(angle);
+    }
+    std::vector<std::complex<double>> out(n / 2 + 1);
+    for (std::size_t k = 0; k < out.size(); ++k) {
+        double re = 0.0, im = 0.0;
+        for (std::size_t t = 0, j = 0; t < n; ++t, j = (j + k) % n) {
+            re += x[t] * cos_t[j];
+            im -= x[t] * sin_t[j];
+        }
+        out[k] = {re, im};
+    }
     return out;
 }
 

@@ -53,7 +53,7 @@ RangeProfile process_sweeps(SweepProcessor& processor,
 
 TEST(RangeFft, PeakAtEchoDistance) {
     const auto config = test_config();
-    SweepProcessor processor(config.fmcw, config.window, config.fft_size);
+    SweepProcessor processor(config.fmcw);
     const auto profile = process_sweeps(processor, {sweep_with_echo(config.fmcw, 12.0)});
     std::size_t best = 1;
     for (std::size_t k = 2; k < profile.usable_bins; ++k)
@@ -64,7 +64,7 @@ TEST(RangeFft, PeakAtEchoDistance) {
 
 TEST(RangeFft, AveragingReducesNoiseButKeepsSignal) {
     const auto config = test_config();
-    SweepProcessor processor(config.fmcw, config.window, config.fft_size);
+    SweepProcessor processor(config.fmcw);
     witrack::Rng rng(1);
     auto noisy_sweep = [&] {
         auto s = sweep_with_echo(config.fmcw, 10.0, 0.01);
@@ -89,33 +89,35 @@ TEST(RangeFft, AveragingReducesNoiseButKeepsSignal) {
     EXPECT_GT(peak_to_floor(five), 1.5 * peak_to_floor(one));
 }
 
-TEST(RangeFft, PaperLiteralModeUsesSweepLength) {
+TEST(RangeFft, ZeroPadsToNextPowerOfTwo) {
     const auto config = test_config();
-    SweepProcessor processor(config.fmcw, config.window, 0);
+    SweepProcessor processor(config.fmcw);
     const auto profile = process_sweeps(processor, {sweep_with_echo(config.fmcw, 8.0)});
-    // r2c half-spectrum contract: usable_bins + 1 bins (DC..Nyquist).
-    EXPECT_EQ(profile.usable_bins, config.fmcw.samples_per_sweep() / 2);
+    // 2500 samples pad to 4096 points; r2c half-spectrum contract:
+    // usable_bins + 1 bins (DC..Nyquist).
+    ASSERT_EQ(config.fmcw.samples_per_sweep(), 2500u);
+    EXPECT_EQ(profile.usable_bins, 2048u);
     EXPECT_EQ(profile.spectrum_size(), profile.usable_bins + 1);
-    EXPECT_NEAR(profile.bin_round_trip_m, config.fmcw.round_trip_bin_m(), 1e-12);
+    // Padding refines the bin grid; the C/2B resolution is unchanged.
+    EXPECT_NEAR(profile.bin_round_trip_m,
+                config.fmcw.round_trip_bin_m() * 2500.0 / 4096.0, 1e-12);
 }
 
 TEST(RangeFft, RejectsBadInput) {
     const auto config = test_config();
-    SweepProcessor processor(config.fmcw, config.window, config.fft_size);
+    SweepProcessor processor(config.fmcw);
     RangeProfile out;
     EXPECT_THROW(processor.process_into({}, 0, out), std::invalid_argument);
     const std::vector<double> short_sweep(7, 0.0);
     EXPECT_THROW(processor.process_into(short_sweep, 1, out),
                  std::invalid_argument);
-    EXPECT_THROW(SweepProcessor(config.fmcw, config.window, 64),
-                 std::invalid_argument);  // smaller than the sweep
 }
 
 // ------------------------------------------------------------- background
 
 TEST(Background, FrameDiffRemovesStaticKeepsMoving) {
     const auto config = test_config();
-    SweepProcessor processor(config.fmcw, config.window, config.fft_size);
+    SweepProcessor processor(config.fmcw);
     BackgroundSubtractor subtractor;
 
     // Static reflector at 6 m in every frame; "person" moves 10 -> 10.5 m.
@@ -149,7 +151,7 @@ TEST(Background, FrameDiffRemovesStaticKeepsMoving) {
 
 TEST(Background, StaticTrainingKeepsStaticPerson) {
     const auto config = test_config();
-    SweepProcessor processor(config.fmcw, config.window, config.fft_size);
+    SweepProcessor processor(config.fmcw);
     BackgroundSubtractor subtractor(BackgroundMode::kStaticTraining);
 
     hw::DechirpMixer mixer(config.fmcw);

@@ -1,7 +1,7 @@
 // Fleet soak: hundreds of admit/churn/evict/reap cycles -- with
 // checkpoint/restore in the middle -- on one long-lived EngineHost, under a
 // live-allocation counter. The contract: after a warmup that populates the
-// process-wide caches (FFT plans, CRC table, stream locales), the fleet
+// process-wide caches (CRC table, stream locales), the fleet
 // reaches an allocation steady state; tenant churn and snapshot traffic
 // must not leak.
 //

@@ -62,9 +62,15 @@ namespace {
 volatile std::sig_atomic_t g_interrupted = 0;
 void handle_sigint(int) { g_interrupted = 1; }
 
+/// Tracker history retained per tenant: enough for any recent-track query
+/// and small enough that CHECKPOINT stays cheap and net-fed sessions,
+/// which never end on their own, do not grow without bound.
+constexpr std::size_t kTenantTrackHistory = 4096;
+
 engine::EngineConfig tenant_config(std::uint64_t seed) {
     engine::EngineConfig config;
-    config.with_fast_capture(true).with_seed(seed);
+    config.with_fast_capture(true).with_seed(seed).with_track_history(
+        kTenantTrackHistory);
     return config;
 }
 
