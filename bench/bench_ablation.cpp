@@ -55,7 +55,10 @@ AblationResult run_variant(std::uint64_t seed, double seconds,
     core::ContourTracker contour(pipeline);
     core::Localizer localizer(scenario.array(), pipeline);
     core::SweepProcessor processor(pipeline.fmcw);
-    std::vector<core::BackgroundSubtractor> backgrounds(3);
+    // Differenced over the same tracked band the TofEstimator uses.
+    const core::BackgroundSubtractor background(core::tracked_band(
+        pipeline, processor.usable_bins(), processor.bin_round_trip_m()));
+    std::vector<core::BackgroundSubtractor> backgrounds(3, background);
 
     std::vector<double> errors;
     std::size_t frames = 0, located = 0;

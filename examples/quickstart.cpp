@@ -3,7 +3,7 @@
 // This is the minimal end-to-end use of the library's streaming Engine:
 //   1. describe the deployment once with EngineConfig,
 //   2. pick a FrameSource (here the simulator; swap in ReplaySource or
-//      LiveSource without touching anything below),
+//      NetSource without touching anything below),
 //   3. subscribe to TrackUpdateEvents and run.
 //
 // Build & run:  ./build/example_quickstart

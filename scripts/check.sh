@@ -27,7 +27,9 @@ for config in Debug Release; do
   (cd "${build_dir}" && ctest -R '^test_snapshot$' --output-on-failure)
   # The general run excludes the two suites above (each runs exactly once
   # per configuration) and the soak label (a dedicated CI lane owns it).
-  (cd "${build_dir}" && ctest -E '^(test_fft|test_snapshot)$' -LE soak --output-on-failure -j)
+  # -j takes an explicit count: a bare trailing -j runs serially on
+  # CMake < 3.29, which left test_integration's per-case tests on one core.
+  (cd "${build_dir}" && ctest -E '^(test_fft|test_snapshot)$' -LE soak --output-on-failure -j "$(nproc)")
 done
 
 echo "=== example smoke (Release) ==="

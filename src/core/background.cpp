@@ -1,29 +1,12 @@
 #include "core/background.hpp"
 
-#include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "common/serialize.hpp"
 #include "dsp/tail_kernels.hpp"
 
 namespace witrack::core {
-
-void BackgroundSubtractor::train(const RangeProfile& profile) {
-    if (mode_ != BackgroundMode::kStaticTraining)
-        throw std::logic_error("BackgroundSubtractor: train() requires kStaticTraining");
-    const std::size_t n = profile.spectrum_size();
-    if (learned_re_.empty()) {
-        learned_re_.assign(n, 0.0);
-        learned_im_.assign(n, 0.0);
-    }
-    if (learned_re_.size() != n)
-        throw std::invalid_argument("BackgroundSubtractor: spectrum size changed");
-    for (std::size_t i = 0; i < n; ++i) {
-        learned_re_[i] += profile.re[i];
-        learned_im_[i] += profile.im[i];
-    }
-    ++trained_count_;
-}
 
 std::vector<double> BackgroundSubtractor::subtract(const RangeProfile& profile) {
     std::vector<double> magnitude;
@@ -34,96 +17,53 @@ std::vector<double> BackgroundSubtractor::subtract(const RangeProfile& profile) 
 void BackgroundSubtractor::subtract_into(const RangeProfile& profile,
                                          std::vector<double>& out,
                                          bool update_history) {
-    const std::size_t bins = profile.usable_bins;
-    const std::size_t n = profile.spectrum_size();
+    if (profile.usable_bins < band_)
+        throw std::invalid_argument("BackgroundSubtractor: profile narrower than the band");
 
-    if (mode_ == BackgroundMode::kFrameDiff) {
-        if (!has_previous_ || prev_re_.size() != n) {
-            if (!update_history) {
-                // A quarantined (saturated) frame must not become the
-                // differencer's first stored frame either.
-                out.clear();
-                return;
-            }
-            // First frame (or a spectrum-shape change re-primes the
-            // differencer). assign() reuses capacity once warm.
-            prev_re_.assign(profile.re.begin(), profile.re.end());
-            prev_im_.assign(profile.im.begin(), profile.im.end());
-            has_previous_ = true;
-            out.clear();  // nothing to difference yet
-            return;
-        }
-        out.resize(bins);
-        if (!update_history) {
-            // Read-only difference against the held history: with scale
-            // 1.0 the scaled kernel's magnitudes are bit-identical to
-            // diff_magnitude's (the *1.0 products are IEEE-exact), and
-            // the stored planes stay as they were.
-            dsp::tail::scaled_diff_magnitude(profile.re.data(),
-                                             profile.im.data(),
-                                             prev_re_.data(), prev_im_.data(),
-                                             1.0, out.data(), bins);
-            return;
-        }
-        // Fused difference + magnitude + history update: one SIMD pass
-        // reads the stored frame and replaces it in place, instead of a
-        // subtract pass followed by a full-vector copy of the new spectrum.
-        dsp::tail::diff_magnitude(profile.re.data(), profile.im.data(),
-                                  prev_re_.data(), prev_im_.data(), out.data(),
-                                  bins);
-        for (std::size_t i = bins; i < n; ++i) {
-            prev_re_[i] = profile.re[i];
-            prev_im_[i] = profile.im[i];
-        }
+    if (prev_re_.empty()) {
+        out.clear();  // nothing to difference yet
+        // A quarantined (saturated) frame must not become the differencer's
+        // first stored frame either.
+        if (!update_history) return;
+        // First frame. assign() reuses capacity once warm.
+        prev_re_.assign(profile.re.data(), profile.re.data() + band_);
+        prev_im_.assign(profile.im.data(), profile.im.data() + band_);
         return;
     }
-
-    // kStaticTraining
-    if (trained_count_ == 0) {
-        out.clear();
+    out.resize(band_);
+    if (!update_history) {
+        // Read-only difference against the held history: with scale 1.0
+        // the scaled kernel's magnitudes are bit-identical to
+        // diff_magnitude's (the *1.0 products are IEEE-exact), and the
+        // stored planes stay as they were.
+        dsp::tail::scaled_diff_magnitude(profile.re.data(), profile.im.data(),
+                                         prev_re_.data(), prev_im_.data(), 1.0,
+                                         out.data(), band_);
         return;
     }
-    out.resize(bins);
-    const double scale = 1.0 / static_cast<double>(trained_count_);
-    dsp::tail::scaled_diff_magnitude(profile.re.data(), profile.im.data(),
-                                     learned_re_.data(), learned_im_.data(),
-                                     scale, out.data(), bins);
+    // Fused difference + magnitude + history update: one SIMD pass reads
+    // the stored frame and replaces it in place.
+    dsp::tail::diff_magnitude(profile.re.data(), profile.im.data(),
+                              prev_re_.data(), prev_im_.data(), out.data(), band_);
 }
 
 void BackgroundSubtractor::reset() {
     prev_re_.clear();
     prev_im_.clear();
-    learned_re_.clear();
-    learned_im_.clear();
-    trained_count_ = 0;
-    has_previous_ = false;
 }
 
 void BackgroundSubtractor::save_state(common::StateWriter& writer) const {
-    writer.u8(static_cast<std::uint8_t>(mode_));
-    writer.boolean(has_previous_);
-    // Whole-plane framing (snapshot v2): each spectrum plane is one bulk
-    // f64_vector record instead of a per-element interleaved loop.
     writer.f64_vector(prev_re_);
     writer.f64_vector(prev_im_);
-    writer.f64_vector(learned_re_);
-    writer.f64_vector(learned_im_);
-    writer.u64(trained_count_);
 }
 
 void BackgroundSubtractor::load_state(common::StateReader& reader) {
-    const auto mode = static_cast<BackgroundMode>(reader.u8());
-    if (mode != mode_)
-        throw std::runtime_error("BackgroundSubtractor: snapshot mode mismatch");
-    has_previous_ = reader.boolean();
-    prev_re_ = reader.f64_vector();
-    prev_im_ = reader.f64_vector();
-    learned_re_ = reader.f64_vector();
-    learned_im_ = reader.f64_vector();
-    if (prev_re_.size() != prev_im_.size() ||
-        learned_re_.size() != learned_im_.size())
+    std::vector<double> re = reader.f64_vector();
+    std::vector<double> im = reader.f64_vector();
+    if (re.size() != im.size() || (!re.empty() && re.size() != band_))
         throw std::runtime_error("BackgroundSubtractor: plane size mismatch");
-    trained_count_ = static_cast<std::size_t>(reader.u64());
+    prev_re_ = std::move(re);
+    prev_im_ = std::move(im);
 }
 
 }  // namespace witrack::core

@@ -1,17 +1,15 @@
 // Background subtraction (paper Section 4.2). Static reflectors -- walls,
 // furniture, the "flash effect" -- keep constant TOF, so subtracting the
-// previous frame's complex spectrum from the current one cancels them while
-// preserving anything that moved.
+// previous frame's complex spectrum from the current one (X_t - X_{t-1})
+// cancels them while preserving anything that moved. A person who stands
+// perfectly still cancels too.
 //
-// Two modes:
-//  * kFrameDiff (the paper's approach): X_t - X_{t-1}. Removes everything
-//    static, including a static person.
-//  * kStaticTraining (the paper's Section 10 future-work extension): learn
-//    the empty-room spectrum over a training period and subtract that
-//    instead, so a static person remains visible.
+// The differencer covers only the tracked band: bins [0, band), where the
+// band is tracked_band() of the pipeline config (core/contour.hpp), the
+// bins contour detection and gated re-detection read. Bins above it are
+// never differenced, stored or snapshotted.
 #pragma once
 
-#include <complex>
 #include <cstddef>
 #include <vector>
 
@@ -24,66 +22,48 @@ class StateReader;
 
 namespace witrack::core {
 
-enum class BackgroundMode {
-    kFrameDiff,
-    kStaticTraining,
-};
-
 class BackgroundSubtractor {
   public:
-    explicit BackgroundSubtractor(BackgroundMode mode = BackgroundMode::kFrameDiff)
-        : mode_(mode) {}
+    /// `band`: bins [0, band) of every profile are differenced. Profiles
+    /// must carry at least `band` usable bins.
+    explicit BackgroundSubtractor(std::size_t band) : band_(band) {}
 
-    BackgroundMode mode() const { return mode_; }
-
-    /// kStaticTraining: accumulate one empty-scene frame into the learned
-    /// background. Call for each training frame before tracking starts.
-    void train(const RangeProfile& profile);
-    std::size_t training_frames() const { return trained_count_; }
-
-    /// Subtract the background and return the magnitude profile over the
-    /// usable bins. Returns an empty vector for the first frame in
-    /// kFrameDiff mode (no previous frame yet) or when untrained in
-    /// kStaticTraining mode. The magnitude contract is sqrt(re^2 + im^2)
-    /// (see dsp/tail_kernels.hpp) -- within ~2.5 ulp of the exact
-    /// magnitude, identical across SIMD dispatch levels.
+    /// Subtract the previous frame and return the magnitude profile over
+    /// the band. Returns an empty vector for the first frame (no previous
+    /// frame yet). The magnitude contract is sqrt(re^2 + im^2) (see
+    /// dsp/tail_kernels.hpp) -- within ~2.5 ulp of the exact magnitude,
+    /// identical across SIMD dispatch levels.
     std::vector<double> subtract(const RangeProfile& profile);
 
     /// In-place variant: writes the magnitude profile into `out`, reusing
-    /// its storage (empty when there is nothing to difference yet). In
-    /// kFrameDiff mode the difference, the magnitude and the history
-    /// update are fused into one SIMD pass over the half-spectrum planes
-    /// -- no per-frame full-vector copy -- and the whole path is
-    /// allocation-free at steady state.
+    /// its storage (empty when there is nothing to difference yet). The
+    /// difference, the magnitude and the history update are fused into one
+    /// SIMD pass over the band -- no per-frame copy -- and the whole path
+    /// is allocation-free at steady state.
     ///
     /// `update_history=false` computes the same magnitudes bit for bit but
     /// leaves the stored history untouched -- how a saturated frame is
     /// subtracted without its clipped spectrum becoming the next frame's
-    /// background. In kFrameDiff mode an unprimed subtractor then stays
-    /// unprimed (the damaged frame never becomes frame one of the
-    /// differencer); kStaticTraining subtraction never mutates history, so
-    /// the flag is a no-op there.
+    /// background. An unprimed subtractor then stays unprimed (the damaged
+    /// frame never becomes frame one of the differencer).
     void subtract_into(const RangeProfile& profile, std::vector<double>& out,
                        bool update_history = true);
 
     void reset();
 
-    /// Serialize the accumulated history (previous spectrum, learned
-    /// background, training count). The mode is written too and validated
-    /// on load -- restoring into a subtractor built for the other mode is
-    /// a wiring error, not a recoverable state.
+    /// Serialize the previous frame's band (two empty planes when
+    /// unprimed). load_state accepts only planes of equal length that are
+    /// empty or exactly the band, and leaves the subtractor untouched when
+    /// it rejects a stream.
     void save_state(common::StateWriter& writer) const;
     void load_state(common::StateReader& reader);
 
   private:
     // History mirrors RangeProfile's SoA layout (separate re/im planes,
     // always equal length) so the subtract kernels stream every operand
-    // with unit stride.
-    BackgroundMode mode_;
-    std::vector<double> prev_re_, prev_im_;        ///< last frame's spectrum
-    std::vector<double> learned_re_, learned_im_;  ///< training-sum spectrum
-    std::size_t trained_count_ = 0;
-    bool has_previous_ = false;
+    // with unit stride. Empty until the first frame primes it.
+    std::size_t band_;
+    std::vector<double> prev_re_, prev_im_;
 };
 
 }  // namespace witrack::core

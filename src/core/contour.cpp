@@ -17,9 +17,7 @@ BinWindow usable_window(const PipelineConfig& config, std::size_t bins,
                         double bin_round_trip_m) {
     const auto lo = static_cast<std::size_t>(
         std::max(1.0, config.min_round_trip_m / bin_round_trip_m));
-    const auto hi = std::min(
-        bins, static_cast<std::size_t>(config.max_round_trip_m / bin_round_trip_m) + 1);
-    return {std::min(lo, bins), hi};
+    return {std::min(lo, bins), tracked_band(config, bins, bin_round_trip_m)};
 }
 
 // Robust per-frame noise floor from the usable band; median magnitude is
@@ -41,6 +39,12 @@ double banded_noise_floor(const std::vector<double>& magnitude, std::size_t lo,
 }
 
 }  // namespace
+
+std::size_t tracked_band(const PipelineConfig& config, std::size_t bins,
+                         double bin_round_trip_m) {
+    return std::min(
+        bins, static_cast<std::size_t>(config.max_round_trip_m / bin_round_trip_m) + 1);
+}
 
 double ContourTracker::measure_extent(const std::vector<double>& magnitude,
                                       double threshold, std::size_t lo, std::size_t hi,

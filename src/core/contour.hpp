@@ -46,6 +46,13 @@ struct ContourScratch {
     void start_frame() { floor_valid = false; }
 };
 
+/// End (exclusive) of the band contour detection reads: bins [0, band)
+/// cover round trips up to config.max_round_trip_m, capped at `bins`. The
+/// usable window's upper edge and the background subtractor's width both
+/// come from here, so the two cannot drift apart.
+std::size_t tracked_band(const PipelineConfig& config, std::size_t bins,
+                         double bin_round_trip_m);
+
 class ContourTracker {
   public:
     explicit ContourTracker(const PipelineConfig& config) : config_(config) {}

@@ -25,15 +25,16 @@ SweepProcessor::SweepProcessor(const FmcwParams& fmcw)
     // Only the live sweep samples are buffered; the zero-padded tail up to
     // the FFT size is structural and lives inside the pruned FFT plan.
     averaged_.assign(rfft_.n_nonzero(), 0.0);
+    // One FFT bin spans fs/Nfft in beat frequency; Eq. 4 maps that to
+    // round-trip meters via C/slope.
+    const double bin_hz = fmcw_.sample_rate_hz / static_cast<double>(rfft_.size());
+    bin_round_trip_m_ = kSpeedOfLight * bin_hz / fmcw_.slope();
 }
 
 void SweepProcessor::transform(RangeProfile& out) {
     rfft_.forward(averaged_, window_, out.re, out.im, scratch_);
-    // One FFT bin spans fs/Nfft in beat frequency; Eq. 4 maps that to
-    // round-trip meters via C/slope.
-    const double bin_hz = fmcw_.sample_rate_hz / static_cast<double>(rfft_.size());
-    out.bin_round_trip_m = kSpeedOfLight * bin_hz / fmcw_.slope();
-    out.usable_bins = rfft_.size() / 2;
+    out.bin_round_trip_m = bin_round_trip_m_;
+    out.usable_bins = usable_bins();
 }
 
 void SweepProcessor::average(std::span<const double> sweeps,

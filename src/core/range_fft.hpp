@@ -71,6 +71,10 @@ class SweepProcessor {
     void process_frame_into(const FrameBuffer& frame, std::vector<RangeProfile>& out);
 
     const FmcwParams& params() const { return fmcw_; }
+    /// Round-trip meters per FFT bin and the bins below Nyquist, as every
+    /// profile this processor writes carries them.
+    double bin_round_trip_m() const { return bin_round_trip_m_; }
+    std::size_t usable_bins() const { return rfft_.size() / 2; }
 
   private:
     /// FFT the averaged sweep in averaged_ into `out` (window fused into
@@ -85,6 +89,7 @@ class SweepProcessor {
     dsp::RealFft rfft_;             ///< pruned to the sweep length
     std::vector<double> window_;    ///< Hann, unity coherent gain
     std::vector<double> averaged_;  ///< samples_per_sweep doubles (no pad)
+    double bin_round_trip_m_ = 0.0;
     dsp::FftScratch scratch_;
 };
 

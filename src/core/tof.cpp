@@ -13,23 +13,11 @@ TofEstimator::TofEstimator(const PipelineConfig& config, std::size_t num_rx)
       processor_(config.fmcw),
       contour_(config) {
     if (num_rx == 0) throw std::invalid_argument("TofEstimator: need >= 1 antenna");
+    const std::size_t band = tracked_band(config_, processor_.usable_bins(),
+                                          processor_.bin_round_trip_m());
     per_rx_.reserve(num_rx);
-    for (std::size_t i = 0; i < num_rx; ++i) per_rx_.emplace_back(config_);
+    for (std::size_t i = 0; i < num_rx; ++i) per_rx_.emplace_back(config_, band);
     lane_flags_.resize(num_rx, kLaneOk);
-}
-
-void TofEstimator::enable_static_training() {
-    for (auto& antenna : per_rx_)
-        antenna.background = BackgroundSubtractor(BackgroundMode::kStaticTraining);
-}
-
-void TofEstimator::train_background(const FrameBuffer& frame) {
-    if (frame.num_rx() < per_rx_.size())
-        throw std::invalid_argument("TofEstimator: missing antenna in sweep data");
-    for (std::size_t rx = 0; rx < per_rx_.size(); ++rx) {
-        processor_.process_into(frame.antenna(rx), frame.num_sweeps(), profile_);
-        per_rx_[rx].background.train(profile_);
-    }
 }
 
 void TofEstimator::latch_quality(const FrameBuffer& frame) {
@@ -65,9 +53,8 @@ void TofEstimator::process_rx(std::size_t rx, const FrameBuffer& frame,
     }
     {
         // A saturated lane still localizes off its subtracted profile, but
-        // the clipped spectrum must not poison the background history the
-        // next frames subtract against (kFrameDiff previous frame /
-        // kStaticTraining running model): read-only subtraction.
+        // the clipped spectrum must not become the previous frame the next
+        // one subtracts: read-only subtraction.
         common::ScopedLatency timer(step_stats_.subtract);
         antenna_state.background.subtract_into(
             profile_, magnitude_,

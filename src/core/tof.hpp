@@ -98,20 +98,12 @@ class TofEstimator {
     };
     StepStats take_step_stats() { return std::exchange(step_stats_, StepStats{}); }
 
-    /// Static-training extension: learn the empty scene from these frames
-    /// (switches the background mode for all antennas).
-    void enable_static_training();
-    void train_background(const FrameBuffer& frame);
-
     const PipelineConfig& config() const { return config_; }
     std::size_t num_rx() const { return per_rx_.size(); }
 
-    /// The range transform (exposes the shared plan for sharing proofs).
-    const SweepProcessor& processor() const { return processor_; }
-
     void reset();
 
-    /// Serialize per-antenna training/streak state (background model,
+    /// Serialize per-antenna history/streak state (background band,
     /// denoiser, gate streak). Scratch buffers and the FFT processor are
     /// rebuilt per frame and are not part of the state.
     void save_state(common::StateWriter& writer) const;
@@ -122,8 +114,8 @@ class TofEstimator {
         BackgroundSubtractor background;
         TofDenoiser denoiser;
         std::size_t gated_streak = 0;  ///< consecutive gate-rescued frames
-        explicit PerAntenna(const PipelineConfig& config)
-            : background(BackgroundMode::kFrameDiff), denoiser(config) {}
+        PerAntenna(const PipelineConfig& config, std::size_t band)
+            : background(band), denoiser(config) {}
     };
 
     /// One antenna's full chain: range FFT -> background subtraction ->
@@ -151,7 +143,7 @@ class TofEstimator {
 
     /// Per-lane quality latched from the current frame: kLaneOk runs the
     /// unchanged chain, kLaneSaturated excludes the frame from background
-    /// history/training, kLaneDead skips the chain entirely.
+    /// history, kLaneDead skips the chain entirely.
     enum : std::uint8_t { kLaneOk = 0, kLaneSaturated = 1, kLaneDead = 2 };
     std::vector<std::uint8_t> lane_flags_;
 };

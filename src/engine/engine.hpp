@@ -63,8 +63,13 @@ namespace witrack::engine {
 ///
 /// Version 5 dropped the tracker's two latency f64s from "TRK ": timing
 /// is not session state.
+///
+/// Version 6 cut each RX's background model to the frame differencer over
+/// the tracked band: two planes of tracked_band() f64s (empty while
+/// unprimed), without the mode byte, the primed flag, the learned planes
+/// and the training count.
 inline constexpr std::uint32_t kSnapshotMagic = 0x53535457u;  // "WTSS"
-inline constexpr std::uint32_t kSnapshotVersion = 5;
+inline constexpr std::uint32_t kSnapshotVersion = 6;
 
 /// Lifecycle of one tracking session:
 ///

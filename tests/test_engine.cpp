@@ -17,11 +17,9 @@
 #include "common/units.hpp"
 #include "dsp/stats.hpp"
 #include "engine/engine.hpp"
-#include "engine/live_source.hpp"
 #include "engine/plugins.hpp"
 #include "engine/replay.hpp"
 #include "engine/sim_source.hpp"
-#include "hw/frontend.hpp"
 
 namespace witrack {
 namespace {
@@ -452,112 +450,6 @@ TEST(FallMonitorApp, AlertRingDropsOldest) {
     ASSERT_EQ(monitor.alerts().size(), 2u);  // ring bounded the history
     for (const auto& alert : monitor.alerts())
         EXPECT_EQ(alert.activity, core::Activity::kFall);
-}
-
-// --------------------------------------------------------- LiveSource
-
-// The hardware ingest path: a LiveSource driving hw::FmcwFrontend sweep by
-// sweep. The channel's antennas sit exactly on the default T array (Tx at
-// the centre, Rx at +-1 m and 1 m below), so the geometry handed to the
-// engine matches the physics that produced the sweeps.
-
-geom::ArrayGeometry live_array() { return geom::make_t_array({0, 0, 1.3}, 1.0); }
-
-rf::Channel live_channel() {
-    const geom::ArrayGeometry array = live_array();
-    rf::Antenna tx{array.tx, array.boresight, {}};
-    std::vector<rf::Antenna> rx;
-    for (const auto& position : array.rx)
-        rx.push_back(rf::Antenna{position, array.boresight, {}});
-    return rf::Channel(rf::ChannelConfig{}, tx, rx, rf::Scene{});
-}
-
-TEST(LiveSource, FrameShapeAndClockMatchTheFrontend) {
-    hw::FrontendConfig config;
-    hw::FmcwFrontend frontend(config, live_channel(), Rng(11));
-    const double duration_s = 5.5 * config.fmcw.frame_duration_s();
-    engine::LiveSource source(frontend, live_array(), duration_s);
-
-    EXPECT_EQ(&source.fmcw(), &frontend.params());
-    EXPECT_EQ(source.array().num_rx(), frontend.num_rx());
-
-    engine::Frame frame;
-    std::size_t frames = 0;
-    double last_time = -1.0;
-    while (source.next(frame)) {
-        // Full capture geometry: one row per Rx, every configured sweep.
-        ASSERT_EQ(frame.sweeps.num_rx(), frontend.num_rx());
-        ASSERT_EQ(frame.sweeps.num_sweeps(), config.fmcw.sweeps_per_frame);
-        ASSERT_EQ(frame.sweeps.samples_per_sweep(),
-                  config.fmcw.samples_per_sweep());
-        // Hardware has no ground truth, and the clock is the sweep clock.
-        EXPECT_FALSE(frame.truth.has_value());
-        EXPECT_DOUBLE_EQ(frame.time_s, static_cast<double>(frames) *
-                                           config.fmcw.frame_duration_s());
-        EXPECT_GT(frame.time_s, last_time);
-        last_time = frame.time_s;
-        ++frames;
-    }
-    EXPECT_EQ(frames, 6u);  // ceil(5.5 frame durations)
-    EXPECT_FALSE(source.next(frame));  // stays exhausted
-}
-
-TEST(LiveSource, BodyProviderShapesTheCapture) {
-    hw::FrontendConfig config;
-    config.adc_bits = 0;  // no quantization: the echo must always register
-    const double duration_s = 2.0 * config.fmcw.frame_duration_s();
-
-    std::vector<double> provider_times;
-    auto provider = [&](double time_s) {
-        provider_times.push_back(time_s);
-        return std::vector<rf::BodyScatterer>{{{0.0, 5.0, 1.3}, 0.8, 0.0}};
-    };
-
-    hw::FmcwFrontend with_body(config, live_channel(), Rng(12));
-    engine::LiveSource occupied(with_body, live_array(), duration_s, provider);
-    hw::FmcwFrontend without(config, live_channel(), Rng(12));
-    engine::LiveSource empty_room(without, live_array(), duration_s);
-
-    engine::Frame a, b;
-    ASSERT_TRUE(occupied.next(a));
-    ASSERT_TRUE(empty_room.next(b));
-    // The provider is consulted once per frame, at the frame's capture time.
-    ASSERT_EQ(provider_times.size(), 1u);
-    EXPECT_DOUBLE_EQ(provider_times[0], 0.0);
-    // Same seed, same statics -- any difference is the body's echo.
-    ASSERT_EQ(a.sweeps.size(), b.sweeps.size());
-    double energy = 0.0;
-    for (std::size_t i = 0; i < a.sweeps.size(); ++i) {
-        const double d = a.sweeps.data()[i] - b.sweeps.data()[i];
-        energy += d * d;
-    }
-    EXPECT_GT(energy, 0.0);
-}
-
-TEST(LiveSource, DeterministicForTheSameFrontendSeed) {
-    hw::FrontendConfig config;
-    const double duration_s = 3.0 * config.fmcw.frame_duration_s();
-    auto provider = [](double) {
-        return std::vector<rf::BodyScatterer>{{{0.3, 4.0, 1.0}, 0.8, 0.1}};
-    };
-
-    hw::FmcwFrontend f1(config, live_channel(), Rng(13));
-    hw::FmcwFrontend f2(config, live_channel(), Rng(13));
-    engine::LiveSource s1(f1, live_array(), duration_s, provider);
-    engine::LiveSource s2(f2, live_array(), duration_s, provider);
-
-    engine::Frame a, b;
-    std::size_t frames = 0;
-    while (s1.next(a)) {
-        ASSERT_TRUE(s2.next(b));
-        ASSERT_EQ(a.sweeps.size(), b.sweeps.size());
-        EXPECT_EQ(std::memcmp(a.sweeps.data(), b.sweeps.data(),
-                              a.sweeps.size() * sizeof(double)),
-                  0);
-        ++frames;
-    }
-    EXPECT_FALSE(s2.next(b));
-    EXPECT_EQ(frames, 3u);
 }
 
 }  // namespace

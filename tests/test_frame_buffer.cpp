@@ -178,7 +178,10 @@ TEST(FrameBufferTest, SweepProcessorSteadyStateDoesNotAllocate) {
     // kernel ping-pong planes) and the fused background
     // difference-and-store.
     core::SweepProcessor processor(fmcw);
-    core::BackgroundSubtractor background;
+    core::PipelineConfig pipeline;
+    pipeline.fmcw = fmcw;
+    core::BackgroundSubtractor background(core::tracked_band(
+        pipeline, processor.usable_bins(), processor.bin_round_trip_m()));
     core::RangeProfile profile;
     std::vector<double> magnitude;
     for (int warm = 0; warm < 3; ++warm) {
@@ -194,38 +197,12 @@ TEST(FrameBufferTest, SweepProcessorSteadyStateDoesNotAllocate) {
     EXPECT_EQ(g_allocations.load() - before, 0u);
 }
 
-TEST(FrameBufferTest, StaticTrainingSubtractSteadyStateDoesNotAllocate) {
-    // The learned-background mode shares the frame path with kFrameDiff;
-    // its subtract must be allocation-free at steady state too.
-    FmcwParams fmcw;
-    fmcw.sweep_duration_s = 250e-6;
-    const std::size_t n = fmcw.samples_per_sweep();
-    FrameBuffer frame = FrameBuffer::from_nested(make_nested(5, 1, n));
-
-    core::SweepProcessor processor(fmcw);
-    core::BackgroundSubtractor background(core::BackgroundMode::kStaticTraining);
-    core::RangeProfile profile;
-    std::vector<double> magnitude;
-    for (int i = 0; i < 3; ++i) {
-        processor.process_into(frame.antenna(0), frame.num_sweeps(), profile);
-        background.train(profile);
-    }
-    background.subtract_into(profile, magnitude);  // warm the output
-
-    const std::size_t before = g_allocations.load();
-    for (int pass = 0; pass < 10; ++pass) {
-        processor.process_into(frame.antenna(0), frame.num_sweeps(), profile);
-        background.subtract_into(profile, magnitude);
-    }
-    EXPECT_EQ(g_allocations.load() - before, 0u);
-}
-
 TEST(FrameBufferTest, FullAnalysisTailSteadyStateDoesNotAllocate) {
     // The whole post-FFT chain -- background subtract -> contour extraction
     // -> gated re-detection -> denoise -> persistent TofFrame fill -- must
-    // be allocation-free once warm, in both background modes. Alternating
-    // two distinct frames keeps the frame-diff magnitudes nonzero so the
-    // contour, gate, and denoiser paths all run.
+    // be allocation-free once warm. Alternating two distinct frames keeps
+    // the frame-diff magnitudes nonzero so the contour, gate, and denoiser
+    // paths all run.
     FmcwParams fmcw;
     fmcw.sweep_duration_s = 250e-6;
     const std::size_t n = fmcw.samples_per_sweep();
@@ -234,24 +211,17 @@ TEST(FrameBufferTest, FullAnalysisTailSteadyStateDoesNotAllocate) {
 
     core::PipelineConfig pipeline;
     pipeline.fmcw = fmcw;
-    for (const bool static_training : {false, true}) {
-        core::TofEstimator estimator(pipeline, 2);
-        if (static_training) {
-            estimator.enable_static_training();
-            for (int i = 0; i < 3; ++i) estimator.train_background(even);
-        }
-        double t = 0.0;
-        for (int warm = 0; warm < 4; ++warm, t += 0.01)
-            estimator.process_frame(warm % 2 != 0 ? odd : even, t);
+    core::TofEstimator estimator(pipeline, 2);
+    double t = 0.0;
+    for (int warm = 0; warm < 4; ++warm, t += 0.01)
+        estimator.process_frame(warm % 2 != 0 ? odd : even, t);
 
-        const std::size_t before = g_allocations.load();
-        for (int pass = 0; pass < 10; ++pass, t += 0.01) {
-            const auto& out = estimator.process_frame(pass % 2 != 0 ? odd : even, t);
-            ASSERT_EQ(out.antennas.size(), 2u);
-        }
-        EXPECT_EQ(g_allocations.load() - before, 0u)
-            << "static_training=" << static_training;
+    const std::size_t before = g_allocations.load();
+    for (int pass = 0; pass < 10; ++pass, t += 0.01) {
+        const auto& out = estimator.process_frame(pass % 2 != 0 ? odd : even, t);
+        ASSERT_EQ(out.antennas.size(), 2u);
     }
+    EXPECT_EQ(g_allocations.load() - before, 0u);
 }
 
 TEST(FrameBufferTest, GatedRedetectionWithWarmScratchDoesNotAllocate) {

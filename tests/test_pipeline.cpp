@@ -1,17 +1,21 @@
-// Core pipeline unit tests: range FFT, background subtraction (both modes),
+// Core pipeline unit tests: range FFT, band-limited background subtraction,
 // contour tracking, TOF denoising, and the localizer stage -- each exercised
 // on synthetic inputs with known answers.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <sstream>
 
 #include "common/random.hpp"
+#include "common/serialize.hpp"
 #include "core/background.hpp"
 #include "core/contour.hpp"
 #include "core/denoise.hpp"
 #include "core/localize.hpp"
 #include "core/range_fft.hpp"
 #include "core/tof.hpp"
+#include "dsp/tail_kernels.hpp"
 #include "geom/array_geometry.hpp"
 #include "hw/mixer.hpp"
 
@@ -118,7 +122,8 @@ TEST(RangeFft, RejectsBadInput) {
 TEST(Background, FrameDiffRemovesStaticKeepsMoving) {
     const auto config = test_config();
     SweepProcessor processor(config.fmcw);
-    BackgroundSubtractor subtractor;
+    BackgroundSubtractor subtractor(tracked_band(config, processor.usable_bins(),
+                                                 processor.bin_round_trip_m()));
 
     // Static reflector at 6 m in every frame; "person" moves 10 -> 10.5 m.
     hw::DechirpMixer mixer(config.fmcw);
@@ -149,46 +154,116 @@ TEST(Background, FrameDiffRemovesStaticKeepsMoving) {
     EXPECT_GT(person_peak, 50.0 * static_peak);
 }
 
-TEST(Background, StaticTrainingKeepsStaticPerson) {
+TEST(Background, BandMatchesFullSpectrumDifferenceBitForBit) {
+    // One simulated frame pair: a static reflector, a moving person and an
+    // echo beyond max_round_trip_m. The band differencer's magnitudes are
+    // the full-spectrum difference's, bit for bit, on [0, band).
     const auto config = test_config();
     SweepProcessor processor(config.fmcw);
-    BackgroundSubtractor subtractor(BackgroundMode::kStaticTraining);
-
+    const std::size_t band = tracked_band(config, processor.usable_bins(),
+                                          processor.bin_round_trip_m());
     hw::DechirpMixer mixer(config.fmcw);
-    auto scene_profile = [&](bool with_person) {
-        std::vector<rf::PropagationPath> paths;
-        rf::PropagationPath clutter;
-        clutter.round_trip_m = 6.0;
-        clutter.amplitude = 1.0;
-        paths.push_back(clutter);
-        if (with_person) {
-            rf::PropagationPath person;
-            person.round_trip_m = 11.0;
-            person.amplitude = 0.05;
-            paths.push_back(person);
-        }
+    auto frame_at = [&](double person_rt) {
+        std::vector<rf::PropagationPath> paths(3);
+        paths[0].round_trip_m = 6.0;
+        paths[0].amplitude = 1.0;
+        paths[1].round_trip_m = person_rt;
+        paths[1].amplitude = 0.05;
+        paths[2].round_trip_m = 40.0 + person_rt;
+        paths[2].amplitude = 0.02;
         return process_sweeps(processor, {mixer.synthesize(paths)});
     };
+    const auto first = frame_at(10.0);
+    const auto second = frame_at(10.4);
 
-    for (int i = 0; i < 10; ++i) subtractor.train(scene_profile(false));
-    const auto diff = subtractor.subtract(scene_profile(true));
-    ASSERT_FALSE(diff.empty());
-    const auto profile = scene_profile(true);
-    const auto person_bin =
-        static_cast<std::size_t>(profile.bin_of_round_trip(11.0) + 0.5);
-    const auto clutter_bin =
-        static_cast<std::size_t>(profile.bin_of_round_trip(6.0) + 0.5);
-    // The *static* person survives (frame differencing would erase him).
-    EXPECT_GT(diff[person_bin], 20.0 * diff[clutter_bin]);
+    BackgroundSubtractor subtractor(band);
+    ASSERT_TRUE(subtractor.subtract(first).empty());
+    const auto magnitude = subtractor.subtract(second);
+    ASSERT_EQ(magnitude.size(), band);
+
+    const std::size_t n = second.spectrum_size();
+    std::vector<double> prev_re = first.re, prev_im = first.im, full(n);
+    dsp::tail::diff_magnitude(second.re.data(), second.im.data(), prev_re.data(),
+                              prev_im.data(), full.data(), n);
+    EXPECT_EQ(0, std::memcmp(magnitude.data(), full.data(), band * sizeof(double)));
+
+    // A band wider than the profile is a wiring error, not a short read.
+    BackgroundSubtractor too_wide(processor.usable_bins() + 1);
+    EXPECT_THROW(too_wide.subtract(first), std::invalid_argument);
 }
 
-TEST(Background, TrainRequiresTrainingMode) {
-    BackgroundSubtractor subtractor(BackgroundMode::kFrameDiff);
-    RangeProfile profile;
-    profile.re.assign(64, 0.0);
-    profile.im.assign(64, 0.0);
-    profile.usable_bins = 32;
-    EXPECT_THROW(subtractor.train(profile), std::logic_error);
+TEST(Background, BandIsTheContourWindowEnd) {
+    // At the default config the band is 28 m of round trip: 259 bins of
+    // 0.1083 m, the upper edge of the window contour detection reads.
+    const auto config = test_config();
+    SweepProcessor processor(config.fmcw);
+    const double bin_m = processor.bin_round_trip_m();
+    const std::size_t band = tracked_band(config, processor.usable_bins(), bin_m);
+    EXPECT_EQ(band, 259u);
+    EXPECT_EQ(tracked_band(config, 100, bin_m), 100u);  // capped at the profile
+
+    ContourTracker tracker(config);
+    auto peak_at = [&](std::size_t bin) {
+        std::vector<double> mag(processor.usable_bins(), 1.0);
+        mag[bin] = 20.0;
+        return tracker.extract(mag, bin_m);
+    };
+    const auto inside = peak_at(band - 2);
+    ASSERT_TRUE(inside.detected);
+    EXPECT_NEAR(inside.round_trip_m, static_cast<double>(band - 2) * bin_m, bin_m);
+    EXPECT_FALSE(peak_at(band).detected);  // first bin past the window
+}
+
+TEST(Background, RejectedSnapshotLeavesSubtractorUntouched) {
+    const auto config = test_config();
+    SweepProcessor processor(config.fmcw);
+    const std::size_t band = tracked_band(config, processor.usable_bins(),
+                                          processor.bin_round_trip_m());
+    const auto a = process_sweeps(processor, {sweep_with_echo(config.fmcw, 9.0)});
+    const auto b = process_sweeps(processor, {sweep_with_echo(config.fmcw, 9.3)});
+
+    constexpr std::uint32_t kMagic = 0x54534554u;
+    auto stream = [&](const std::vector<double>& re, const std::vector<double>& im) {
+        std::ostringstream out;
+        common::StateWriter writer(out, kMagic, 1);
+        writer.begin_chunk("BGND");
+        writer.f64_vector(re);
+        writer.f64_vector(im);
+        writer.end_chunk();
+        writer.finish();
+        return out.str();
+    };
+    auto load = [&](BackgroundSubtractor& target, const std::string& bytes) {
+        std::istringstream in(bytes);
+        common::StateReader reader(in, kMagic, 1);
+        reader.open_chunk("BGND");
+        target.load_state(reader);
+        reader.close_chunk();
+    };
+
+    const std::vector<double> full(processor.usable_bins() + 1, 0.5);
+    const std::vector<double> in_band(band, 0.5), short_plane(band - 1, 0.5);
+    for (const auto& bytes : {stream(full, full),             // a v5-era plane
+                              stream(in_band, short_plane)}) {  // re/im mismatch
+        BackgroundSubtractor control(band), target(band);
+        control.subtract(a);
+        target.subtract(a);
+        EXPECT_THROW(load(target, bytes), std::runtime_error);
+        // Still primed with frame a: the next difference is unchanged.
+        EXPECT_EQ(target.subtract(b), control.subtract(b));
+    }
+
+    // An unprimed subtractor rejects too and stays unprimed.
+    BackgroundSubtractor unprimed(band);
+    EXPECT_THROW(load(unprimed, stream(full, full)), std::runtime_error);
+    EXPECT_TRUE(unprimed.subtract(a).empty());
+
+    // Planes of exactly the band, or empty ones, are accepted.
+    BackgroundSubtractor restored(band);
+    load(restored, stream(in_band, in_band));
+    EXPECT_EQ(restored.subtract(b).size(), band);
+    load(restored, stream({}, {}));
+    EXPECT_TRUE(restored.subtract(b).empty());
 }
 
 // ---------------------------------------------------------------- contour

@@ -496,6 +496,12 @@ TEST(Snapshot, RefusesVersionFourStreams) {
     expect_version_refused(4);
 }
 
+TEST(Snapshot, RefusesVersionFiveStreams) {
+    // Version 5 carried each RX's background as a mode byte, a primed flag,
+    // full 2049-bin half-spectrum planes, learned planes and a count.
+    expect_version_refused(5);
+}
+
 TEST(Snapshot, RejectsStructuralMismatch) {
     // Snapshot a session with a stage; restoring into a stage-less engine
     // (or one with different stages) must throw, not misattribute state.
