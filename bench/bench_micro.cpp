@@ -1,16 +1,23 @@
 // Microbenchmarks for the substrate hot paths: the radix-4 FFT kernel and
 // the pruned r2c range transform, baseband synthesis, receiver noise generation, channel path
-// enumeration, contour extraction and the Kalman filters.
+// enumeration, contour extraction, the Kalman filters and the streaming
+// fall detector.
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <memory>
 #include <random>
 
 #include "common/random.hpp"
 #include "core/contour.hpp"
+#include "core/fall.hpp"
+#include "core/tracker.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/kalman.hpp"
 #include "hw/mixer.hpp"
 #include "rf/channel.hpp"
+#include "sim/environment.hpp"
+#include "sim/scenario.hpp"
 
 using namespace witrack;
 
@@ -138,6 +145,52 @@ void BM_PositionKalman(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_PositionKalman);
+
+/// The raw track of one recorded 12 s walk (simulated once, through the
+/// whole pipeline, as perfbench's sessions walk), and a copy with 36% of
+/// its points dropped, as a lossy network feed delivers it.
+const std::vector<core::TrackPoint>& walk_track(bool thinned) {
+    static const auto tracks = [] {
+        sim::ScenarioConfig config;
+        config.fast_capture = true;
+        config.seed = 5;
+        sim::Scenario scenario(
+            config, std::make_unique<sim::RandomWaypointWalk>(
+                        sim::make_lab_environment().bounds, 12.0, Rng(5), 0.5, 1.3, 0.2,
+                        0.57 * sim::HumanParams{}.height_m));
+        core::PipelineConfig pipeline;
+        pipeline.fmcw = config.fmcw;
+        core::WiTrackTracker tracker(pipeline, scenario.array());
+        sim::Scenario::Frame frame;
+        while (scenario.next(frame)) tracker.process_frame(frame.sweeps, frame.time_s);
+        std::array<std::vector<core::TrackPoint>, 2> out{tracker.raw_track(), {}};
+        Rng rng(36);
+        for (const auto& point : out[0])
+            if (rng.uniform() >= 0.36) out[1].push_back(point);
+        return out;
+    }();
+    return tracks[thinned ? 1 : 0];
+}
+
+void BM_FallDetectorPush(benchmark::State& state) {
+    // One push per iteration, looping the walk with its clock carried on,
+    // so the 6 s window stays full after the first lap's first 6 s.
+    const auto& track = walk_track(state.range(0) != 0);
+    const double lap_s = track.back().time_s - track.front().time_s + 0.0125;
+    core::FallDetector detector;
+    std::size_t i = 0;
+    double offset = 0.0;
+    for (auto _ : state) {
+        core::TrackPoint point = track[i];
+        point.time_s += offset;
+        benchmark::DoNotOptimize(detector.push(point));
+        if (++i == track.size()) {
+            i = 0;
+            offset += lap_s;
+        }
+    }
+}
+BENCHMARK(BM_FallDetectorPush)->ArgName("thinned")->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -7,6 +7,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "common/serialize.hpp"
@@ -66,11 +67,17 @@ class FallMonitor {
         for (const auto& alert : alerts_) core::save_state(writer, alert);
     }
 
+    /// Assigns nothing unless the whole state reads back.
     void load_state(common::StateReader& reader) {
-        detector_.load_state(reader);
-        total_alerts_ = static_cast<std::size_t>(reader.u64());
-        alerts_.resize(reader.count(sizeof(double)));
-        for (auto& alert : alerts_) core::load_state(reader, alert);
+        core::FallDetector detector(detector_.config());
+        detector.load_state(reader);
+        const auto total_alerts = static_cast<std::size_t>(reader.u64());
+        std::vector<core::FallDetector::Analysis> alerts(
+            reader.count(core::kAnalysisStateBytes));
+        for (auto& alert : alerts) core::load_state(reader, alert);
+        detector_ = std::move(detector);
+        total_alerts_ = total_alerts;
+        alerts_ = std::move(alerts);
     }
 
   private:

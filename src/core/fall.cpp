@@ -19,48 +19,88 @@ std::string activity_name(Activity activity) {
     return "unknown";
 }
 
-std::vector<double> FallDetector::smoothed_elevations(
-    const std::vector<TrackPoint>& track) const {
-    std::vector<double> z(track.size());
-    if (track.empty()) return z;
+namespace {
 
-    // Window size from the track's own frame spacing. A *median* filter is
-    // used so that isolated solver spikes cannot fake a threshold crossing.
-    double dt = 0.0125;
-    if (track.size() > 1)
-        dt = std::max(1e-4, (track.back().time_s - track.front().time_s) /
-                                static_cast<double>(track.size() - 1));
-    const auto half = static_cast<std::size_t>(
-        std::max(1.0, config_.smoothing_window_s / dt / 2.0));
-
-    std::vector<double> window;
-    for (std::size_t i = 0; i < track.size(); ++i) {
-        const std::size_t lo = i >= half ? i - half : 0;
-        const std::size_t hi = std::min(track.size(), i + half + 1);
-        window.clear();
-        for (std::size_t j = lo; j < hi; ++j) window.push_back(track[j].position.z);
-        z[i] = dsp::median(window);
-    }
-    return z;
+/// Mean frame spacing of the track; the median window and the dwell are
+/// derived from it.
+double frame_spacing(std::span<const TrackPoint> track) {
+    if (track.size() < 2) return 0.0125;
+    return std::max(1e-4, (track.back().time_s - track.front().time_s) /
+                              static_cast<double>(track.size() - 1));
 }
 
-FallDetector::Analysis FallDetector::analyze(const std::vector<TrackPoint>& track) const {
+}  // namespace
+
+void FallDetector::smooth_elevations(std::span<const TrackPoint> track, double dt,
+                                     Scratch& scratch) const {
+    // A *median* filter is used so that isolated solver spikes cannot fake
+    // a threshold crossing. Point i's median runs over raw points
+    // [i - half, i + half], clipped to the track. One sweep keeps that
+    // window's elevations sorted: each step inserts the entering value and
+    // erases the leaving one, so every median is taken over exactly the
+    // multiset a per-point sort would see.
+    const std::size_t n = track.size();
+    const auto half = static_cast<std::size_t>(
+        std::max(1.0, config_.smoothing_window_s / dt / 2.0));
+    std::vector<double>& z = scratch.z;
+    std::vector<double>& sorted = scratch.sorted;
+    z.resize(n);
+    sorted.clear();
+    const auto insert = [&sorted](double value) {
+        sorted.insert(std::upper_bound(sorted.begin(), sorted.end(), value), value);
+    };
+    for (std::size_t j = 0; j < std::min(n, half); ++j) insert(track[j].position.z);
+    for (std::size_t i = 0; i < n; ++i) {
+        const bool enters = i + half < n, leaves = i > half;
+        if (enters && leaves) {
+            // Replace in one shift: the leaving slot moves to the entering
+            // value's sorted position.
+            const double entering = track[i + half].position.z;
+            const auto out = std::lower_bound(sorted.begin(), sorted.end(),
+                                              track[i - half - 1].position.z);
+            const auto in = std::upper_bound(sorted.begin(), sorted.end(), entering);
+            if (in <= out) {
+                std::move_backward(in, out, out + 1);
+                *in = entering;
+            } else {
+                std::move(out + 1, in, out);
+                *(in - 1) = entering;
+            }
+        } else if (enters) {
+            insert(track[i + half].position.z);
+        } else if (leaves) {
+            const double leaving = track[i - half - 1].position.z;
+            sorted.erase(std::lower_bound(sorted.begin(), sorted.end(), leaving));
+        }
+        z[i] = dsp::percentile_sorted(sorted, 50.0);
+    }
+}
+
+FallDetector::Analysis FallDetector::analyze(std::span<const TrackPoint> track) const {
+    Scratch scratch;
+    return analyze(track, scratch);
+}
+
+FallDetector::Analysis FallDetector::analyze(std::span<const TrackPoint> track,
+                                             Scratch& scratch) const {
     Analysis out;
     if (track.size() < 8) return out;
 
-    const std::vector<double> z = smoothed_elevations(track);
+    const double dt = frame_spacing(track);
+    smooth_elevations(track, dt, scratch);
+    const std::vector<double>& z = scratch.z;
+    std::vector<double>& order = scratch.order;
 
     // Standing level from the pre-descent portion (first 60% of the
     // episode); a 75th percentile resists both noise spikes and the tail.
-    std::vector<double> head(z.begin(),
-                             z.begin() + static_cast<long>(z.size() * 6 / 10));
-    out.initial_elevation_m = dsp::percentile(head, 75.0);
+    order.assign(z.begin(), z.begin() + static_cast<long>(z.size() * 6 / 10));
+    out.initial_elevation_m = dsp::percentile_in_place(order, 75.0);
     const double t_end = track.back().time_s;
-    std::vector<double> tail;
+    order.clear();
     for (std::size_t i = 0; i < track.size(); ++i)
-        if (track[i].time_s >= t_end - 1.0) tail.push_back(z[i]);
-    if (tail.empty()) tail.push_back(z.back());
-    out.final_elevation_m = dsp::median(tail);
+        if (track[i].time_s >= t_end - 1.0) order.push_back(z[i]);
+    if (order.empty()) order.push_back(z.back());
+    out.final_elevation_m = dsp::percentile_in_place(order, 50.0);
 
     out.drop_fraction =
         out.initial_elevation_m > 0.0
@@ -86,11 +126,6 @@ FallDetector::Analysis FallDetector::analyze(const std::vector<TrackPoint>& trac
     const double span = out.initial_elevation_m - out.final_elevation_m;
     const double z_hi = out.initial_elevation_m - 0.15 * span;
     const double z_lo = out.final_elevation_m + 0.15 * span;
-
-    double dt = 0.0125;
-    if (track.size() > 1)
-        dt = std::max(1e-4, (track.back().time_s - track.front().time_s) /
-                                static_cast<double>(track.size() - 1));
     const auto dwell = static_cast<std::size_t>(0.6 / dt);
 
     std::size_t first_low = track.size();
@@ -122,13 +157,16 @@ FallDetector::Analysis FallDetector::analyze(const std::vector<TrackPoint>& trac
 }
 
 std::optional<FallDetector::Analysis> FallDetector::push(const TrackPoint& point) {
+    // Keep a 6-second sliding window. The new point never leaves it, so
+    // trimming before the append drops the same points as after it.
+    while (head_ < window_.size() && point.time_s - window_[head_].time_s > 6.0) ++head_;
+    if (window_.size() == window_.capacity() && head_ > 0) {
+        window_.erase(window_.begin(), window_.begin() + static_cast<long>(head_));
+        head_ = 0;
+    }
     window_.push_back(point);
-    // Keep a 6-second sliding window.
-    while (!window_.empty() && point.time_s - window_.front().time_s > 6.0)
-        window_.erase(window_.begin());
-    if (window_.size() < 32) return std::nullopt;
-
-    const Analysis analysis = analyze(window_);
+    const std::span<const TrackPoint> live(window_.data() + head_, window_.size() - head_);
+    if (live.size() < 32) return std::nullopt;
 
     if (in_low_state_) {
         // Re-arm only when the person is clearly back up relative to the
@@ -137,6 +175,7 @@ std::optional<FallDetector::Analysis> FallDetector::push(const TrackPoint& point
         if (point.position.z > 0.75 * standing_level_at_alert_) in_low_state_ = false;
         return std::nullopt;
     }
+    const Analysis analysis = analyze(live, scratch_);
     if (analysis.activity == Activity::kFall) {
         in_low_state_ = true;
         standing_level_at_alert_ = analysis.initial_elevation_m;
@@ -146,17 +185,21 @@ std::optional<FallDetector::Analysis> FallDetector::push(const TrackPoint& point
 }
 
 void FallDetector::save_state(common::StateWriter& writer) const {
-    writer.u64(window_.size());
-    for (const auto& point : window_) core::save_state(writer, point);
+    writer.u64(window_.size() - head_);
+    for (std::size_t i = head_; i < window_.size(); ++i) core::save_state(writer, window_[i]);
     writer.boolean(in_low_state_);
     writer.f64(standing_level_at_alert_);
 }
 
 void FallDetector::load_state(common::StateReader& reader) {
-    window_.resize(reader.count(sizeof(double)));
-    for (auto& point : window_) core::load_state(reader, point);
-    in_low_state_ = reader.boolean();
-    standing_level_at_alert_ = reader.f64();
+    std::vector<TrackPoint> window(reader.count(kTrackPointStateBytes));
+    for (auto& point : window) core::load_state(reader, point);
+    const bool in_low_state = reader.boolean();
+    const double standing_level_at_alert = reader.f64();
+    window_ = std::move(window);
+    head_ = 0;
+    in_low_state_ = in_low_state;
+    standing_level_at_alert_ = standing_level_at_alert;
 }
 
 void save_state(common::StateWriter& writer, const FallDetector::Analysis& analysis) {

@@ -7,6 +7,7 @@
 
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -40,29 +41,50 @@ class FallDetector {
 
     /// Offline classification of one recorded episode, as in the paper's
     /// 132-experiment study (the data files were processed offline).
-    Analysis analyze(const std::vector<TrackPoint>& track) const;
-    Activity classify(const std::vector<TrackPoint>& track) const {
+    Analysis analyze(std::span<const TrackPoint> track) const;
+    Activity classify(std::span<const TrackPoint> track) const {
         return analyze(track).activity;
     }
 
-    /// Streaming interface: push smoothed track points; returns an Analysis
-    /// once a completed fall is detected (at most once per descent).
+    /// Streaming interface: push raw track points; returns an Analysis
+    /// once a completed fall is detected (at most once per descent). Each
+    /// point reruns analyze() on the last 6 s, except while an alert is
+    /// latched (the result would be discarded). Once the window is full, a
+    /// push allocates nothing.
     std::optional<Analysis> push(const TrackPoint& point);
 
     const FallDetectorConfig& config() const { return config_; }
 
     /// Serialize the streaming state (analysis window, low-state latch).
+    /// load_state assigns nothing unless the whole state reads back.
     void save_state(common::StateWriter& writer) const;
     void load_state(common::StateReader& reader);
 
   private:
-    std::vector<double> smoothed_elevations(const std::vector<TrackPoint>& track) const;
+    /// Buffers one analysis reuses, so a warm detector allocates nothing.
+    struct Scratch {
+        std::vector<double> z;       ///< median-filtered elevations
+        std::vector<double> sorted;  ///< raw elevations of one median window, ascending
+        std::vector<double> order;   ///< head or tail samples for a percentile
+    };
+
+    Analysis analyze(std::span<const TrackPoint> track, Scratch& scratch) const;
+    void smooth_elevations(std::span<const TrackPoint> track, double dt,
+                           Scratch& scratch) const;
 
     FallDetectorConfig config_;
-    std::vector<TrackPoint> window_;  // streaming state
+    // Streaming state: the live window is window_[head_, size). Trimming
+    // advances head_; the dead prefix is dropped only when the buffer is
+    // full, so neither trimming nor appending moves the window every frame.
+    std::vector<TrackPoint> window_;
+    std::size_t head_ = 0;
     bool in_low_state_ = false;
     double standing_level_at_alert_ = 0.0;
+    Scratch scratch_;
 };
+
+/// Bytes one Analysis takes in a snapshot (bounds a snapshot's alert count).
+inline constexpr std::size_t kAnalysisStateBytes = 1 + 4 * sizeof(double);
 
 /// Value-type serialization for retained alert history (fall-monitor ring).
 void save_state(common::StateWriter& writer, const FallDetector::Analysis& analysis);

@@ -5,6 +5,7 @@
 // (Section 8a).
 #pragma once
 
+#include <cstddef>
 #include <optional>
 
 #include "core/params.hpp"
@@ -29,6 +30,9 @@ struct TrackPoint {
 /// Value-type serialization for track history (tracker, fall window).
 void save_state(common::StateWriter& writer, const TrackPoint& point);
 void load_state(common::StateReader& reader, TrackPoint& point);
+
+/// Bytes one TrackPoint takes in a snapshot (bounds a snapshot's point count).
+inline constexpr std::size_t kTrackPointStateBytes = 5 * sizeof(double) + 1;
 
 class Localizer {
   public:

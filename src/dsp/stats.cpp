@@ -33,15 +33,41 @@ double max_value(const std::vector<double>& samples) {
     return *std::max_element(samples.begin(), samples.end());
 }
 
-double percentile(std::vector<double> samples, double p) {
-    if (samples.empty()) throw std::invalid_argument("percentile: empty sample set");
+namespace {
+
+/// Linear interpolation between order statistics lo and hi of n samples.
+struct Rank {
+    std::size_t lo, hi;
+    double frac;
+};
+
+Rank percentile_rank(std::size_t n, double p) {
+    if (n == 0) throw std::invalid_argument("percentile: empty sample set");
     if (p < 0.0 || p > 100.0) throw std::invalid_argument("percentile: p out of range");
-    std::sort(samples.begin(), samples.end());
-    const double rank = p / 100.0 * static_cast<double>(samples.size() - 1);
+    const double rank = p / 100.0 * static_cast<double>(n - 1);
     const std::size_t lo = static_cast<std::size_t>(rank);
-    const std::size_t hi = std::min(lo + 1, samples.size() - 1);
-    const double frac = rank - static_cast<double>(lo);
-    return samples[lo] * (1.0 - frac) + samples[hi] * frac;
+    return {lo, std::min(lo + 1, n - 1), rank - static_cast<double>(lo)};
+}
+
+}  // namespace
+
+double percentile(std::vector<double> samples, double p) {
+    return percentile_in_place(samples, p);
+}
+
+double percentile_sorted(std::span<const double> sorted, double p) {
+    const Rank r = percentile_rank(sorted.size(), p);
+    return sorted[r.lo] * (1.0 - r.frac) + sorted[r.hi] * r.frac;
+}
+
+double percentile_in_place(std::span<double> samples, double p) {
+    // Selection finds the two order statistics a full sort would put at
+    // lo and hi: the lo-th smallest, then the smallest of what lies above.
+    const Rank r = percentile_rank(samples.size(), p);
+    const auto lo = samples.begin() + static_cast<long>(r.lo);
+    std::nth_element(samples.begin(), lo, samples.end());
+    const double hi = r.hi == r.lo ? *lo : *std::min_element(lo + 1, samples.end());
+    return *lo * (1.0 - r.frac) + hi * r.frac;
 }
 
 double median(std::vector<double> samples) { return percentile(std::move(samples), 50.0); }

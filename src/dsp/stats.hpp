@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace witrack::dsp {
@@ -14,8 +15,16 @@ double stddev(const std::vector<double>& samples);
 double min_value(const std::vector<double>& samples);
 double max_value(const std::vector<double>& samples);
 
-/// Linear-interpolated percentile, p in [0, 100]. Copies and sorts.
+/// Linear-interpolated percentile, p in [0, 100], between the order
+/// statistics a sort would place at floor and ceil of p/100 * (n - 1).
 double percentile(std::vector<double> samples, double p);
+
+/// The same percentile of samples already sorted ascending (no copy).
+double percentile_sorted(std::span<const double> sorted, double p);
+
+/// The same percentile without a copy; reorders `samples` (selection, not
+/// a full sort).
+double percentile_in_place(std::span<double> samples, double p);
 
 /// Median (50th percentile).
 double median(std::vector<double> samples);

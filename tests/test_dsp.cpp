@@ -2,6 +2,7 @@
 // the high-pass filter, Kalman filters and robust regression.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <random>
 
@@ -71,6 +72,33 @@ TEST(Stats, PercentileInterpolation) {
     EXPECT_DOUBLE_EQ(percentile(v, 50.0), 20.0);
     EXPECT_DOUBLE_EQ(percentile(v, 25.0), 10.0);
     EXPECT_DOUBLE_EQ(percentile(v, 12.5), 5.0);
+}
+
+TEST(Stats, SortedAndSelectionPercentilesMatchASortBitForBit) {
+    // percentile() selects instead of sorting; percentile_sorted() reads a
+    // sorted window. Both must return exactly the sort-then-interpolate
+    // value, ties included.
+    std::mt19937 rng(23);
+    for (std::size_t n = 1; n <= 64; ++n) {
+        std::vector<double> v(n);
+        for (auto& x : v) x = static_cast<double>(rng() % 16) * 0.37 + 0.1;
+        std::vector<double> sorted = v;
+        std::sort(sorted.begin(), sorted.end());
+        for (const double p : {0.0, 12.5, 25.0, 33.3, 50.0, 75.0, 90.0, 100.0}) {
+            const double rank = p / 100.0 * static_cast<double>(n - 1);
+            const auto lo = static_cast<std::size_t>(rank);
+            const std::size_t hi = std::min(lo + 1, n - 1);
+            const double frac = rank - static_cast<double>(lo);
+            const double want = sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+            EXPECT_EQ(percentile(v, p), want) << n << " samples, p " << p;
+            EXPECT_EQ(percentile_sorted(sorted, p), want) << n << " samples, p " << p;
+            std::vector<double> scratch = v;
+            EXPECT_EQ(percentile_in_place(scratch, p), want) << n << " samples, p " << p;
+        }
+    }
+    std::vector<double> empty;
+    EXPECT_THROW(percentile_sorted(empty, 50.0), std::invalid_argument);
+    EXPECT_THROW(percentile_in_place(empty, 50.0), std::invalid_argument);
 }
 
 TEST(Stats, MedianUnsortedInput) {

@@ -1,8 +1,9 @@
 // FrameBuffer contract tests: layout round-trips, stride/indexing edge
 // cases, bit-for-bit spectral equivalence between the per-antenna and
 // batched processing entry points, steady-state allocation freedom of
-// SweepProcessor::process_into, and WiTrackTracker determinism across
-// instances fed the same FrameBuffer stream.
+// SweepProcessor::process_into and of FallDetector::push, and
+// WiTrackTracker determinism across instances fed the same FrameBuffer
+// stream.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,6 +18,7 @@
 #include "common/frame_buffer.hpp"
 #include "core/background.hpp"
 #include "core/contour.hpp"
+#include "core/fall.hpp"
 #include "core/range_fft.hpp"
 #include "core/tof.hpp"
 #include "core/tracker.hpp"
@@ -258,6 +260,37 @@ TEST(FrameBufferTest, GatedRedetectionWithWarmScratchDoesNotAllocate) {
         EXPECT_EQ(gated.noise_floor, point.noise_floor);
     }
     EXPECT_EQ(g_allocations.load() - before, 0u);
+}
+
+TEST(FrameBufferTest, FallDetectorPushSteadyStateDoesNotAllocate) {
+    // Once the 6 s window is full, push trims by offset, compacts in place
+    // and reuses its analysis scratch: no allocation through standing, a
+    // fast fall, the latched dwell on the ground and getting back up.
+    core::FallDetector detector;
+    double t = 0.0;
+    std::size_t alerts = 0;
+    const double dt = 0.0125;
+    auto feed = [&](double seconds, auto elevation_at) {
+        const int steps = static_cast<int>(seconds / dt);
+        for (int i = 0; i < steps; ++i, t += dt) {
+            core::TrackPoint point;
+            point.time_s = t;
+            point.position = {0.0, 5.0, elevation_at(i * dt / seconds)};
+            if (detector.push(point)) ++alerts;
+        }
+    };
+    const auto standing = [](double) { return 1.0; };
+    feed(6.5, standing);  // fills the window
+
+    const std::size_t before = g_allocations.load();
+    for (int cycle = 0; cycle < 2; ++cycle) {
+        feed(4.0, standing);
+        feed(0.35, [](double u) { return 1.0 - 0.85 * u; });  // fast drop
+        feed(6.5, [](double) { return 0.15; });               // on the ground
+        feed(1.0, [](double u) { return 0.15 + 0.85 * u; });  // get back up
+    }
+    EXPECT_EQ(g_allocations.load() - before, 0u);
+    EXPECT_EQ(alerts, 2u);
 }
 
 // -------------------------------------------------- tracker determinism
