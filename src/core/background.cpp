@@ -1,10 +1,10 @@
 #include "core/background.hpp"
 
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
 #include "common/serialize.hpp"
-#include "dsp/tail_kernels.hpp"
 
 namespace witrack::core {
 
@@ -31,20 +31,19 @@ void BackgroundSubtractor::subtract_into(const RangeProfile& profile,
         return;
     }
     out.resize(band_);
-    if (!update_history) {
-        // Read-only difference against the held history: with scale 1.0
-        // the scaled kernel's magnitudes are bit-identical to
-        // diff_magnitude's (the *1.0 products are IEEE-exact), and the
-        // stored planes stay as they were.
-        dsp::tail::scaled_diff_magnitude(profile.re.data(), profile.im.data(),
-                                         prev_re_.data(), prev_im_.data(), 1.0,
-                                         out.data(), band_);
-        return;
+    // Difference, magnitude and (unless the frame is quarantined) the
+    // history update in one pass that replaces the stored frame in place.
+    const double* re = profile.re.data();
+    const double* im = profile.im.data();
+    for (std::size_t i = 0; i < band_; ++i) {
+        const double dr = re[i] - prev_re_[i];
+        const double di = im[i] - prev_im_[i];
+        out[i] = std::sqrt(dr * dr + di * di);
+        if (update_history) {
+            prev_re_[i] = re[i];
+            prev_im_[i] = im[i];
+        }
     }
-    // Fused difference + magnitude + history update: one SIMD pass reads
-    // the stored frame and replaces it in place.
-    dsp::tail::diff_magnitude(profile.re.data(), profile.im.data(),
-                              prev_re_.data(), prev_im_.data(), out.data(), band_);
 }
 
 void BackgroundSubtractor::reset() {

@@ -30,15 +30,15 @@ class BackgroundSubtractor {
 
     /// Subtract the previous frame and return the magnitude profile over
     /// the band. Returns an empty vector for the first frame (no previous
-    /// frame yet). The magnitude contract is sqrt(re^2 + im^2) (see
-    /// dsp/tail_kernels.hpp) -- within ~2.5 ulp of the exact magnitude,
-    /// identical across SIMD dispatch levels.
+    /// frame yet). The magnitude is sqrt(dr*dr + di*di): the squares and
+    /// the sum each round once and sqrt is correctly rounded, so it lies
+    /// within ~2.5 ulp of the exact magnitude.
     std::vector<double> subtract(const RangeProfile& profile);
 
     /// In-place variant: writes the magnitude profile into `out`, reusing
     /// its storage (empty when there is nothing to difference yet). The
     /// difference, the magnitude and the history update are fused into one
-    /// SIMD pass over the band -- no per-frame copy -- and the whole path
+    /// scalar pass over the band -- no per-frame copy -- and the whole path
     /// is allocation-free at steady state.
     ///
     /// `update_history=false` computes the same magnitudes bit for bit but
@@ -60,7 +60,7 @@ class BackgroundSubtractor {
 
   private:
     // History mirrors RangeProfile's SoA layout (separate re/im planes,
-    // always equal length) so the subtract kernels stream every operand
+    // always equal length) so the subtract loop streams every operand
     // with unit stride. Empty until the first frame primes it.
     std::size_t band_;
     std::vector<double> prev_re_, prev_im_;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "dsp/tail_kernels.hpp"
-
 namespace witrack::core {
 
 namespace {
@@ -49,7 +47,7 @@ std::size_t tracked_band(const PipelineConfig& config, std::size_t bins,
 double ContourTracker::measure_extent(const std::vector<double>& magnitude,
                                       double threshold, std::size_t lo, std::size_t hi,
                                       double bin_round_trip_m) const {
-    const dsp::tail::Moments m = dsp::tail::extent_moments(
+    const dsp::Moments m = dsp::extent_moments(
         magnitude.data(), lo, hi, threshold, bin_round_trip_m);
     if (m.w_sum <= 0.0) return 0.0;
     const double mean = m.m1 / m.w_sum;
@@ -72,8 +70,7 @@ void ContourTracker::extract_peaks_into(const std::vector<double>& magnitude,
 
     // Closest-first local maxima, kept at least 2 bins apart so one body
     // echo is not double-counted.
-    dsp::find_peaks_window(magnitude.data(), lo, hi, threshold, 3,
-                           scratch.candidates, scratch.peaks);
+    dsp::find_peaks_window(magnitude.data(), lo, hi, threshold, 3, scratch.peaks);
     const double extent =
         measure_extent(magnitude, threshold, lo, hi, bin_round_trip_m);
 
@@ -128,7 +125,7 @@ ContourPoint ContourTracker::extract_near(const std::vector<double>& magnitude,
     // and "closest" coincide for a single body). max_bin keeps the first
     // index of the maximum, matching a forward strictly-greater scan.
     const std::size_t best =
-        lo + 1 + dsp::tail::max_bin(magnitude.data() + lo + 1, hi - lo - 2);
+        lo + 1 + dsp::max_bin(magnitude.data() + lo + 1, hi - lo - 2);
     if (magnitude[best] < threshold) {
         point.noise_floor = floor;
         return point;
@@ -157,7 +154,7 @@ ContourPoint ContourTracker::extract_strongest(const std::vector<double>& magnit
     const double floor = banded_noise_floor(magnitude, lo, hi, scratch);
     const double threshold = floor * config_.contour_threshold;
 
-    const std::size_t best = lo + dsp::tail::max_bin(magnitude.data() + lo, hi - lo);
+    const std::size_t best = lo + dsp::max_bin(magnitude.data() + lo, hi - lo);
     if (magnitude[best] < threshold) {
         point.noise_floor = floor;
         return point;

@@ -34,7 +34,6 @@ struct ContourPoint {
 /// Call start_frame() when a new magnitude profile arrives.
 struct ContourScratch {
     std::vector<double> floor_samples;  ///< nth_element workspace
-    std::vector<double> candidates;     ///< peak-candidate mask plane
     std::vector<dsp::Peak> peaks;       ///< windowed find_peaks output
     std::vector<ContourPoint> points;   ///< single-point extraction staging
 

@@ -32,9 +32,9 @@ namespace witrack::core {
 /// materialized: the planes hold usable_bins + 1 bins (DC through Nyquist
 /// inclusive); the upper half would be their conjugate mirror and is never
 /// computed. The spectrum is stored as structure-of-arrays re/im planes
-/// (always equal length) so the SIMD analysis tail -- background
-/// subtraction, magnitude scans -- streams each component with unit
-/// stride; bin k as a complex value is `bin(k)`.
+/// (always equal length) so the FFT kernels and the background
+/// subtraction stream each component with unit stride; bin k as a
+/// complex value is `bin(k)`.
 struct RangeProfile {
     std::vector<double> re;         ///< r2c half spectrum, real plane
     std::vector<double> im;         ///< r2c half spectrum, imaginary plane

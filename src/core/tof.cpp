@@ -165,11 +165,13 @@ void save_state(common::StateWriter& writer, const ContourPoint& point) {
 }
 
 void load_state(common::StateReader& reader, ContourPoint& point) {
-    point.detected = reader.boolean();
-    point.round_trip_m = reader.f64();
-    point.power = reader.f64();
-    point.noise_floor = reader.f64();
-    point.extent_m = reader.f64();
+    ContourPoint loaded;
+    loaded.detected = reader.boolean();
+    loaded.round_trip_m = reader.f64();
+    loaded.power = reader.f64();
+    loaded.noise_floor = reader.f64();
+    loaded.extent_m = reader.f64();
+    point = loaded;
 }
 
 void save_state(common::StateWriter& writer, const AntennaFrame& antenna) {
@@ -183,15 +185,16 @@ void save_state(common::StateWriter& writer, const AntennaFrame& antenna) {
 }
 
 void load_state(common::StateReader& reader, AntennaFrame& antenna) {
-    load_state(reader, antenna.contour);
+    AntennaFrame loaded;
+    load_state(reader, loaded.contour);
     const bool have_denoised = reader.boolean();
     const double denoised = reader.f64();
-    antenna.denoised_m =
-        have_denoised ? std::optional<double>(denoised) : std::nullopt;
-    antenna.peaks.resize(reader.count(sizeof(double)));
-    for (auto& peak : antenna.peaks) load_state(reader, peak);
-    antenna.profile = reader.f64_vector();
-    antenna.hw_valid = reader.boolean();
+    if (have_denoised) loaded.denoised_m = denoised;
+    loaded.peaks.resize(reader.count(kContourPointStateBytes));
+    for (auto& peak : loaded.peaks) load_state(reader, peak);
+    loaded.profile = reader.f64_vector();
+    loaded.hw_valid = reader.boolean();
+    antenna = std::move(loaded);
 }
 
 void save_state(common::StateWriter& writer, const TofFrame& frame) {
@@ -201,9 +204,11 @@ void save_state(common::StateWriter& writer, const TofFrame& frame) {
 }
 
 void load_state(common::StateReader& reader, TofFrame& frame) {
-    frame.time_s = reader.f64();
-    frame.antennas.resize(reader.count(sizeof(double)));
-    for (auto& antenna : frame.antennas) load_state(reader, antenna);
+    TofFrame loaded;
+    loaded.time_s = reader.f64();
+    loaded.antennas.resize(reader.count(kAntennaFrameMinStateBytes));
+    for (auto& antenna : loaded.antennas) load_state(reader, antenna);
+    frame = std::move(loaded);
 }
 
 }  // namespace witrack::core

@@ -149,7 +149,19 @@ class TofEstimator {
 };
 
 /// Value-type serialization for recorded TOF observations (used by stages
-/// that keep TofFrame history, e.g. the pointing window).
+/// that keep TofFrame history, e.g. the pointing window). The loaders read
+/// into a local and assign only once the whole value has read back, so a
+/// rejected stream leaves the target untouched.
+///
+/// Smallest encodings, which bound element counts on load: a ContourPoint
+/// is a flag and four doubles; an AntennaFrame is its contour, the
+/// denoised flag and value, the peak and profile counts and the hw_valid
+/// flag; a TofFrame is its time and antenna count.
+inline constexpr std::size_t kContourPointStateBytes = 1 + 4 * sizeof(double);
+inline constexpr std::size_t kAntennaFrameMinStateBytes =
+    kContourPointStateBytes + 1 + sizeof(double) + 2 * sizeof(std::uint64_t) + 1;
+inline constexpr std::size_t kTofFrameMinStateBytes =
+    sizeof(double) + sizeof(std::uint64_t);
 void save_state(common::StateWriter& writer, const ContourPoint& point);
 void load_state(common::StateReader& reader, ContourPoint& point);
 void save_state(common::StateWriter& writer, const AntennaFrame& antenna);

@@ -1,6 +1,7 @@
 #include "core/tracker.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "common/serialize.hpp"
 
@@ -13,9 +14,10 @@ void save_track(common::StateWriter& writer, const std::vector<TrackPoint>& trac
     for (const auto& point : track) save_state(writer, point);
 }
 
-void load_track(common::StateReader& reader, std::vector<TrackPoint>& track) {
-    track.resize(reader.count(sizeof(double)));
+std::vector<TrackPoint> load_track(common::StateReader& reader) {
+    std::vector<TrackPoint> track(reader.count(kTrackPointStateBytes));
     for (auto& point : track) load_state(reader, point);
+    return track;
 }
 
 }  // namespace
@@ -121,15 +123,26 @@ void WiTrackTracker::save_state(common::StateWriter& writer) const {
 }
 
 void WiTrackTracker::load_state(common::StateReader& reader) {
+    // Everything reads into locals (the steps into copies) and is assigned
+    // only once the whole state has read back: a rejected stream leaves
+    // the tracker untouched.
     const auto demanded = reader.u8();
     if (demanded & ~static_cast<std::uint8_t>(PipelineOutputs::kAll))
         throw std::runtime_error("WiTrackTracker: corrupt demand set in snapshot");
+    const auto frames = static_cast<std::size_t>(reader.u64());
+    auto track = load_track(reader);
+    auto raw_track = load_track(reader);
+    TofStep tof_step = tof_step_;
+    tof_step.load_state(reader);
+    SmoothStep smooth_step = smooth_step_;
+    smooth_step.load_state(reader);
+
     prev_demanded_ = static_cast<PipelineOutputs>(demanded);
-    frames_ = static_cast<std::size_t>(reader.u64());
-    load_track(reader, track_);
-    load_track(reader, raw_track_);
-    tof_step_.load_state(reader);
-    smooth_step_.load_state(reader);
+    frames_ = frames;
+    track_ = std::move(track);
+    raw_track_ = std::move(raw_track);
+    tof_step_ = std::move(tof_step);
+    smooth_step_ = std::move(smooth_step);
 }
 
 }  // namespace witrack::core

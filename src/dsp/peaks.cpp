@@ -1,61 +1,69 @@
 #include "dsp/peaks.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "dsp/stats.hpp"
-#include "dsp/tail_kernels.hpp"
 
 namespace witrack::dsp {
 
 std::vector<Peak> find_peaks(const std::vector<double>& values, double threshold,
                              std::size_t min_separation) {
     std::vector<Peak> peaks;
-    const std::size_t n = values.size();
-    if (n < 3) return peaks;
-    if (min_separation == 0) min_separation = 1;
-
-    std::size_t last_accepted = 0;
-    bool have_accepted = false;
-    for (std::size_t i = 1; i + 1 < n; ++i) {
-        if (values[i] < threshold) continue;
-        // Peak if strictly above the previous sample and >= the next; a
-        // plateau is attributed to its first index.
-        const bool rising = values[i] > values[i - 1];
-        const bool not_falling_into = values[i] >= values[i + 1];
-        if (!(rising && not_falling_into)) continue;
-        if (have_accepted && i - last_accepted < min_separation) continue;
-        peaks.push_back({i, values[i], parabolic_peak_position(values, i)});
-        last_accepted = i;
-        have_accepted = true;
-    }
+    find_peaks_window(values.data(), 0, values.size(), threshold, min_separation,
+                      peaks);
     return peaks;
 }
 
 void find_peaks_window(const double* values, std::size_t lo, std::size_t hi,
                        double threshold, std::size_t min_separation,
-                       std::vector<double>& candidate_scratch,
                        std::vector<Peak>& out) {
     out.clear();
-    if (hi <= lo) return;
-    const std::size_t n = hi - lo;
-    if (n < 3) return;
     if (min_separation == 0) min_separation = 1;
-
-    candidate_scratch.resize(n);
-    tail::peak_candidates(values + lo, n, threshold, candidate_scratch.data());
 
     std::size_t last_accepted = 0;
     bool have_accepted = false;
-    for (std::size_t j = 1; j + 1 < n; ++j) {
-        if (candidate_scratch[j] == 0.0) continue;
-        const std::size_t i = lo + j;
+    for (std::size_t i = lo + 1; i + 1 < hi; ++i) {
+        const double x = values[i];
+        if (x < threshold) continue;
+        // Peak if strictly above the previous sample and >= the next; a
+        // plateau is attributed to its first index.
+        if (!(x > values[i - 1] && x >= values[i + 1])) continue;
         if (have_accepted && i - last_accepted < min_separation) continue;
         out.push_back(
-            {i, values[i], parabolic_peak_position_window(values, lo, hi, i)});
+            {i, x, parabolic_peak_position_window(values, lo, hi, i)});
         last_accepted = i;
         have_accepted = true;
     }
+}
+
+Moments extent_moments(const double* v, std::size_t lo, std::size_t hi,
+                       double threshold, double bin_m) {
+    double sw[4] = {}, s1[4] = {}, s2[4] = {};
+    for (std::size_t i = lo; i < hi; ++i) {
+        const std::size_t s = (i - lo) & 3;
+        const double x = v[i];
+        const double w = x < threshold ? 0.0 : x * x;
+        const double d = static_cast<double>(i) * bin_m;
+        const double wd = w * d;
+        sw[s] += w;
+        s1[s] += wd;
+        s2[s] += wd * d;
+    }
+    return {(sw[0] + sw[1]) + (sw[2] + sw[3]), (s1[0] + s1[1]) + (s1[2] + s1[3]),
+            (s2[0] + s2[1]) + (s2[2] + s2[3])};
+}
+
+std::size_t max_bin(const double* v, std::size_t n) {
+    const auto max = [](double a, double b) { return a > b ? a : b; };
+    constexpr double kLowest = -std::numeric_limits<double>::infinity();
+    double slot[4] = {kLowest, kLowest, kLowest, kLowest};
+    for (std::size_t i = 0; i < n; ++i) slot[i & 3] = max(slot[i & 3], v[i]);
+    const double m = max(max(slot[0], slot[1]), max(slot[2], slot[3]));
+    for (std::size_t i = 0; i < n; ++i)
+        if (v[i] == m) return i;
+    return 0;  // empty or all-NaN band: no index compares equal
 }
 
 double parabolic_peak_position(const std::vector<double>& values, std::size_t bin) {

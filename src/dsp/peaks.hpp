@@ -25,14 +25,33 @@ std::vector<Peak> find_peaks(const std::vector<double>& values, double threshold
 /// the profile ([lo, hi) plays the role the copied band played -- window
 /// edges are profile edges for both the candidate predicate and the
 /// parabolic fit), reports absolute indices/positions, and reuses the
-/// caller's scratch plane and output vector. The candidate predicate runs
-/// through the SIMD mask kernel (dsp::tail::peak_candidates); the
-/// min_separation pass stays scalar (it is sequential by definition).
-/// Equivalent to find_peaks on a copy of the window, shifted by lo.
+/// caller's output vector. A candidate clears the threshold (!(x < t)),
+/// rises strictly above its left neighbor and does not fall into its right
+/// one; NaN never rises, so it is never a candidate. Equivalent to
+/// find_peaks on a copy of the window, shifted by lo.
 void find_peaks_window(const double* values, std::size_t lo, std::size_t hi,
                        double threshold, std::size_t min_separation,
-                       std::vector<double>& candidate_scratch,
                        std::vector<Peak>& out);
+
+/// Thresholded power moments of v over [lo, hi) for the contour extent
+/// (Section 6.1): elements with v[i] < threshold weigh 0 (NaN is not below
+/// the threshold and stays in), the rest weigh w = v[i]^2 at abscissa
+/// d = i * bin_m, giving w_sum, m1 = sum(w*d) and m2 = sum(w*d*d). The
+/// sums run in four slots (slot = (i - lo) & 3, each in index order)
+/// combined as (s0 + s1) + (s2 + s3). An empty range returns zeros.
+struct Moments {
+    double w_sum = 0.0;
+    double m1 = 0.0;
+    double m2 = 0.0;
+};
+Moments extent_moments(const double* v, std::size_t lo, std::size_t hi,
+                       double threshold, double bin_m);
+
+/// First index of the maximum of v[0, n). The maximum is reduced in four
+/// slots (slot = i & 3) with max(a, b) = a > b ? a : b, combined as
+/// max(max(s0, s1), max(s2, s3)); the result is the first index whose
+/// value equals it. n == 0 and an all-NaN band return 0.
+std::size_t max_bin(const double* v, std::size_t n);
 
 /// Parabolic (three-point) interpolation of a peak's sub-bin position.
 /// Returns bin +/- 0.5 at most; falls back to the integer bin at the edges.

@@ -8,11 +8,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 
 #include "common/constants.hpp"
 #include "core/params.hpp"
-#include "core/pipeline_steps.hpp"
 #include "rf/noise.hpp"
 
 namespace witrack::engine {
@@ -42,13 +40,6 @@ struct EngineConfig {
     /// Processing-pipeline tuning. `pipeline.fmcw` is overwritten by
     /// pipeline_config() so the sweep geometry can never diverge.
     core::PipelineConfig pipeline;
-
-    /// Demand override for the scheduler. Unset (the default), the Engine
-    /// unions AppStage::required_inputs() with event-bus subscriptions and
-    /// runs only the demanded pipeline steps; set, exactly these outputs
-    /// (closed over dependencies) are computed regardless of consumers --
-    /// useful for benchmarks and for driving the tracker directly.
-    std::optional<core::PipelineOutputs> outputs;
 
     // ------------------------------------------------------ fluent builder
 
@@ -88,10 +79,6 @@ struct EngineConfig {
     }
     EngineConfig& with_noise(const rf::NoiseModel& model) {
         noise = model;
-        return *this;
-    }
-    EngineConfig& with_outputs(core::PipelineOutputs demanded) {
-        outputs = demanded;
         return *this;
     }
 

@@ -52,8 +52,6 @@ void Engine::add_stage(std::unique_ptr<AppStage> stage) {
 }
 
 core::PipelineOutputs Engine::demanded_outputs() const {
-    if (config_.outputs) return core::with_dependencies(*config_.outputs);
-
     core::PipelineOutputs demanded = core::PipelineOutputs::kNone;
     for (const auto& stage : stages_) demanded |= stage->required_inputs();
     // A TrackUpdateEvent carries the TOF summary plus raw and smoothed

@@ -135,8 +135,7 @@ class Engine {
     /// The union of stage demands and event-bus subscriptions that the next
     /// step() will schedule (already closed over step dependencies). With
     /// no stages and no TrackUpdateEvent subscribers the Engine assumes a
-    /// headless caller reading tracker() directly and runs everything;
-    /// EngineConfig::outputs overrides the whole computation.
+    /// headless caller reading tracker() directly and runs everything.
     core::PipelineOutputs demanded_outputs() const;
 
     /// Session identity within an EngineHost (0 for a standalone Engine).

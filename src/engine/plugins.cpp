@@ -55,8 +55,9 @@ void PointingStage::save_state(common::StateWriter& writer) const {
 }
 
 void PointingStage::load_state(common::StateReader& reader) {
-    frames_.resize(reader.count(sizeof(double)));
-    for (auto& frame : frames_) core::load_state(reader, frame);
+    std::vector<core::TofFrame> frames(reader.count(core::kTofFrameMinStateBytes));
+    for (auto& frame : frames) core::load_state(reader, frame);
+    frames_ = std::move(frames);
 }
 
 // ---------------------------------------------------- ApplianceController

@@ -1,5 +1,5 @@
 // Lane-templated beat-tone kernel behind hw::DechirpMixer::synthesize, shared
-// by every SIMD dispatch level. Same discipline as dsp/tail_kernels_impl.hpp:
+// by every SIMD dispatch level. Same discipline as dsp/fft_kernels_impl.hpp:
 // one template over the dsp/simd.hpp lane vocabulary, instantiated by the
 // per-ISA translation units (mixer.cpp for the scalar level and dispatch,
 // mixer_sse2.cpp, mixer_avx2.cpp), each built with -ffp-contract=off.

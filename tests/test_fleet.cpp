@@ -29,6 +29,8 @@
 #include "engine/sim_source.hpp"
 #include "hw/fault_injector.hpp"
 
+#include "demand_stage.hpp"
+
 namespace witrack {
 namespace {
 
@@ -163,9 +165,9 @@ void run_fleet_parity(std::size_t host_workers) {
     EXPECT_TRUE(tof_ref.tracker().track().empty());  // demand mask respected
 
     auto replay_config = walk_config(407);
-    replay_config.with_outputs(PipelineOutputs::kRawPosition);
     engine::Engine replay_ref(replay_config,
                               std::make_unique<engine::ReplaySource>(path));
+    replay_ref.emplace_stage<testing_support::DemandStage>(PipelineOutputs::kRawPosition);
     replay_ref.run();
     ASSERT_GT(replay_ref.tracker().raw_track().size(), 50u);
     EXPECT_TRUE(replay_ref.tracker().track().empty());
@@ -182,10 +184,10 @@ void run_fleet_parity(std::size_t host_workers) {
                    std::make_unique<engine::SimSource>(walk_config(402),
                                                        walk_script(-0.5, 1.5)));
     auto& host_tap = host.session(tof_id)->emplace_stage<TofTapStage>();
-    auto rp_config = walk_config(407);
-    rp_config.with_outputs(PipelineOutputs::kRawPosition);
     const auto replay_id = host.admit(
-        "replay-c", rp_config, std::make_unique<engine::ReplaySource>(path));
+        "replay-c", walk_config(407), std::make_unique<engine::ReplaySource>(path));
+    host.session(replay_id)->emplace_stage<testing_support::DemandStage>(
+        PipelineOutputs::kRawPosition);
 
     EXPECT_EQ(host.state(full_id), engine::SessionState::kAdmitted);
     host.run();
@@ -237,7 +239,7 @@ struct Tenant {
 
 engine::EngineConfig tenant_config(const Tenant& tenant) {
     auto config = walk_config(tenant.seed);
-    config.with_cross_array(tenant.faulted).with_outputs(PipelineOutputs::kAll);
+    config.with_cross_array(tenant.faulted);
     return config;
 }
 
@@ -257,6 +259,8 @@ std::unique_ptr<engine::FrameSource> tenant_source(const Tenant& tenant) {
 }
 
 void wire_tenant(const Tenant& tenant, engine::Engine& engine) {
+    // The whole chain runs for every tenant, whatever its other stages read.
+    engine.emplace_stage<testing_support::DemandStage>(PipelineOutputs::kAll);
     if (tenant.fail_at > 0) engine.emplace_stage<FaultyStage>(tenant.fail_at);
 }
 

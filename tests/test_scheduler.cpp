@@ -21,6 +21,8 @@
 #include "engine/replay.hpp"
 #include "engine/sim_source.hpp"
 
+#include "demand_stage.hpp"
+
 namespace witrack {
 namespace {
 
@@ -269,16 +271,6 @@ TEST(Scheduler, EngineDemandPolicy) {
         EXPECT_EQ(eng.demanded_outputs(),
                   PipelineOutputs::kTof | PipelineOutputs::kRawPosition);
     }
-    {
-        // Config override wins over everything.
-        auto forced = walk_config(305);
-        forced.with_outputs(PipelineOutputs::kTof);
-        engine::Engine eng(forced, std::make_unique<engine::SimSource>(
-                                       forced, walk_script()));
-        eng.bus().subscribe<engine::TrackUpdateEvent>(
-            [](const engine::TrackUpdateEvent&) {});
-        EXPECT_EQ(eng.demanded_outputs(), PipelineOutputs::kTof);
-    }
 }
 
 // ------------------------------------------------------ replay-source laziness
@@ -297,8 +289,8 @@ TEST(Scheduler, LazyScheduleParityOnReplaySource) {
 
     auto run_replay = [&](PipelineOutputs outputs) {
         auto config = walk_config(307);
-        config.with_outputs(outputs);
         engine::Engine eng(config, std::make_unique<engine::ReplaySource>(path));
+        eng.emplace_stage<testing_support::DemandStage>(outputs);
         eng.run();
         return std::make_pair(eng.tracker().track(), eng.tracker().raw_track());
     };

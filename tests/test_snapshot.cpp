@@ -26,6 +26,8 @@
 #include "engine/replay.hpp"
 #include "engine/sim_source.hpp"
 
+#include "demand_stage.hpp"
+
 namespace witrack {
 namespace {
 
@@ -127,9 +129,10 @@ std::unique_ptr<engine::Engine> make_tof_session(TofTapStage** tap = nullptr) {
 
 std::unique_ptr<engine::Engine> make_replay_session(const std::string& path) {
     auto config = walk_config(507);
-    config.with_outputs(PipelineOutputs::kRawPosition);
-    return std::make_unique<engine::Engine>(
+    auto eng = std::make_unique<engine::Engine>(
         config, std::make_unique<engine::ReplaySource>(path));
+    eng->emplace_stage<testing_support::DemandStage>(PipelineOutputs::kRawPosition);
+    return eng;
 }
 
 std::string snapshot_bytes(const engine::Engine& eng) {
@@ -351,10 +354,12 @@ void run_checkpoint_fleet_parity(std::size_t host_workers) {
                      std::make_unique<engine::SimSource>(walk_config(502),
                                                          walk_script(-0.5, 1.5)));
     host_a.session(tof_id)->emplace_stage<TofTapStage>();
-    auto rp_config = walk_config(507);
-    rp_config.with_outputs(PipelineOutputs::kRawPosition);
     const auto replay_id = host_a.admit(
-        "replay-c", rp_config, std::make_unique<engine::ReplaySource>(path));
+        "replay-c", walk_config(507), std::make_unique<engine::ReplaySource>(path));
+    const auto wire_replay = [](engine::Engine& eng) {
+        eng.emplace_stage<testing_support::DemandStage>(PipelineOutputs::kRawPosition);
+    };
+    wire_replay(*host_a.session(replay_id));
 
     for (int round = 0; round < 40; ++round) host_a.step_all();
     ASSERT_EQ(host_a.session(full_id)->frames_processed(), 40u);
@@ -383,8 +388,8 @@ void run_checkpoint_fleet_parity(std::size_t host_workers) {
         });
     std::istringstream replay_in(replay_snap.str());
     const auto replay_b = host_b.restore_session(
-        "replay-c", rp_config, std::make_unique<engine::ReplaySource>(path),
-        replay_in);
+        "replay-c", walk_config(507), std::make_unique<engine::ReplaySource>(path),
+        replay_in, wire_replay);
 
     // Restored sessions resume mid-episode with fresh host identities.
     EXPECT_EQ(host_b.session(full_b)->frames_processed(), 40u);
@@ -527,6 +532,138 @@ TEST(Snapshot, RestoreRequiresFreshEngine) {
     // A session that already processed frames refuses to be overwritten.
     std::istringstream in(bytes);
     EXPECT_THROW(session->restore(in), std::logic_error);
+}
+
+// ------------------------------------------------ loader atomicity
+
+constexpr std::uint32_t kLoaderMagic = 0x54534554u;
+
+/// One chunk holding whatever `fill` writes.
+std::string chunk_bytes(const std::function<void(common::StateWriter&)>& fill) {
+    std::ostringstream out;
+    common::StateWriter writer(out, kLoaderMagic, 1);
+    writer.begin_chunk("LOAD");
+    fill(writer);
+    writer.end_chunk();
+    writer.finish();
+    return out.str();
+}
+
+/// Open `bytes`' chunk and hand its reader to `load`.
+void load_chunk(const std::string& bytes,
+                const std::function<void(common::StateReader&)>& load) {
+    std::istringstream in(bytes);
+    common::StateReader reader(in, kLoaderMagic, 1);
+    reader.open_chunk("LOAD");
+    load(reader);
+    reader.close_chunk();
+}
+
+TEST(Snapshot, RejectedTrackerStreamLeavesTrackerUntouched) {
+    auto session = make_full_session();
+    for (int i = 0; i < 80; ++i) ASSERT_TRUE(session->step());
+    auto& tracker = session->tracker();
+    const auto track = tracker.track();
+    const auto raw_track = tracker.raw_track();
+    ASSERT_FALSE(track.empty());
+    ASSERT_FALSE(raw_track.empty());
+
+    // Claims 40 track points but carries only 40 doubles: far short of 40
+    // encoded points, so the count itself is refused.
+    const auto bytes = chunk_bytes([](common::StateWriter& writer) {
+        writer.u8(static_cast<std::uint8_t>(PipelineOutputs::kAll));
+        writer.u64(12345);
+        writer.u64(40);
+        for (int i = 0; i < 40; ++i) writer.f64(1.0);
+    });
+    EXPECT_THROW(load_chunk(bytes, [&](common::StateReader& reader) {
+                     tracker.load_state(reader);
+                 }),
+                 std::runtime_error);
+    EXPECT_EQ(tracker.frames_processed(), 80u);
+    expect_same_track(track, tracker.track());
+    expect_same_track(raw_track, tracker.raw_track());
+
+    // A valid tracker state cut off inside the TOF step: everything before
+    // it read back fine, and still nothing may be applied.
+    auto donor = make_full_session();
+    for (int i = 0; i < 20; ++i) ASSERT_TRUE(donor->step());
+    const auto cut = chunk_bytes([&](common::StateWriter& writer) {
+        writer.u8(static_cast<std::uint8_t>(PipelineOutputs::kAll));
+        writer.u64(20);
+        writer.u64(donor->tracker().track().size());
+        for (const auto& point : donor->tracker().track()) core::save_state(writer, point);
+        writer.u64(donor->tracker().raw_track().size());
+        for (const auto& point : donor->tracker().raw_track())
+            core::save_state(writer, point);
+        writer.u64(donor->tracker().tof_estimator().num_rx());  // then nothing
+    });
+    EXPECT_THROW(load_chunk(cut, [&](common::StateReader& reader) {
+                     tracker.load_state(reader);
+                 }),
+                 std::runtime_error);
+    EXPECT_EQ(tracker.frames_processed(), 80u);
+    expect_same_track(track, tracker.track());
+    expect_same_track(raw_track, tracker.raw_track());
+
+    // The untouched tracker finishes the episode as if nothing happened.
+    session->run();
+    auto reference = make_full_session();
+    reference->run();
+    expect_same_track(reference->tracker().track(), session->tracker().track());
+    expect_same_track(reference->tracker().raw_track(),
+                      session->tracker().raw_track());
+}
+
+TEST(Snapshot, RejectedTofFrameStreamsLeaveTheirTargetsUntouched) {
+    core::TofFrame original;
+    original.time_s = 1.25;
+    original.antennas.resize(2);
+    original.antennas[0].contour.detected = true;
+    original.antennas[0].contour.round_trip_m = 7.5;
+    original.antennas[0].denoised_m = 7.4;
+    original.antennas[1].hw_valid = false;
+
+    // A frame claiming three antennas that carries one.
+    const auto truncated_frame = chunk_bytes([&](common::StateWriter& writer) {
+        writer.f64(9.0);
+        writer.u64(3);
+        core::save_state(writer, original.antennas[0]);
+        writer.u64(0);
+        writer.u64(0);
+        writer.u64(0);
+    });
+    core::TofFrame target = original;
+    EXPECT_THROW(load_chunk(truncated_frame, [&](common::StateReader& reader) {
+                     core::load_state(reader, target);
+                 }),
+                 std::runtime_error);
+    expect_same_tof(original, target);
+    EXPECT_FALSE(target.antennas[1].hw_valid);
+
+    // The pointing stage's window: a valid stream of two frames, then one
+    // that claims three and carries two, then one whose count exceeds
+    // what its bytes could encode.
+    auto window = [&](std::uint64_t claimed, std::size_t carried) {
+        return chunk_bytes([&](common::StateWriter& writer) {
+            writer.u64(claimed);
+            for (std::size_t i = 0; i < carried; ++i) core::save_state(writer, original);
+        });
+    };
+    engine::PointingStage stage;
+    auto stage_state = [&] {
+        return chunk_bytes([&](common::StateWriter& writer) { stage.save_state(writer); });
+    };
+    load_chunk(window(2, 2), [&](common::StateReader& reader) { stage.load_state(reader); });
+    const std::string loaded = stage_state();
+    EXPECT_NE(loaded, window(0, 0));
+    for (const auto& bad : {window(3, 2), window(40, 1)}) {
+        EXPECT_THROW(load_chunk(bad, [&](common::StateReader& reader) {
+                         stage.load_state(reader);
+                     }),
+                     std::runtime_error);
+        EXPECT_EQ(stage_state(), loaded);
+    }
 }
 
 TEST(Snapshot, HostRejectsCorruptSnapshotWithoutDisturbingLiveSessions) {

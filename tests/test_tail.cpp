@@ -1,49 +1,29 @@
-// Analysis-tail kernel tests (dsp/tail_kernels.hpp + the windowed peak
-// helpers of dsp/peaks.hpp): scalar-reference semantics for every kernel,
-// bitwise parity across every dispatch level the machine supports (the
-// same gate test_fft applies to the FFT kernels), the sqrt(re^2+im^2)
-// magnitude-contract accuracy budget against std::abs/hypot, and the
-// bit-identity of the nth_element noise floor and windowed peak scan
-// against their allocating predecessors.
+// Analysis-tail tests: the background subtractor's fused difference/
+// magnitude/history loop, the contour's extent moments and band max scan,
+// and the windowed peak helpers of dsp/peaks.hpp -- reference semantics
+// for each, the sqrt(re^2+im^2) magnitude accuracy budget against
+// std::abs/hypot, and the bit-identity of the nth_element noise floor and
+// windowed peak scan against their allocating predecessors. Built with
+// -ffp-contract=off, like the code under test, so the in-test references
+// stay exact under an FMA-capable -march.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <complex>
-#include <cstring>
 #include <limits>
 #include <random>
 #include <vector>
 
+#include "core/background.hpp"
 #include "dsp/peaks.hpp"
-#include "dsp/simd.hpp"
-#include "dsp/tail_kernels.hpp"
 
 namespace witrack::dsp {
 namespace {
 
-/// RAII: force a kernel dispatch level for one test and restore the
-/// ambient level on exit (same pattern as tests/test_fft.cpp). granted()
-/// clamps to detect(), so a level the hardware lacks is skipped rather
-/// than silently retested.
-class ForcedLevel {
-  public:
-    explicit ForcedLevel(simd::Level level)
-        : previous_(simd::active()), granted_(simd::force(level)) {}
-    ~ForcedLevel() { simd::force(previous_); }
-    simd::Level granted() const { return granted_; }
-
-  private:
-    simd::Level previous_;
-    simd::Level granted_;
-};
-
-constexpr simd::Level kAllLevels[] = {simd::Level::kScalar, simd::Level::kSse2,
-                                      simd::Level::kAvx2};
-
-/// Plane lengths that exercise every lane-width remainder: empty, below
-/// one vector, one vector, vector + tail, and the production usable-bins
-/// shapes (half of 4096/8192 FFTs).
+/// Plane lengths covering every four-slot remainder of the reductions:
+/// empty, below one slot group, one group, group + tail, and wider shapes
+/// up to the half spectrum of a 4096-point FFT.
 constexpr std::size_t kPlaneSizes[] = {0, 1, 2, 3, 4, 5, 7, 8, 9,
                                        13, 64, 127, 1024, 2049};
 
@@ -56,7 +36,7 @@ std::vector<double> random_plane(std::size_t n, unsigned seed) {
 }
 
 /// A magnitude-profile-shaped vector: non-negative, with structure that
-/// produces real local maxima for the peak kernels.
+/// produces real local maxima for the peak scans.
 std::vector<double> random_profile(std::size_t n, unsigned seed) {
     std::mt19937 rng(seed);
     std::uniform_real_distribution<double> dist(0.0, 1.0);
@@ -69,78 +49,86 @@ std::vector<double> random_profile(std::size_t n, unsigned seed) {
     return v;
 }
 
-bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
-    if (a.size() != b.size()) return false;
-    return a.empty() ||
-           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+core::RangeProfile make_profile(std::vector<double> re, std::vector<double> im) {
+    core::RangeProfile profile;
+    profile.usable_bins = re.size();
+    profile.re = std::move(re);
+    profile.im = std::move(im);
+    return profile;
 }
 
 // ---------------------------------------------------------------------------
-// Scalar-reference semantics
+// Background subtraction (core::BackgroundSubtractor)
 // ---------------------------------------------------------------------------
 
 TEST(DiffMagnitude, MatchesReferenceAndUpdatesHistory) {
     for (const std::size_t n : kPlaneSizes) {
+        if (n == 0) continue;
         SCOPED_TRACE("n=" + std::to_string(n));
-        const auto cur_re = random_plane(n, 11u + static_cast<unsigned>(n));
-        const auto cur_im = random_plane(n, 23u + static_cast<unsigned>(n));
-        auto prev_re = random_plane(n, 37u + static_cast<unsigned>(n));
-        auto prev_im = random_plane(n, 53u + static_cast<unsigned>(n));
-        const auto prev_re_before = prev_re;
-        const auto prev_im_before = prev_im;
-
+        const auto prev = make_profile(random_plane(n, 37u + static_cast<unsigned>(n)),
+                                       random_plane(n, 53u + static_cast<unsigned>(n)));
+        const auto cur = make_profile(random_plane(n, 11u + static_cast<unsigned>(n)),
+                                      random_plane(n, 23u + static_cast<unsigned>(n)));
+        core::BackgroundSubtractor subtractor(n);
         std::vector<double> out(n, -1.0);
-        tail::diff_magnitude(cur_re.data(), cur_im.data(), prev_re.data(),
-                             prev_im.data(), out.data(), n);
+        subtractor.subtract_into(prev, out);
+        EXPECT_TRUE(out.empty());  // first frame only primes the history
 
+        subtractor.subtract_into(cur, out);
+        ASSERT_EQ(out.size(), n);
         for (std::size_t i = 0; i < n; ++i) {
-            const double dr = cur_re[i] - prev_re_before[i];
-            const double di = cur_im[i] - prev_im_before[i];
+            const double dr = cur.re[i] - prev.re[i];
+            const double di = cur.im[i] - prev.im[i];
             EXPECT_EQ(out[i], std::sqrt(dr * dr + di * di)) << i;
         }
-        // History update: prev <- cur, fused into the same pass.
-        EXPECT_TRUE(bitwise_equal(prev_re, cur_re));
-        EXPECT_TRUE(bitwise_equal(prev_im, cur_im));
+        // History update: the stored frame is now `cur`, so differencing it
+        // against itself is exactly zero everywhere.
+        subtractor.subtract_into(cur, out, false);
+        for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(out[i], 0.0) << i;
     }
 }
 
-TEST(ScaledDiffMagnitude, MatchesReference) {
-    const double scale = 1.0 / 3.0;
+TEST(DiffMagnitude, ReadOnlyPathMatchesAndKeepsHistory) {
     for (const std::size_t n : kPlaneSizes) {
+        if (n == 0) continue;
         SCOPED_TRACE("n=" + std::to_string(n));
-        const auto cur_re = random_plane(n, 101u + static_cast<unsigned>(n));
-        const auto cur_im = random_plane(n, 103u + static_cast<unsigned>(n));
-        const auto ref_re = random_plane(n, 107u + static_cast<unsigned>(n));
-        const auto ref_im = random_plane(n, 109u + static_cast<unsigned>(n));
+        const auto prev = make_profile(random_plane(n, 107u + static_cast<unsigned>(n)),
+                                       random_plane(n, 109u + static_cast<unsigned>(n)));
+        const auto cur = make_profile(random_plane(n, 101u + static_cast<unsigned>(n)),
+                                      random_plane(n, 103u + static_cast<unsigned>(n)));
+        core::BackgroundSubtractor read_only(n), updating(n);
+        std::vector<double> out, ref;
+        read_only.subtract_into(prev, out);
+        updating.subtract_into(prev, ref);
 
-        std::vector<double> out(n, -1.0);
-        tail::scaled_diff_magnitude(cur_re.data(), cur_im.data(), ref_re.data(),
-                                    ref_im.data(), scale, out.data(), n);
-
-        for (std::size_t i = 0; i < n; ++i) {
-            const double dr = cur_re[i] - ref_re[i] * scale;
-            const double di = cur_im[i] - ref_im[i] * scale;
-            EXPECT_EQ(out[i], std::sqrt(dr * dr + di * di)) << i;
-        }
+        read_only.subtract_into(cur, out, false);
+        updating.subtract_into(cur, ref);
+        EXPECT_EQ(out, ref);  // same magnitudes bit for bit
+        // ...but the read-only subtractor still holds `prev`.
+        read_only.subtract_into(prev, out, false);
+        for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(out[i], 0.0) << i;
     }
 }
 
 TEST(MagnitudeContract, WithinRelativeErrorBudgetOfStdAbs) {
     // The contract replaces std::abs(cplx) (glibc hypot, <= 1 ulp) with
     // sqrt(re^2 + im^2): three correctly-rounded operations, so the result
-    // sits within ~2.5 ulp of the exact magnitude. Gate the switch with an
-    // explicit relative-error budget against the old path.
+    // sits within ~2.5 ulp of the exact magnitude. Gate it with an explicit
+    // relative-error budget against std::abs.
     constexpr double kBudget = 4.0 * std::numeric_limits<double>::epsilon();
     const std::size_t n = 4096;
-    const auto cur_re = random_plane(n, 2024);
-    const auto cur_im = random_plane(n, 2025);
-    std::vector<double> zero(n, 0.0), out(n);
-    tail::scaled_diff_magnitude(cur_re.data(), cur_im.data(), zero.data(),
-                                zero.data(), 1.0, out.data(), n);
+    const auto cur = make_profile(random_plane(n, 2024), random_plane(n, 2025));
+    core::BackgroundSubtractor subtractor(n);
+    std::vector<double> out;
+    subtractor.subtract_into(make_profile(std::vector<double>(n, 0.0),
+                                          std::vector<double>(n, 0.0)),
+                             out);
+    subtractor.subtract_into(cur, out);
+    ASSERT_EQ(out.size(), n);
 
     double worst = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-        const double exact = std::abs(std::complex<double>(cur_re[i], cur_im[i]));
+        const double exact = std::abs(std::complex<double>(cur.re[i], cur.im[i]));
         if (exact == 0.0) {
             EXPECT_EQ(out[i], 0.0);
             continue;
@@ -149,6 +137,10 @@ TEST(MagnitudeContract, WithinRelativeErrorBudgetOfStdAbs) {
     }
     EXPECT_LE(worst, kBudget) << "sqrt(re^2+im^2) drifted past the budget";
 }
+
+// ---------------------------------------------------------------------------
+// Contour reductions (dsp::extent_moments, dsp::max_bin)
+// ---------------------------------------------------------------------------
 
 TEST(ExtentMoments, MatchesMaskedScalarLoop) {
     const double bin_m = 0.0375;
@@ -160,9 +152,9 @@ TEST(ExtentMoments, MatchesMaskedScalarLoop) {
         const std::size_t lo = n / 5;
         const std::size_t hi = n - n / 7;
 
-        const auto m = tail::extent_moments(v.data(), lo, hi, threshold, bin_m);
+        const auto m = extent_moments(v.data(), lo, hi, threshold, bin_m);
 
-        tail::Moments ref;
+        Moments ref;
         for (std::size_t i = lo; i < hi; ++i) {
             if (v[i] < threshold) continue;
             const double w = v[i] * v[i];
@@ -171,8 +163,8 @@ TEST(ExtentMoments, MatchesMaskedScalarLoop) {
             ref.m1 += w * d;
             ref.m2 += w * d * d;
         }
-        // The kernel's fixed 4-slot accumulation differs from the linear
-        // scalar loop only in summation order; tolerance covers that.
+        // The fixed 4-slot accumulation differs from the linear loop only
+        // in summation order; tolerance covers that.
         EXPECT_NEAR(m.w_sum, ref.w_sum, 1e-12 * (1.0 + std::abs(ref.w_sum)));
         EXPECT_NEAR(m.m1, ref.m1, 1e-12 * (1.0 + std::abs(ref.m1)));
         EXPECT_NEAR(m.m2, ref.m2, 1e-12 * (1.0 + std::abs(ref.m2)));
@@ -180,17 +172,16 @@ TEST(ExtentMoments, MatchesMaskedScalarLoop) {
 }
 
 TEST(ExtentMoments, NanIsIncludedLikeTheScalarContinue) {
-    // The mask replicates `if (v < t) continue`: an unordered compare is
-    // false, so NaN elements are *included* -- the kernel must preserve
-    // that (the downstream extent math then propagates the NaN).
+    // Exclusion is `v < t`: an unordered compare is false, so NaN elements
+    // are *included* (the downstream extent math then propagates the NaN).
     std::vector<double> v = {0.1, std::numeric_limits<double>::quiet_NaN(), 0.9, 0.8};
-    const auto m = tail::extent_moments(v.data(), 0, v.size(), 0.5, 1.0);
+    const auto m = extent_moments(v.data(), 0, v.size(), 0.5, 1.0);
     EXPECT_TRUE(std::isnan(m.w_sum));
 }
 
 TEST(ExtentMoments, EmptyRangeIsZero) {
     const double x = 1.0;
-    const auto m = tail::extent_moments(&x, 0, 0, 0.0, 1.0);
+    const auto m = extent_moments(&x, 0, 0, 0.0, 1.0);
     EXPECT_EQ(m.w_sum, 0.0);
     EXPECT_EQ(m.m1, 0.0);
     EXPECT_EQ(m.m2, 0.0);
@@ -201,111 +192,52 @@ TEST(MaxBin, FirstIndexOfMaximum) {
         SCOPED_TRACE("n=" + std::to_string(n));
         if (n == 0) {
             const double x = 0.0;
-            EXPECT_EQ(tail::max_bin(&x, 0), 0u);
+            EXPECT_EQ(max_bin(&x, 0), 0u);
             continue;
         }
         auto v = random_profile(n, 401u + static_cast<unsigned>(n));
         std::size_t ref = 0;
         for (std::size_t i = 1; i < n; ++i)
             if (v[i] > v[ref]) ref = i;
-        EXPECT_EQ(tail::max_bin(v.data(), n), ref);
+        EXPECT_EQ(max_bin(v.data(), n), ref);
     }
 }
 
 TEST(MaxBin, TiesKeepTheFirstIndex) {
     std::vector<double> v = {1.0, 3.0, 2.0, 3.0, 3.0, 0.5, 3.0, 1.0, 2.0};
-    EXPECT_EQ(tail::max_bin(v.data(), v.size()), 1u);
+    EXPECT_EQ(max_bin(v.data(), v.size()), 1u);
 }
+
+TEST(MaxBin, AllNanBandIsIndexZero) {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const std::vector<double> v(6, nan);
+    EXPECT_EQ(max_bin(v.data(), v.size()), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Peak predicate (dsp::find_peaks_window)
+// ---------------------------------------------------------------------------
 
 TEST(PeakCandidates, MatchesThePredicate) {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    std::vector<Peak> out;
     for (const std::size_t n : kPlaneSizes) {
         SCOPED_TRACE("n=" + std::to_string(n));
-        const auto v = random_profile(n, 501u + static_cast<unsigned>(n));
+        auto v = random_profile(n, 501u + static_cast<unsigned>(n));
+        // Every compare with NaN is false: NaN is never a candidate, and
+        // neither is a sample on either side of it.
+        if (n > 6) v[n / 2] = nan;
         const double threshold = 0.5;
-        std::vector<double> out(n, -1.0);
-        tail::peak_candidates(v.data(), n, threshold, out.data());
+        find_peaks_window(v.data(), 0, n, threshold, 1, out);
 
-        if (n < 3) {
-            for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(out[i], 0.0) << i;
-            continue;
-        }
-        EXPECT_EQ(out.front(), 0.0);
-        EXPECT_EQ(out.back(), 0.0);
-        for (std::size_t i = 1; i + 1 < n; ++i) {
-            const bool candidate =
-                !(v[i] < threshold) && v[i] > v[i - 1] && !(v[i] < v[i + 1]);
-            EXPECT_EQ(out[i], candidate ? 1.0 : 0.0) << i;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Dispatch-level bitwise parity (scalar is the reference)
-// ---------------------------------------------------------------------------
-
-TEST(TailDispatch, AllLevelsBitIdentical) {
-    for (const std::size_t n : kPlaneSizes) {
-        SCOPED_TRACE("n=" + std::to_string(n));
-        const auto cur_re = random_plane(n, 601u + static_cast<unsigned>(n));
-        const auto cur_im = random_plane(n, 607u + static_cast<unsigned>(n));
-        const auto base_prev_re = random_plane(n, 613u + static_cast<unsigned>(n));
-        const auto base_prev_im = random_plane(n, 617u + static_cast<unsigned>(n));
-        const auto profile = random_profile(n, 619u + static_cast<unsigned>(n));
-        const double threshold = 0.5;
-        const std::size_t lo = n / 4;
-        const std::size_t hi = n - n / 8;
-
-        std::vector<double> ref_diff, ref_scaled, ref_cand;
-        tail::Moments ref_moments;
-        std::size_t ref_max = 0;
-        {
-            ForcedLevel guard(simd::Level::kScalar);
-            ASSERT_EQ(guard.granted(), simd::Level::kScalar);
-            auto prev_re = base_prev_re, prev_im = base_prev_im;
-            ref_diff.assign(n, -1.0);
-            tail::diff_magnitude(cur_re.data(), cur_im.data(), prev_re.data(),
-                                 prev_im.data(), ref_diff.data(), n);
-            ref_scaled.assign(n, -1.0);
-            tail::scaled_diff_magnitude(cur_re.data(), cur_im.data(),
-                                        base_prev_re.data(), base_prev_im.data(),
-                                        0.125, ref_scaled.data(), n);
-            ref_moments =
-                tail::extent_moments(profile.data(), lo, hi, threshold, 0.0375);
-            ref_max = tail::max_bin(profile.data(), n);
-            ref_cand.assign(n, -1.0);
-            tail::peak_candidates(profile.data(), n, threshold, ref_cand.data());
-        }
-
-        for (const simd::Level level : {simd::Level::kSse2, simd::Level::kAvx2}) {
-            ForcedLevel guard(level);
-            if (guard.granted() != level) continue;  // hardware lacks this level
-            SCOPED_TRACE(simd::to_string(level));
-
-            auto prev_re = base_prev_re, prev_im = base_prev_im;
-            std::vector<double> diff(n, -2.0);
-            tail::diff_magnitude(cur_re.data(), cur_im.data(), prev_re.data(),
-                                 prev_im.data(), diff.data(), n);
-            EXPECT_TRUE(bitwise_equal(diff, ref_diff));
-            EXPECT_TRUE(bitwise_equal(prev_re, cur_re));
-            EXPECT_TRUE(bitwise_equal(prev_im, cur_im));
-
-            std::vector<double> scaled(n, -2.0);
-            tail::scaled_diff_magnitude(cur_re.data(), cur_im.data(),
-                                        base_prev_re.data(), base_prev_im.data(),
-                                        0.125, scaled.data(), n);
-            EXPECT_TRUE(bitwise_equal(scaled, ref_scaled));
-
-            const auto m =
-                tail::extent_moments(profile.data(), lo, hi, threshold, 0.0375);
-            EXPECT_EQ(m.w_sum, ref_moments.w_sum);
-            EXPECT_EQ(m.m1, ref_moments.m1);
-            EXPECT_EQ(m.m2, ref_moments.m2);
-
-            EXPECT_EQ(tail::max_bin(profile.data(), n), ref_max);
-
-            std::vector<double> cand(n, -2.0);
-            tail::peak_candidates(profile.data(), n, threshold, cand.data());
-            EXPECT_TRUE(bitwise_equal(cand, ref_cand));
+        std::vector<std::size_t> ref;
+        for (std::size_t i = 1; i + 1 < n; ++i)
+            if (!(v[i] < threshold) && v[i] > v[i - 1] && v[i] >= v[i + 1])
+                ref.push_back(i);
+        ASSERT_EQ(out.size(), ref.size());
+        for (std::size_t k = 0; k < ref.size(); ++k) {
+            EXPECT_EQ(out[k].bin, ref[k]);
+            EXPECT_FALSE(std::isnan(out[k].value));
         }
     }
 }
@@ -316,7 +248,6 @@ TEST(TailDispatch, AllLevelsBitIdentical) {
 
 TEST(FindPeaksWindow, EquivalentToFindPeaksOnCopiedBand) {
     const auto profile = random_profile(512, 701);
-    std::vector<double> scratch;
     std::vector<Peak> out;
     for (const std::size_t min_sep : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
         for (const auto& [lo, hi] : std::vector<std::pair<std::size_t, std::size_t>>{
@@ -327,7 +258,7 @@ TEST(FindPeaksWindow, EquivalentToFindPeaksOnCopiedBand) {
                                            profile.begin() + static_cast<std::ptrdiff_t>(hi));
             const auto ref = find_peaks(band, 0.5, min_sep);
 
-            find_peaks_window(profile.data(), lo, hi, 0.5, min_sep, scratch, out);
+            find_peaks_window(profile.data(), lo, hi, 0.5, min_sep, out);
             ASSERT_EQ(out.size(), ref.size());
             for (std::size_t i = 0; i < ref.size(); ++i) {
                 EXPECT_EQ(out[i].bin, ref[i].bin + lo);
