@@ -1,7 +1,8 @@
 // Microbenchmarks for the substrate hot paths: the radix-4 FFT kernel and
 // the pruned r2c range transform, baseband synthesis, receiver noise generation, channel path
-// enumeration, contour extraction, the Kalman filters and the streaming
-// fall detector.
+// enumeration, contour extraction, the Kalman filters, the streaming
+// fall detector, and the WTNF transport (CRC-32, packing a frame into
+// datagrams, reassembling it in a NetSource).
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -9,12 +10,17 @@
 #include <random>
 
 #include "common/random.hpp"
+#include "common/serialize.hpp"
 #include "core/contour.hpp"
 #include "core/fall.hpp"
 #include "core/tracker.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/kalman.hpp"
+#include "engine/sim_source.hpp"
 #include "hw/mixer.hpp"
+#include "net/datagram_source.hpp"
+#include "net/frame_protocol.hpp"
+#include "net/net_source.hpp"
 #include "rf/channel.hpp"
 #include "sim/environment.hpp"
 #include "sim/scenario.hpp"
@@ -191,6 +197,68 @@ void BM_FallDetectorPush(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_FallDetectorPush)->ArgName("thinned")->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+void BM_Crc32(benchmark::State& state) {
+    // Arg bytes through common::crc32; 1400 is one default-MTU datagram.
+    std::vector<std::uint8_t> bytes(static_cast<std::size_t>(state.range(0)));
+    Rng rng(9);
+    for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(common::crc32(bytes.data(), bytes.size()));
+    state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(1400);
+
+/// One simulated frame at the default capture: the 61 676-byte body, 45
+/// datagrams at the default MTU, that perfbench's net-lossy sessions ship.
+const engine::Frame& sim_frame() {
+    static const engine::Frame frame = [] {
+        engine::EngineConfig config;
+        config.with_fast_capture(true).with_seed(3);
+        engine::SimSource source(config, std::make_unique<sim::LineWalkScript>(
+                                             geom::Vec3{-1.0, 5, 0}, geom::Vec3{1.0, 5, 0},
+                                             1.0, 1.0));
+        engine::Frame f;
+        source.next(f);
+        return f;
+    }();
+    return frame;
+}
+
+void BM_PackFrame(benchmark::State& state) {
+    const engine::Frame& frame = sim_frame();
+    std::uint64_t seq = 0;
+    std::size_t bytes = 0;
+    for (auto _ : state) {
+        const auto datagrams = net::pack_frame(frame, 1, seq++);
+        bytes = 0;
+        for (const auto& datagram : datagrams) bytes += datagram.size();
+        benchmark::DoNotOptimize(datagrams.data());
+    }
+    state.counters["bytes"] = static_cast<double>(bytes);
+}
+BENCHMARK(BM_PackFrame)->Unit(benchmark::kMicrosecond);
+
+void BM_NetSourceNext(benchmark::State& state) {
+    // One frame's datagrams queued (untimed), then NetSource::next: CRC
+    // checks, reassembly and the body decode into a reused Frame.
+    const engine::Frame& frame = sim_frame();
+    auto queue = std::make_unique<net::QueueDatagramSource>();
+    net::QueueDatagramSource* pending = queue.get();
+    net::NetSourceConfig config;
+    config.session_token = 1;
+    net::NetSource source(std::move(queue), config);
+    engine::Frame out;
+    std::uint64_t seq = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        for (auto& datagram : net::pack_frame(frame, 1, seq++))
+            pending->push(std::move(datagram));
+        state.ResumeTiming();
+        if (!source.next(out)) state.SkipWithError("NetSource ended the stream");
+    }
+}
+BENCHMARK(BM_NetSourceNext)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -91,6 +91,11 @@ FrameShape frame_shape(const FmcwParams& fmcw, const geom::ArrayGeometry& array)
     return {array.rx.size(), fmcw.samples_per_sweep(), fmcw.sweeps_per_frame};
 }
 
+std::size_t max_body_bytes(const FrameShape& shape) {
+    return sizeof(FixedHead) + 2 * sizeof(geom::Vec3) + shape.num_rx * kLaneBytes +
+           shape.num_rx * shape.max_sweeps * shape.samples_per_sweep * sizeof(double);
+}
+
 void encode_frame(const Frame& frame, std::vector<std::uint8_t>& body) {
     const FrameBuffer& b = frame.sweeps;
     const FrameQuality& quality = b.quality();

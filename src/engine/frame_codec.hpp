@@ -57,6 +57,11 @@ struct FrameShape {
 
 FrameShape frame_shape(const FmcwParams& fmcw, const geom::ArrayGeometry& array);
 
+/// The longest body `shape` admits: max_sweeps sweeps, two people of truth
+/// and a lane record per antenna. Every body decode_frame accepts for the
+/// shape is at most this long.
+std::size_t max_body_bytes(const FrameShape& shape);
+
 /// The bounded byte writer: copy `len` bytes to the front of `out` and
 /// advance past them. Writing past the end is an encoder bug and throws
 /// std::logic_error.

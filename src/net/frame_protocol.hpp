@@ -16,9 +16,19 @@
 //       32  payload        ...   body bytes [index*chunk, ...)
 //     32+n  crc32          u32   over header + payload (bytes [0, 32+n))
 //
-// Every fragment except the last carries exactly the same payload length
-// (mtu - header - crc), so a receiver can place any fragment without
-// waiting for its predecessors. The end-of-stream marker is a payload-less
+// Every fragment except the last carries exactly the same payload length,
+// chunk = mtu - header - crc, and the last carries 1 to chunk bytes. So
+// fragment i is body bytes [i * chunk, i * chunk + length), and a receiver
+// copies it straight to that offset of the frame's body, in any arrival
+// order, without waiting for its predecessors (net/sequence_tracker.hpp).
+// decode_datagram bounds fragment count x length only by the protocol-wide
+// kMaxFrameBodyBytes; the receiver then bounds each frame by its session's
+// shape (engine::max_body_bytes), a far tighter cap, before it allocates or
+// places anything.
+//
+// The CRC is CRC-32/ISO-HDLC (common::crc32); its slicing-by-8 form computes
+// the same checksum as the byte-at-a-time definition, so the trailer is the
+// one every version-2 sender wrote. The end-of-stream marker is a payload-less
 // datagram whose frame seq is one past the last frame sent; it lets the
 // receiver account frames that were lost entirely at the tail.
 //
@@ -48,9 +58,10 @@ inline constexpr std::size_t kTrailerBytes = 4;
 /// Default datagram budget: safely under the 1500-byte Ethernet MTU.
 inline constexpr std::size_t kDefaultMtuBytes = 1400;
 
-/// Upper bound on one reassembled frame body. A hostile fragment count
-/// must fail cleanly, not drive a giant allocation (same discipline as
-/// common::kMaxChunkBytes).
+/// Upper bound on one reassembled frame body, whatever the session. A
+/// hostile fragment count must fail cleanly, not drive a giant allocation
+/// (same discipline as common::kMaxChunkBytes); SequenceTracker narrows it
+/// to the session's shape.
 inline constexpr std::size_t kMaxFrameBodyBytes = std::size_t{1} << 26;
 
 using Datagram = std::vector<std::uint8_t>;

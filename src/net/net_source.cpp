@@ -3,15 +3,16 @@
 #include <chrono>
 #include <utility>
 
-#include "engine/frame_codec.hpp"
 #include "net/frame_protocol.hpp"
 
 namespace witrack::net {
 
 NetSource::NetSource(std::unique_ptr<DatagramSource> source,
                      NetSourceConfig config)
-    : config_(std::move(config)), source_(std::move(source)),
-      tracker_(config_.tracker) {
+    : config_(std::move(config)),
+      shape_(engine::frame_shape(config_.fmcw, config_.array)),
+      source_(std::move(source)),
+      tracker_(engine::max_body_bytes(shape_), config_.tracker) {
     if (config_.session_token != 0) {
         adopted_token_ = config_.session_token;
         token_known_ = true;
@@ -47,10 +48,9 @@ bool NetSource::pump() {
 }
 
 bool NetSource::deliver(engine::Frame& frame) {
-    const auto shape = engine::frame_shape(config_.fmcw, config_.array);
     std::uint64_t seq = 0;
     while (tracker_.pop(seq, body_)) {
-        if (engine::decode_frame(body_, shape, frame)) {
+        if (engine::decode_frame(body_, shape_, frame)) {
             ++stats_.frames_delivered;
             return true;
         }

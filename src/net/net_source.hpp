@@ -11,6 +11,7 @@
 #include <optional>
 #include <vector>
 
+#include "engine/frame_codec.hpp"
 #include "engine/frame_source.hpp"
 #include "net/datagram_source.hpp"
 #include "net/sequence_tracker.hpp"
@@ -71,6 +72,7 @@ class NetSource final : public engine::FrameSource {
     bool deliver(engine::Frame& frame);
 
     NetSourceConfig config_;
+    engine::FrameShape shape_;  ///< what config_ admits; bounds reassembly
     std::unique_ptr<DatagramSource> source_;
     SequenceTracker tracker_;
     engine::NetIngestStats stats_;   ///< datagram-level counters
@@ -79,7 +81,7 @@ class NetSource final : public engine::FrameSource {
     bool draining_ = false;  ///< stream ended, handing out flushed stragglers
     bool finished_ = false;
     std::vector<std::uint8_t> datagram_;  ///< receive scratch, reused
-    std::vector<std::uint8_t> body_;      ///< reassembled body scratch, reused
+    std::vector<std::uint8_t> body_;      ///< last body popped, handed back to the tracker
 };
 
 }  // namespace witrack::net

@@ -1,11 +1,13 @@
 #include "net/sequence_tracker.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 namespace witrack::net {
 
-SequenceTracker::SequenceTracker(SequenceTrackerConfig config)
-    : config_(config) {
+SequenceTracker::SequenceTracker(std::size_t max_body_bytes,
+                                 SequenceTrackerConfig config)
+    : config_(config), max_body_bytes_(std::min(max_body_bytes, kMaxFrameBodyBytes)) {
     if (config_.window_frames == 0) config_.window_frames = 1;
 }
 
@@ -41,46 +43,101 @@ void SequenceTracker::offer(const FrameHeader& header,
         return;
     }
 
-    Partial& partial = partial_[header.frame_seq];
-    if (partial.fragment_count == 0) {
-        partial.fragment_count = header.fragment_count;
-    } else if (partial.fragment_count != header.fragment_count) {
+    auto it = partial_.find(header.frame_seq);
+    if (it == partial_.end()) {
+        Partial fresh;
+        fresh.fragment_count = header.fragment_count;
+        if (!fits(fresh, header, payload.size())) {
+            ++stats_.malformed;
+            return;
+        }
+        fresh.seen.assign(header.fragment_count, false);
+        fresh.body = take_buffer();
+        it = partial_.emplace(header.frame_seq, std::move(fresh)).first;
+    } else if (it->second.fragment_count != header.fragment_count) {
         // Two fragments of one frame disagreeing about the frame's shape:
         // the sender is broken or hostile. Drop the datagram, keep what we
         // have (the consistent majority may still complete).
         ++stats_.malformed;
         return;
-    }
-    auto [it, inserted] = partial.fragments.try_emplace(
-        header.fragment_index,
-        std::vector<std::uint8_t>(payload.begin(), payload.end()));
-    if (!inserted) {
+    } else if (it->second.seen[header.fragment_index]) {
         ++stats_.duplicates;
         return;
-    }
-    ++partial.received;
-    partial.bytes += payload.size();
-    if (partial.bytes > kMaxFrameBodyBytes) {
-        // Cannot be a frame this protocol packed; write the seq off.
+    } else if (!fits(it->second, header, payload.size())) {
         ++stats_.malformed;
-        partial_.erase(header.frame_seq);
-        skip_to(header.frame_seq + 1);
-        promote();
         return;
     }
 
-    if (partial.received == partial.fragment_count)
-        complete(header.frame_seq, std::move(partial));
+    Partial& partial = it->second;
+    place(partial, header, payload);
+    if (partial.received == partial.fragment_count) {
+        partial.body.resize((partial.fragment_count - 1u) * partial.chunk +
+                            partial.last_bytes);
+        ready_.emplace(header.frame_seq, std::move(partial.body));
+        partial_.erase(it);
+    }
     promote();
 }
 
-void SequenceTracker::complete(std::uint64_t seq, Partial&& partial) {
-    std::vector<std::uint8_t> body;
-    body.reserve(partial.bytes);
-    for (auto& [index, fragment] : partial.fragments)
-        body.insert(body.end(), fragment.begin(), fragment.end());
-    partial_.erase(seq);
-    ready_.emplace(seq, std::move(body));
+bool SequenceTracker::fits(const Partial& partial, const FrameHeader& header,
+                           std::size_t n) const {
+    // The rules in the header comment, in terms of the smallest body the
+    // fragment implies and the chunk its frame's first fragments fixed.
+    const std::size_t count = header.fragment_count;
+    const std::size_t bound = max_body_bytes_;
+    if (n == 0) return false;
+    if (header.fragment_index + 1u < count) {
+        if ((count - 1) * n >= bound) return false;
+        if (partial.chunk != 0) return n == partial.chunk;
+        return partial.last_bytes <= n && (count - 1) * n + partial.last_bytes <= bound;
+    }
+    if (count * n > bound) return false;
+    return partial.chunk == 0 ||
+           (n <= partial.chunk && (count - 1) * partial.chunk + n <= bound);
+}
+
+void SequenceTracker::place(Partial& partial, const FrameHeader& header,
+                            std::span<const std::uint8_t> payload) {
+    const std::size_t count = header.fragment_count;
+    const std::size_t n = payload.size();
+    // A recycled buffer keeps its size, so growing it to this frame's
+    // extent refills at most the difference from the previous frame's.
+    Buffer& body = partial.body;
+    const auto grow = [&body](std::size_t bytes) {
+        if (body.size() < bytes) body.resize(bytes);
+    };
+    if (header.fragment_index + 1u < count) {
+        if (partial.chunk == 0) {
+            partial.chunk = n;
+            grow(std::min(count * n, max_body_bytes_));
+            // A last fragment that came first waited at the front.
+            if (partial.last_bytes != 0)
+                std::memmove(body.data() + (count - 1) * n, body.data(), partial.last_bytes);
+        }
+        std::memcpy(body.data() + header.fragment_index * n, payload.data(), n);
+    } else {
+        // Until the chunk is known, (count - 1) * chunk is 0: the front.
+        const std::size_t at = (count - 1) * partial.chunk;
+        grow(at + n);
+        std::memcpy(body.data() + at, payload.data(), n);
+        partial.last_bytes = n;
+    }
+    partial.seen[header.fragment_index] = true;
+    ++partial.received;
+}
+
+SequenceTracker::Buffer SequenceTracker::take_buffer() {
+    if (spare_.empty()) return {};
+    Buffer buffer = std::move(spare_.back());
+    spare_.pop_back();
+    return buffer;
+}
+
+void SequenceTracker::recycle(Buffer&& buffer) {
+    // Buffers in use never outnumber the pending window by much, so a
+    // spare list that size keeps steady state allocation-free.
+    if (buffer.capacity() != 0 && spare_.size() <= config_.window_frames)
+        spare_.push_back(std::move(buffer));
 }
 
 void SequenceTracker::skip_to(std::uint64_t seq) {
@@ -88,10 +145,14 @@ void SequenceTracker::skip_to(std::uint64_t seq) {
     // Every seq in [next_seq_, seq) that never completed is a gap; drop
     // whatever incomplete fragments it left behind.
     std::uint64_t skipped = seq - next_seq_;
-    for (auto it = ready_.begin(); it != ready_.end() && it->first < seq;)
-        it = ready_.erase(it);  // unreachable in practice: promote() drains these
-    for (auto it = partial_.begin(); it != partial_.end() && it->first < seq;)
+    for (auto it = ready_.begin(); it != ready_.end() && it->first < seq;) {
+        recycle(std::move(it->second));  // unreachable in practice: promote() drains these
+        it = ready_.erase(it);
+    }
+    for (auto it = partial_.begin(); it != partial_.end() && it->first < seq;) {
+        recycle(std::move(it->second.body));
         it = partial_.erase(it);
+    }
     stats_.frame_gaps += skipped;
     next_seq_ = seq;
 }
@@ -119,14 +180,9 @@ void SequenceTracker::promote() {
         std::uint64_t target = frontier;
         if (!ready_.empty()) target = std::min(target, ready_.begin()->first);
         if (!partial_.empty()) target = std::min(target, partial_.begin()->first);
-        if (target == next_seq_) {
-            // The oldest pending seq IS next_seq_ (an incomplete partial
-            // blocking a full window): give up on completing it.
-            partial_.erase(next_seq_);
-            skip_to(next_seq_ + 1);
-        } else {
-            skip_to(target);
-        }
+        // When the oldest pending seq IS next_seq_ (an incomplete partial
+        // blocking a full window), skip_to gives up on completing it.
+        skip_to(target == next_seq_ ? next_seq_ + 1 : target);
     }
 }
 
@@ -145,11 +201,11 @@ void SequenceTracker::flush() {
     skip_to(bound);
 }
 
-bool SequenceTracker::pop(std::uint64_t& frame_seq,
-                          std::vector<std::uint8_t>& body) {
+bool SequenceTracker::pop(std::uint64_t& frame_seq, Buffer& body) {
     if (deliverable_.empty()) return false;
     frame_seq = deliverable_.front().first;
-    body = std::move(deliverable_.front().second);
+    std::swap(body, deliverable_.front().second);
+    recycle(std::move(deliverable_.front().second));
     deliverable_.pop_front();
     return true;
 }

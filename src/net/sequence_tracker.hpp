@@ -2,14 +2,43 @@
 // watches one sender's datagram stream (already CRC-validated by the
 // caller), rebuilds frame bodies from fragments, and accounts every way a
 // lossy link can misbehave: gaps (frame seqs that never completed),
-// reorders (datagrams arriving out of order), duplicate fragments, and
-// late fragments of frames already delivered or written off.
+// reorders (datagrams arriving out of order), duplicate fragments, late
+// fragments of frames already delivered or written off, and fragments that
+// cannot belong to a frame of the session's shape (malformed).
+//
+// Placement: every fragment but the last carries the same `chunk` bytes
+// (frame_protocol.hpp), so fragment i is copied once, straight to offset
+// i * chunk of its frame's body buffer, in whatever order fragments arrive.
+// The first non-last fragment of a frame fixes its chunk; a last fragment
+// that arrives before any other waits at the front of the buffer and moves
+// to (count - 1) * chunk when the chunk becomes known.
+//
+// Shape bound: the tracker is built with the longest body the session's
+// FrameShape admits (engine::max_body_bytes), and no body buffer grows past
+// it, so no datagram's claims can size an allocation. Within the bound a
+// buffer grows to what its frame's fragments need (count * chunk), not to
+// the bound itself: a shape admits up to max_sweeps sweeps, several times
+// a typical frame. Body buffers are recycled: completed bodies leave
+// through pop(), which takes the caller's previous buffer back, and a
+// recycled buffer is reused at its size, so frames of one size are neither
+// reallocated nor refilled. A fragment is counted malformed and never
+// placed when
+//   - it is empty,
+//   - its frame cannot fit the bound: (count - 1) * length + 1 bytes for
+//     a non-last fragment, count * length for the last one,
+//   - it is a non-last fragment whose length differs from its frame's chunk,
+//   - it is a last fragment longer than the chunk, or one that would end
+//     past the bound,
+//   - or its fragment count disagrees with its frame's other fragments.
+// The first fragment to arrive wins: a later one that contradicts it is
+// the one dropped.
 //
 // Delivery is strictly in-order: pop() hands out frame seqs ascending, and
 // a missing frame holds delivery back only until the reassembly window
 // fills (window_frames pending seqs), at which point the tracker writes
 // the missing frames off as gaps and moves on -- a tracker fed by a live
-// radio must bound both its memory and its latency. flush() (end of
+// radio must bound both its memory and its latency. A hole at seq h is
+// written off once a frame >= h + window_frames arrived. flush() (end of
 // stream, or the source going idle) releases everything still pending the
 // same way.
 #pragma once
@@ -35,15 +64,20 @@ struct SequenceTrackerConfig {
 
 class SequenceTracker {
   public:
-    explicit SequenceTracker(SequenceTrackerConfig config = {});
+    /// `max_body_bytes` bounds one frame body (capped at
+    /// kMaxFrameBodyBytes); NetSource passes engine::max_body_bytes of its
+    /// session's shape.
+    explicit SequenceTracker(std::size_t max_body_bytes,
+                             SequenceTrackerConfig config = {});
 
     /// Feed one decoded datagram (header + payload from decode_datagram).
     /// End-of-stream markers update the stream bound instead of carrying a
     /// fragment. Counters are updated; completed frames become poppable.
     void offer(const FrameHeader& header, std::span<const std::uint8_t> payload);
 
-    /// Deliver the next in-order completed frame body. False when nothing
-    /// is deliverable yet (a gap may still fill in).
+    /// Deliver the next in-order completed frame body into `body`, taking
+    /// the buffer `body` held before back for reuse. False when nothing is
+    /// deliverable yet (a gap may still fill in); `body` is then untouched.
     bool pop(std::uint64_t& frame_seq, std::vector<std::uint8_t>& body);
 
     /// Release every completed pending frame in order, writing incomplete
@@ -63,22 +97,32 @@ class SequenceTracker {
     std::size_t pending_frames() const { return partial_.size() + ready_.size(); }
 
   private:
+    using Buffer = std::vector<std::uint8_t>;
+
     struct Partial {
         std::uint16_t fragment_count = 0;
+        std::size_t chunk = 0;       ///< non-last fragment length, 0 = none seen yet
+        std::size_t last_bytes = 0;  ///< last fragment length, 0 = not arrived
         std::size_t received = 0;
-        std::size_t bytes = 0;
-        std::map<std::uint16_t, std::vector<std::uint8_t>> fragments;
+        std::vector<bool> seen;      ///< per fragment index
+        Buffer body;                 ///< at most max_body_bytes_ long
     };
 
-    void complete(std::uint64_t seq, Partial&& partial);
+    bool fits(const Partial& partial, const FrameHeader& header, std::size_t n) const;
+    void place(Partial& partial, const FrameHeader& header,
+               std::span<const std::uint8_t> payload);
+    Buffer take_buffer();
+    void recycle(Buffer&& buffer);
     void promote();
     void skip_to(std::uint64_t seq);
 
     SequenceTrackerConfig config_;
+    std::size_t max_body_bytes_;
     engine::NetIngestStats stats_;
-    std::map<std::uint64_t, Partial> partial_;          ///< incomplete frames
-    std::map<std::uint64_t, std::vector<std::uint8_t>> ready_;  ///< complete, waiting for order
-    std::deque<std::pair<std::uint64_t, std::vector<std::uint8_t>>> deliverable_;
+    std::map<std::uint64_t, Partial> partial_;  ///< incomplete frames
+    std::map<std::uint64_t, Buffer> ready_;     ///< complete, waiting for order
+    std::deque<std::pair<std::uint64_t, Buffer>> deliverable_;
+    std::vector<Buffer> spare_;        ///< recycled body buffers
     std::uint64_t next_seq_ = 0;       ///< next frame seq to deliver
     std::uint64_t highest_seen_ = 0;   ///< highest frame seq offered
     bool any_seen_ = false;

@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstddef>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -20,6 +21,9 @@ namespace {
     throw std::runtime_error(what + ": " + std::strerror(errno));
 }
 
+/// Room for the largest UDP payload (just under 64 KiB).
+constexpr std::size_t kMaxUdpPayload = 65536;
+
 sockaddr_in loopback_addr(std::uint16_t port) {
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
@@ -30,7 +34,7 @@ sockaddr_in loopback_addr(std::uint16_t port) {
 
 }  // namespace
 
-UdpSocket::UdpSocket(std::uint16_t port) {
+UdpSocket::UdpSocket(std::uint16_t port) : scratch_(kMaxUdpPayload) {
     fd_ = ::socket(AF_INET, SOCK_DGRAM, 0);
     if (fd_ < 0) throw_errno("UdpSocket: socket");
     const sockaddr_in addr = loopback_addr(port);
@@ -54,13 +58,15 @@ UdpSocket::~UdpSocket() {
 }
 
 UdpSocket::UdpSocket(UdpSocket&& other) noexcept
-    : fd_(std::exchange(other.fd_, -1)), port_(std::exchange(other.port_, 0)) {}
+    : fd_(std::exchange(other.fd_, -1)), port_(std::exchange(other.port_, 0)),
+      scratch_(std::move(other.scratch_)) {}
 
 UdpSocket& UdpSocket::operator=(UdpSocket&& other) noexcept {
     if (this != &other) {
         if (fd_ >= 0) ::close(fd_);
         fd_ = std::exchange(other.fd_, -1);
         port_ = std::exchange(other.port_, 0);
+        scratch_ = std::move(other.scratch_);
     }
     return *this;
 }
@@ -76,11 +82,11 @@ void UdpSocket::send_to(std::uint16_t port, std::span<const std::uint8_t> bytes)
 }
 
 bool UdpSocket::receive(std::vector<std::uint8_t>& datagram) {
-    // One recv per datagram; 64 KiB covers the largest UDP payload, so no
-    // protocol-legal datagram is ever truncated by the read itself.
-    datagram.resize(65536);
+    // One recv per datagram into the socket's own 64 KiB buffer, so no
+    // protocol-legal datagram is ever truncated by the read itself; only
+    // the bytes received are copied out.
     const ssize_t got =
-        ::recvfrom(fd_, datagram.data(), datagram.size(), MSG_DONTWAIT,
+        ::recvfrom(fd_, scratch_.data(), scratch_.size(), MSG_DONTWAIT,
                    nullptr, nullptr);
     if (got < 0) {
         datagram.clear();
@@ -88,7 +94,7 @@ bool UdpSocket::receive(std::vector<std::uint8_t>& datagram) {
             return false;
         throw_errno("UdpSocket: recvfrom");
     }
-    datagram.resize(static_cast<std::size_t>(got));
+    datagram.assign(scratch_.begin(), scratch_.begin() + got);
     return true;
 }
 

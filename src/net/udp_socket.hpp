@@ -42,6 +42,9 @@ class UdpSocket final : public DatagramSource {
   private:
     int fd_ = -1;
     std::uint16_t port_ = 0;
+    /// One recv lands here, and receive() copies out only the bytes that
+    /// arrived, so the caller's reused buffer never grows to 64 KiB.
+    std::vector<std::uint8_t> scratch_;
 };
 
 }  // namespace witrack::net

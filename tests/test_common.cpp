@@ -1,19 +1,24 @@
 // Unit tests for src/common: FMCW parameter derivations (paper Eq. 1-4),
-// unit conversions, the deterministic RNG and the latency histogram.
+// unit conversions, the deterministic RNG, the latency histogram and the
+// CRC-32 that frames snapshot chunks and WTNF datagrams.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <span>
+#include <sstream>
 #include <vector>
 
 #include "common/cli.hpp"
 #include "common/constants.hpp"
 #include "common/latency.hpp"
 #include "common/random.hpp"
+#include "common/serialize.hpp"
 #include "common/units.hpp"
+#include "net/frame_protocol.hpp"
 
 namespace witrack {
 namespace {
@@ -369,6 +374,113 @@ TEST(LatencyHistogram, ScopedLatencyRecordsOneSampleOnTheProfileClock) {
     EXPECT_EQ(h.frames, 1u);
     EXPECT_GT(h.total_s, 0.0);
     EXPECT_LE(h.total_s, outer);
+}
+
+// ------------------------------------------------------------------ CRC-32
+
+/// The definition, one byte per step: what common::crc32 must equal.
+std::uint32_t crc32_bytewise(const std::uint8_t* p, std::size_t len) {
+    std::uint32_t crc = ~0u;
+    for (std::size_t i = 0; i < len; ++i) {
+        crc ^= p[i];
+        for (int k = 0; k < 8; ++k) crc = (crc & 1u) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+    return ~crc;
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+    SplitMix64 rng(seed);
+    std::vector<std::uint8_t> bytes(n);
+    for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next());
+    return bytes;
+}
+
+TEST(Crc32, IsoHdlcCheckValue) {
+    const char check[] = "123456789";
+    EXPECT_EQ(common::crc32(check, 9), 0xCBF43926u);
+    EXPECT_EQ(common::crc32(check, 0), 0u);
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+    // Lengths 0-2048 from start offsets 0-7 cover every alignment and
+    // every tail the eight-byte loop leaves.
+    const auto bytes = random_bytes(2048 + 8, 17);
+    for (std::size_t offset = 0; offset < 8; ++offset)
+        for (std::size_t len = 0; len <= 2048; ++len)
+            ASSERT_EQ(common::crc32(bytes.data() + offset, len),
+                      crc32_bytewise(bytes.data() + offset, len))
+                << "offset " << offset << " length " << len;
+}
+
+TEST(Crc32, ChainedCallsEqualOneCall) {
+    // StateWriter frames a chunk as crc32(payload, crc32(len, crc32(tag))).
+    const auto bytes = random_bytes(1000, 23);
+    const std::uint32_t whole = common::crc32(bytes.data(), bytes.size());
+    for (const std::size_t cut : {0, 1, 4, 7, 12, 13, 500, 999, 1000}) {
+        std::uint32_t crc = common::crc32(bytes.data(), cut);
+        crc = common::crc32(bytes.data() + cut, bytes.size() - cut, crc);
+        EXPECT_EQ(crc, whole) << "cut at " << cut;
+    }
+    std::uint32_t crc = common::crc32(bytes.data(), 4);
+    crc = common::crc32(bytes.data() + 4, 8, crc);
+    crc = common::crc32(bytes.data() + 12, bytes.size() - 12, crc);
+    EXPECT_EQ(crc, whole);
+}
+
+TEST(Crc32, PinnedSnapshotChunkCrcs) {
+    // Chunk CRCs of this stream as the byte-at-a-time CRC wrote them: a
+    // snapshot saved before still verifies.
+    std::stringstream stream;
+    {
+        common::StateWriter writer(stream, 0x54534554u, 1);
+        writer.begin_chunk("DATA");
+        writer.u64(0x0123456789ABCDEFull);
+        writer.f64(0.25);
+        writer.end_chunk();
+        writer.finish();
+    }
+    const std::string bytes = stream.str();
+    ASSERT_EQ(bytes.size(), 56u);
+    // header 8 | tag 4 | length 8 | payload 16 | crc at 36 | END chunk
+    std::uint32_t data_crc = 0, end_crc = 0;
+    std::memcpy(&data_crc, bytes.data() + 36, sizeof data_crc);
+    std::memcpy(&end_crc, bytes.data() + bytes.size() - 4, sizeof end_crc);
+    EXPECT_EQ(data_crc, 0xC848A3F5u);
+    EXPECT_EQ(end_crc, 0x428B111Fu);
+
+    common::StateReader reader(stream, 0x54534554u, 1);
+    reader.open_chunk("DATA");
+    EXPECT_EQ(reader.u64(), 0x0123456789ABCDEFull);
+    EXPECT_EQ(reader.f64(), 0.25);
+    reader.close_chunk();
+}
+
+/// The trailer of a WTNF datagram: its last four bytes.
+std::uint32_t trailer(const net::Datagram& datagram) {
+    std::uint32_t crc = 0;
+    std::memcpy(&crc, datagram.data() + datagram.size() - net::kTrailerBytes, sizeof crc);
+    return crc;
+}
+
+TEST(Crc32, PinnedWtnfTrailersMatchVersionTwoSenders) {
+    // Trailers of these exact datagrams as the byte-at-a-time CRC of
+    // protocol version 2 computed them: a receiver built today must accept
+    // what earlier v2 senders put on the wire, byte for byte.
+    ASSERT_EQ(net::kProtocolVersion, 2);
+    engine::Frame frame;
+    frame.time_s = 0.25;
+    frame.sweeps.resize(2, 1, 4);
+    for (std::size_t i = 0; i < frame.sweeps.size(); ++i)
+        frame.sweeps.data()[i] = 0.5 * static_cast<double>(i) - 1.0;
+    frame.truth = engine::GroundTruth{geom::Vec3{0.1, 4.5, -0.2}, std::nullopt};
+    const auto datagrams = net::pack_frame(frame, 0x0123456789ABCDEFull, 42);
+    ASSERT_EQ(datagrams.size(), 1u);
+    ASSERT_EQ(datagrams[0].size(), 156u);
+    EXPECT_EQ(trailer(datagrams[0]), 0x4FFF7E9Fu);
+
+    const auto eos = net::pack_end_of_stream(0x0123456789ABCDEFull, 43);
+    ASSERT_EQ(eos.size(), 36u);
+    EXPECT_EQ(trailer(eos), 0x9EA9184Au);
 }
 
 }  // namespace

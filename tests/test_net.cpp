@@ -10,20 +10,24 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
 #include <span>
 #include <memory>
+#include <new>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/random.hpp"
 #include "common/serialize.hpp"
 #include "engine/engine.hpp"
 #include "engine/frame_codec.hpp"
@@ -38,8 +42,57 @@
 #include "net/sequence_tracker.hpp"
 #include "net/udp_socket.hpp"
 
+
+// ---------------------------------------------------------------------------
+// Allocation probe (as in test_frame_buffer): while an AllocationProbe is
+// alive, every heap allocation is counted by size, so a test can assert
+// that reassembly never sizes an allocation from a datagram's claims and
+// that a warm NetSource makes no large allocation per frame.
+//
+// GCC pairs the visible std::free bodies below with the library declaration
+// of operator new when inlining them into callers and reports a mismatch;
+// the replacement set is in fact consistent (malloc in, free out).
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+
+namespace {
+std::atomic<bool> g_probing{false};
+std::atomic<std::size_t> g_kib_allocations{0};  ///< of 1 KiB or more
+std::atomic<std::size_t> g_largest_allocation{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+    if (g_probing.load(std::memory_order_relaxed)) {
+        if (size >= 1024) ++g_kib_allocations;
+        std::size_t largest = g_largest_allocation.load();
+        while (size > largest && !g_largest_allocation.compare_exchange_weak(largest, size)) {
+        }
+    }
+    if (void* p = std::malloc(size ? size : 1)) return p;
+    throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
 namespace witrack {
 namespace {
+
+class AllocationProbe {
+  public:
+    AllocationProbe() {
+        g_kib_allocations = 0;
+        g_largest_allocation = 0;
+        g_probing = true;
+    }
+    ~AllocationProbe() { g_probing = false; }
+    AllocationProbe(const AllocationProbe&) = delete;
+    AllocationProbe& operator=(const AllocationProbe&) = delete;
+
+    std::size_t kib_allocations() const { return g_kib_allocations; }
+    std::size_t largest() const { return g_largest_allocation; }
+};
 
 using geom::Vec3;
 using net::Datagram;
@@ -73,6 +126,11 @@ std::vector<engine::Frame> record_frames(std::uint64_t seed,
 engine::FrameShape shape_of(const engine::Frame& frame) {
     return {frame.sweeps.num_rx(), frame.sweeps.samples_per_sweep(),
             frame.sweeps.num_sweeps()};
+}
+
+/// The reassembly bound of a session whose shape is `frame`'s.
+std::size_t body_bound(const engine::Frame& frame) {
+    return engine::max_body_bytes(shape_of(frame));
 }
 
 /// A tiny frame whose body fits any MTU -- protocol unit-test fodder.
@@ -150,6 +208,7 @@ constexpr std::size_t kOffVersion = 4;
 constexpr std::size_t kOffFlags = 6;
 constexpr std::size_t kOffFragIndex = 24;
 constexpr std::size_t kOffFragCount = 26;
+constexpr std::size_t kOffPayloadBytes = 28;
 
 void patch16(Datagram& datagram, std::size_t offset, std::uint16_t value) {
     std::memcpy(datagram.data() + offset, &value, sizeof value);
@@ -168,6 +227,34 @@ DecodeStatus decode(const Datagram& datagram) {
     net::FrameHeader header;
     std::span<const std::uint8_t> payload;
     return net::decode_datagram(datagram, header, payload);
+}
+
+/// `datagram` with its fragment index and count rewritten, resealed.
+Datagram reindexed(Datagram datagram, std::uint16_t index, std::uint16_t count) {
+    patch16(datagram, kOffFragIndex, index);
+    patch16(datagram, kOffFragCount, count);
+    reseal(datagram);
+    return datagram;
+}
+
+/// `datagram` with its payload cut or padded (0xA5) to `bytes`, resealed.
+Datagram resized_payload(const Datagram& datagram, std::size_t bytes) {
+    const std::size_t old = datagram.size() - net::kHeaderBytes - net::kTrailerBytes;
+    Datagram out(net::kHeaderBytes + bytes + net::kTrailerBytes, 0xA5);
+    std::memcpy(out.data(), datagram.data(), net::kHeaderBytes + std::min(old, bytes));
+    const auto length = static_cast<std::uint32_t>(bytes);
+    std::memcpy(out.data() + kOffPayloadBytes, &length, sizeof length);
+    reseal(out);
+    return out;
+}
+
+/// Decode `datagram` and offer it; false when it does not decode.
+bool offer(net::SequenceTracker& tracker, const Datagram& datagram) {
+    net::FrameHeader header;
+    std::span<const std::uint8_t> payload;
+    if (net::decode_datagram(datagram, header, payload) != DecodeStatus::kOk) return false;
+    tracker.offer(header, payload);
+    return true;
 }
 
 // ------------------------------------------------------ wire protocol
@@ -208,7 +295,7 @@ TEST(FrameProtocol, MultiFragmentRoundTrip) {
     for (const auto& datagram : datagrams)
         EXPECT_LE(datagram.size(), net::kDefaultMtuBytes);
 
-    net::SequenceTracker tracker;
+    net::SequenceTracker tracker(body_bound(frame));
     for (const auto& datagram : datagrams) {
         net::FrameHeader header;
         std::span<const std::uint8_t> payload;
@@ -351,17 +438,11 @@ void offer_frame(net::SequenceTracker& tracker, std::uint64_t frame_seq,
     const auto datagrams =
         net::pack_frame(tiny_frame(0.1 * static_cast<double>(frame_seq)),
                         token, frame_seq);
-    for (const auto& datagram : datagrams) {
-        net::FrameHeader header;
-        std::span<const std::uint8_t> payload;
-        ASSERT_EQ(net::decode_datagram(datagram, header, payload),
-                  DecodeStatus::kOk);
-        tracker.offer(header, payload);
-    }
+    for (const auto& datagram : datagrams) ASSERT_TRUE(offer(tracker, datagram));
 }
 
 TEST(SequenceTracker, InOrderDelivery) {
-    net::SequenceTracker tracker;
+    net::SequenceTracker tracker(body_bound(tiny_frame()));
     for (std::uint64_t seq = 0; seq < 5; ++seq) offer_frame(tracker, seq);
     std::uint64_t seq = 0;
     std::vector<std::uint8_t> body;
@@ -376,7 +457,7 @@ TEST(SequenceTracker, InOrderDelivery) {
 }
 
 TEST(SequenceTracker, ReorderedFramesDeliveredInOrder) {
-    net::SequenceTracker tracker;
+    net::SequenceTracker tracker(body_bound(tiny_frame()));
     offer_frame(tracker, 1);  // arrives first
     offer_frame(tracker, 0);
     std::uint64_t seq = 0;
@@ -390,7 +471,7 @@ TEST(SequenceTracker, ReorderedFramesDeliveredInOrder) {
 }
 
 TEST(SequenceTracker, FlushAccountsGapsAgainstEndOfStream) {
-    net::SequenceTracker tracker;
+    net::SequenceTracker tracker(body_bound(tiny_frame()));
     offer_frame(tracker, 0);
     offer_frame(tracker, 1);
     offer_frame(tracker, 3);  // 2 never arrives
@@ -412,7 +493,7 @@ TEST(SequenceTracker, FlushAccountsGapsAgainstEndOfStream) {
 }
 
 TEST(SequenceTracker, DuplicateAndLateFragmentsCounted) {
-    net::SequenceTracker tracker;
+    net::SequenceTracker tracker(body_bound(tiny_frame()));
     // Frame 1 arrives twice while the hole at 0 blocks delivery: the
     // second copy is a duplicate of a frame still parked in the tracker.
     offer_frame(tracker, 1);
@@ -429,7 +510,7 @@ TEST(SequenceTracker, DuplicateAndLateFragmentsCounted) {
 }
 
 TEST(SequenceTracker, WindowOverflowWritesOffTheHole) {
-    net::SequenceTracker tracker({.window_frames = 4});
+    net::SequenceTracker tracker(body_bound(tiny_frame()), {.window_frames = 4});
     // Frame 0 never arrives; 1..4 pending stalls delivery until the window
     // fills, then 0 is written off and everything flows.
     for (std::uint64_t seq = 1; seq <= 3; ++seq) offer_frame(tracker, seq);
@@ -441,6 +522,200 @@ TEST(SequenceTracker, WindowOverflowWritesOffTheHole) {
     while (tracker.pop(seq, body)) delivered.push_back(seq);
     EXPECT_EQ(delivered, (std::vector<std::uint64_t>{1, 2, 3}));
     EXPECT_EQ(tracker.stats().frame_gaps, 1u);
+}
+
+/// A frame of 3 x 500 samples: a 12 KB body, 9 fragments at the default MTU.
+engine::Frame wide_frame() {
+    engine::Frame frame = tiny_frame(1.5);
+    frame.sweeps.resize(3, 1, 500);
+    for (std::size_t i = 0; i < frame.sweeps.size(); ++i)
+        frame.sweeps.data()[i] = std::sin(0.01 * static_cast<double>(i));
+    return frame;
+}
+
+std::vector<std::uint8_t> encoded(const engine::Frame& frame) {
+    std::vector<std::uint8_t> body;
+    engine::encode_frame(frame, body);
+    return body;
+}
+
+TEST(SequenceTracker, FragmentsArePlacedInAnyArrivalOrder) {
+    const engine::Frame frame = wide_frame();
+    const auto want = encoded(frame);
+    auto datagrams = net::pack_frame(frame, 1, 0);
+    ASSERT_GT(datagrams.size(), 4u);
+
+    net::SequenceTracker tracker(body_bound(frame));
+    std::vector<std::uint8_t> body;
+    std::uint64_t seq = 0;
+    // Last fragment first (it waits for the chunk), then the rest reversed.
+    for (auto it = datagrams.rbegin(); it != datagrams.rend(); ++it)
+        ASSERT_TRUE(offer(tracker, *it));
+    ASSERT_TRUE(tracker.pop(seq, body));
+    EXPECT_EQ(body, want);
+
+    // Interleaved: odd indices, then even ones, last fragment in the middle.
+    datagrams = net::pack_frame(frame, 1, 1);
+    for (std::size_t start : {1u, 0u})
+        for (std::size_t i = start; i < datagrams.size(); i += 2)
+            ASSERT_TRUE(offer(tracker, datagrams[i]));
+    ASSERT_TRUE(tracker.pop(seq, body));
+    EXPECT_EQ(seq, 1u);
+    EXPECT_EQ(body, want);
+    EXPECT_EQ(tracker.stats().malformed, 0u);
+}
+
+TEST(SequenceTracker, UnequalFragmentLengthsAreMalformed) {
+    const engine::Frame frame = wide_frame();
+    const auto want = encoded(frame);
+    net::SequenceTracker tracker(body_bound(frame));
+    std::vector<std::uint8_t> body;
+    std::uint64_t seq = 0;
+
+    // The chunk is known first: a shorter non-last fragment, a last
+    // fragment longer than the chunk and an empty fragment are all dropped,
+    // and the genuine fragments still complete the frame.
+    auto datagrams = net::pack_frame(frame, 1, 0);
+    const std::size_t chunk = net::kDefaultMtuBytes - net::kHeaderBytes - net::kTrailerBytes;
+    ASSERT_TRUE(offer(tracker, datagrams[0]));
+    ASSERT_TRUE(offer(tracker, resized_payload(datagrams[1], chunk - 8)));
+    ASSERT_TRUE(offer(tracker, resized_payload(datagrams.back(), chunk + 1)));
+    ASSERT_TRUE(offer(tracker, resized_payload(datagrams[2], 0)));
+    EXPECT_EQ(tracker.stats().malformed, 3u);
+    for (std::size_t i = 1; i < datagrams.size(); ++i)
+        ASSERT_TRUE(offer(tracker, datagrams[i]));
+    ASSERT_TRUE(tracker.pop(seq, body));
+    EXPECT_EQ(body, want);
+
+    // The last fragment first: a non-last fragment shorter than it cannot
+    // be the frame's chunk.
+    datagrams = net::pack_frame(frame, 1, 1);
+    const std::size_t last = datagrams.back().size() - net::kHeaderBytes - net::kTrailerBytes;
+    ASSERT_GT(last, 8u);
+    ASSERT_TRUE(offer(tracker, datagrams.back()));
+    ASSERT_TRUE(offer(tracker, resized_payload(datagrams[0], last - 8)));
+    EXPECT_EQ(tracker.stats().malformed, 4u);
+    for (const auto& datagram : datagrams) ASSERT_TRUE(offer(tracker, datagram));
+    ASSERT_TRUE(tracker.pop(seq, body));
+    EXPECT_EQ(seq, 1u);
+    EXPECT_EQ(body, want);
+
+    // An empty fragment first: it carries no chunk and is dropped too.
+    datagrams = net::pack_frame(frame, 1, 2);
+    ASSERT_TRUE(offer(tracker, resized_payload(datagrams[1], 0)));
+    EXPECT_EQ(tracker.stats().malformed, 5u);
+    for (const auto& datagram : datagrams) ASSERT_TRUE(offer(tracker, datagram));
+    ASSERT_TRUE(tracker.pop(seq, body));
+    EXPECT_EQ(seq, 2u);
+    EXPECT_EQ(body, want);
+    EXPECT_EQ(tracker.stats().frame_gaps, 0u);
+}
+
+TEST(SequenceTracker, SeededMutationLoopDeliversOnlyPackedBodies) {
+    // Each case packs a few small frames at a small MTU, then drops,
+    // duplicates, forges and shuffles the datagrams. A forgery rewrites a
+    // fragment's index and count, or resizes its payload, and reseals it
+    // so it passes the CRC. Forgeries the frame cannot hold (an index past
+    // the count, a count past the shape bound) must never reach a body. The
+    // rest move real bytes, so their frame may come out as a body no sender
+    // packed; for those seqs only the bound is checked. Every other body
+    // must equal the one packed for its seq, seqs come out ascending, and
+    // delivered + frame_gaps accounts for every seq sent.
+    constexpr std::size_t kCases = 10000;
+    constexpr int kMaxSamples = 24;
+    const std::size_t bound = engine::max_body_bytes({2, kMaxSamples, 1});
+    Rng rng(2024);
+    std::size_t delivered_total = 0;
+    std::size_t forged_total = 0;
+    for (std::size_t c = 0; c < kCases; ++c) {
+        const std::size_t mtu =
+            net::kHeaderBytes + net::kTrailerBytes + static_cast<std::size_t>(rng.uniform_int(16, 160));
+        const auto num_frames = static_cast<std::size_t>(rng.uniform_int(1, 5));
+        std::vector<std::vector<std::uint8_t>> bodies(num_frames);
+        std::vector<bool> forged(num_frames, false);
+        std::vector<Datagram> stream;
+        for (std::size_t seq = 0; seq < num_frames; ++seq) {
+            engine::Frame frame = tiny_frame(0.1 * static_cast<double>(seq));
+            frame.sweeps.resize(2, 1, static_cast<std::size_t>(rng.uniform_int(1, kMaxSamples)));
+            for (std::size_t i = 0; i < frame.sweeps.size(); ++i)
+                frame.sweeps.data()[i] = rng.uniform(-1.0, 1.0);
+            if (rng.chance(0.5)) frame.truth.reset();
+            engine::encode_frame(frame, bodies[seq]);
+            for (auto& datagram : net::pack_frame(frame, 1, seq, mtu)) {
+                if (rng.chance(0.1)) continue;  // dropped
+                if (rng.chance(0.08)) {
+                    net::FrameHeader header;
+                    std::span<const std::uint8_t> payload;
+                    ASSERT_EQ(net::decode_datagram(datagram, header, payload), DecodeStatus::kOk);
+                    const std::uint16_t count = header.fragment_count;
+                    if (rng.chance(0.5)) stream.push_back(datagram);  // the genuine copy too
+                    ++forged_total;
+                    switch (rng.uniform_int(0, 3)) {
+                        case 0:  // an index past the count
+                            datagram = reindexed(datagram,
+                                                 static_cast<std::uint16_t>(count + rng.uniform_int(0, 3)),
+                                                 count);
+                            break;
+                        case 1:  // a count no frame of the shape has
+                            datagram = reindexed(datagram, 0, 0xFFFF);
+                            break;
+                        case 2:  // a real index, the wrong bytes
+                            datagram = reindexed(
+                                datagram, static_cast<std::uint16_t>(rng.uniform_int(0, count - 1)),
+                                count);
+                            forged[seq] = true;
+                            break;
+                        default:  // another length, the empty payload included
+                            datagram = resized_payload(
+                                datagram, static_cast<std::size_t>(rng.uniform_int(
+                                              0, static_cast<int>(payload.size()) + 8)));
+                            forged[seq] = true;
+                            break;
+                    }
+                }
+                stream.push_back(datagram);
+                if (rng.chance(0.1)) stream.push_back(datagram);  // duplicated
+            }
+        }
+        for (std::size_t i = 0; i + 1 < stream.size(); ++i)
+            if (rng.chance(0.3))
+                std::swap(stream[i], stream[std::min(stream.size() - 1,
+                                                     i + static_cast<std::size_t>(rng.uniform_int(1, 4)))]);
+        stream.push_back(net::pack_end_of_stream(1, num_frames));
+
+        net::SequenceTracker tracker(
+            bound, net::SequenceTrackerConfig{
+                       .window_frames = static_cast<std::size_t>(rng.uniform_int(1, 4))});
+        std::vector<std::uint8_t> body;
+        std::uint64_t seq = 0;
+        std::size_t delivered = 0;
+        bool any = false;
+        std::uint64_t previous = 0;
+        const auto drain = [&] {
+            while (tracker.pop(seq, body)) {
+                ASSERT_LT(seq, num_frames) << "case " << c;
+                ASSERT_TRUE(!any || seq > previous) << "case " << c;
+                ASSERT_LE(body.size(), bound) << "case " << c;
+                if (!forged[seq]) {
+                    ASSERT_EQ(body, bodies[seq]) << "case " << c << " seq " << seq;
+                }
+                any = true;
+                previous = seq;
+                ++delivered;
+            }
+        };
+        for (const auto& datagram : stream) {
+            offer(tracker, datagram);
+            drain();
+        }
+        tracker.flush();
+        drain();
+        ASSERT_EQ(delivered + tracker.stats().frame_gaps, num_frames) << "case " << c;
+        ASSERT_EQ(tracker.pending_frames(), 0u) << "case " << c;
+        delivered_total += delivered;
+    }
+    EXPECT_GT(delivered_total, kCases);
+    EXPECT_GT(forged_total, kCases / 10);
 }
 
 // ------------------------------------------------------------ NetSource
@@ -538,6 +813,68 @@ TEST(NetSource, MisShapedFrameIsDroppedWithoutEvictingTheSession) {
     EXPECT_EQ(stats.net.malformed, 1u);
     EXPECT_EQ(stats.net.frames_delivered, frames.size() - 1);
     EXPECT_EQ(stats.net.frame_gaps, 0u);
+}
+
+TEST(NetSource, OversizedFragmentClaimsAreMalformedWithoutLargeAllocation) {
+    // Fragments whose count x length cannot fit the session's shape: each
+    // is counted malformed before any body buffer exists, so none of them
+    // allocates even one bound-sized buffer, let alone what they claim.
+    net::NetSourceConfig config;
+    config.session_token = 4;
+    const std::size_t bound =
+        engine::max_body_bytes(engine::frame_shape(config.fmcw, config.array));
+    const Datagram wide = net::pack_frame(wide_frame(), 4, 0)[0];
+    const Datagram tiny = net::pack_frame(tiny_frame(), 4, 0)[0];
+    const std::size_t tiny_payload = tiny.size() - net::kHeaderBytes - net::kTrailerBytes;
+    const auto tiny_count = static_cast<std::uint16_t>(bound / tiny_payload + 2);
+    const std::vector<Datagram> hostile{
+        reindexed(wide, 0, 49000),      // ~64 MiB claimed, under the wire cap
+        reindexed(wide, 48999, 49000),  // the same claim from its last fragment
+        reindexed(tiny, 0, tiny_count), // just past the bound
+    };
+    for (const auto& datagram : hostile) ASSERT_EQ(decode(datagram), DecodeStatus::kOk);
+
+    auto queue = std::make_unique<net::QueueDatagramSource>();
+    for (const auto& datagram : hostile) queue->push(datagram);
+    queue->close();
+    net::NetSource source(std::move(queue), config);
+    engine::Frame frame;
+    {
+        AllocationProbe probe;
+        EXPECT_FALSE(source.next(frame));
+        EXPECT_LT(probe.largest(), bound);
+    }
+    EXPECT_EQ(source.net_stats()->malformed, hostile.size());
+    EXPECT_EQ(source.net_stats()->frames_delivered, 0u);
+}
+
+TEST(NetSource, WarmNextMakesNoLargeAllocationPerFrame) {
+    // One frame's datagrams at a time, as a radio streams them: once the
+    // tracker's body buffers are recycled, next() copies each fragment
+    // once and allocates nothing of 1 KiB or more.
+    const auto frames = record_frames(306, 0.5);
+    ASSERT_GT(frames.size(), 10u);
+    auto queue = std::make_unique<net::QueueDatagramSource>();
+    net::QueueDatagramSource* pending = queue.get();
+    net::NetSourceConfig config;
+    config.session_token = 6;
+    net::NetSource source(std::move(queue), config);
+    engine::Frame frame;
+    constexpr std::size_t kWarmup = 3;
+    std::size_t large = 0;
+    for (std::size_t seq = 0; seq < frames.size(); ++seq) {
+        for (auto& datagram : net::pack_frame(frames[seq], 6, seq))
+            pending->push(std::move(datagram));
+        bool got = false;
+        {
+            AllocationProbe probe;
+            got = source.next(frame);
+            if (seq >= kWarmup) large += probe.kib_allocations();
+        }
+        ASSERT_TRUE(got);
+        expect_same_frame(frames[seq], frame);
+    }
+    EXPECT_EQ(large, 0u);
 }
 
 // -------------------------------------------------- fault injection
