@@ -74,16 +74,13 @@ void forward_scalar(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
 }  // namespace detail
 
 // Runtime dispatch. simd::active() never exceeds simd::detect(), so the
-// sse2/avx2 entry points are only reached on hardware that supports them
-// (the per-ISA translation units degrade to the next level down when the
-// *build* lacks the ISA entirely, e.g. a non-x86 target).
+// avx2 entry point is only reached on hardware that supports it (its
+// translation unit forwards to the scalar level when the *build* lacks
+// AVX2 entirely, e.g. a non-x86 target).
 void Pow2Kernel::forward(double* xr, double* xi, double* wr, double* wi) const {
     switch (simd::active()) {
         case simd::Level::kAvx2:
             detail::forward_avx2(*this, xr, xi, wr, wi, nz_);
-            return;
-        case simd::Level::kSse2:
-            detail::forward_sse2(*this, xr, xi, wr, wi, nz_);
             return;
         case simd::Level::kScalar: break;
     }

@@ -3,9 +3,9 @@
 // per-stage sequentially-laid-out twiddle tables. It computes the forward
 // transform only (the range pipeline never inverts a spectrum). The
 // butterfly loops are written once as lane templates over the SIMD layer in
-// simd.hpp (fft_kernels_impl.hpp) and instantiated per ISA -- scalar, SSE2,
-// AVX2 -- with a runtime-dispatched entry point, so one plan serves every
-// dispatch level with bit-identical results.
+// simd.hpp (fft_kernels_impl.hpp) and instantiated per ISA -- scalar and
+// AVX2 -- with a runtime-dispatched entry point, so one plan serves both
+// dispatch levels with bit-identical results.
 //
 // Input pruning: a kernel built with n_nonzero < n treats the input tail
 // [n_nonzero, n) as structurally zero and skips the early-stage butterflies

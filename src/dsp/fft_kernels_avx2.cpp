@@ -3,7 +3,7 @@
 // CMakeLists.txt) -- dispatch guarantees its entry points are reached only
 // after __builtin_cpu_supports("avx2") succeeded. It is deliberately also
 // built with -ffp-contract=off like the other kernel TUs, so no FMA is
-// emitted and the AVX2 level stays bit-identical to sse2/scalar.
+// emitted and the AVX2 level stays bit-identical to the scalar one.
 #include "dsp/fft_kernels_impl.hpp"
 
 namespace witrack::dsp::kernels::detail {
@@ -19,7 +19,7 @@ void forward_avx2(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
 
 void forward_avx2(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
                   double* wi, std::size_t nzb) {
-    forward_sse2(plan, xr, xi, wr, wi, nzb);
+    forward_scalar(plan, xr, xi, wr, wi, nzb);
 }
 
 #endif  // __AVX2__

@@ -12,9 +12,9 @@
 // the scalar tail.
 //
 // This header is included by the per-ISA translation units
-// (fft_kernels.cpp, fft_kernels_sse2.cpp, fft_kernels_avx2.cpp), each of
-// which instantiates the templates with its lane and exposes the plain
-// entry points declared at the bottom; dispatch lives in fft_kernels.cpp.
+// (fft_kernels.cpp, fft_kernels_avx2.cpp), each of which instantiates the
+// templates with its lane and exposes the plain entry points declared at
+// the bottom; dispatch lives in fft_kernels.cpp.
 #pragma once
 
 #include <algorithm>
@@ -252,15 +252,12 @@ void run_forward_t(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
 
 // ------------------------------------------------ per-level entry points
 //
-// Each translation unit defines its level's set (fft_kernels.cpp: scalar +
-// the dispatch; fft_kernels_sse2.cpp / fft_kernels_avx2.cpp: the vector
-// levels, falling back to the next level down when the build target lacks
-// the ISA entirely).
+// Each translation unit defines its level's entry point (fft_kernels.cpp:
+// scalar + the dispatch; fft_kernels_avx2.cpp: the vector level, falling
+// back to scalar when the build target lacks AVX2 entirely).
 
 void forward_scalar(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
                     double* wi, std::size_t nzb);
-void forward_sse2(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
-                  double* wi, std::size_t nzb);
 void forward_avx2(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
                   double* wi, std::size_t nzb);
 

@@ -9,7 +9,6 @@ namespace witrack::dsp::simd {
 const char* to_string(Level level) noexcept {
     switch (level) {
         case Level::kScalar: return "scalar";
-        case Level::kSse2: return "sse2";
         case Level::kAvx2: return "avx2";
     }
     return "unknown";
@@ -17,11 +16,10 @@ const char* to_string(Level level) noexcept {
 
 Level detect() noexcept {
 #if defined(__x86_64__) || defined(_M_X64)
-    // SSE2 is the x86-64 baseline; AVX2 needs a runtime check because the
-    // library is built for the baseline and only the dedicated AVX2
-    // translation unit carries wider code.
+    // AVX2 needs a runtime check because the library is built for the
+    // baseline and only the dedicated AVX2 translation units carry AVX2 code.
     static const Level detected =
-        __builtin_cpu_supports("avx2") ? Level::kAvx2 : Level::kSse2;
+        __builtin_cpu_supports("avx2") ? Level::kAvx2 : Level::kScalar;
     return detected;
 #else
     return Level::kScalar;
@@ -36,16 +34,11 @@ Level clamp_to_hardware(Level level) noexcept {
 }
 
 Level resolve_initial() noexcept {
+    // "avx2" is the top level, so it means detect(); an unknown value (a
+    // retired level name included) keeps detect() too rather than crash or
+    // silently slow down.
     const char* env = std::getenv("WITRACK_SIMD");
-    if (env != nullptr) {
-        if (std::strcmp(env, "scalar") == 0)
-            return Level::kScalar;
-        if (std::strcmp(env, "sse2") == 0)
-            return clamp_to_hardware(Level::kSse2);
-        if (std::strcmp(env, "avx2") == 0)
-            return clamp_to_hardware(Level::kAvx2);
-        // Unknown value: ignore rather than crash or silently slow down.
-    }
+    if (env != nullptr && std::strcmp(env, "scalar") == 0) return Level::kScalar;
     return detect();
 }
 

@@ -1,50 +1,49 @@
 // Width-agnostic SIMD lane layer for the two dispatched kernels, the range
 // FFT and the beat-tone mixer: a tiny set of lane structs (load/store/
 // broadcast/add/sub/mul, plus the mixer's div/sqrt, over a register of
-// `width` elements) with scalar, SSE2 (128-bit) and AVX2 (256-bit)
-// implementations, plus the runtime dispatch level the per-ISA kernel
-// translation units are selected by.
+// `width` elements) with scalar and AVX2 (256-bit) implementations, plus
+// the runtime dispatch level the per-ISA kernel translation units are
+// selected by.
 //
 // The butterfly code in fft_kernels_impl.hpp and the tone loop in
 // hw/mixer_kernels_impl.hpp are written once as templates over a lane
-// struct; each ISA gets its own translation unit (compiled with the
-// matching -m flags) that instantiates them, and dispatch picks the best
-// level the CPU supports at runtime. Every lane performs exactly the same
-// IEEE-754 operations per element -- no FMA, no reassociation -- so all
-// dispatch levels produce bit-identical results (asserted by
+// struct; the scalar level is instantiated with the rest of the library and
+// the AVX2 level in its own -mavx2 translation unit, and dispatch picks
+// AVX2 at runtime when the CPU supports it. Every lane performs exactly the
+// same IEEE-754 operations per element -- no FMA, no reassociation -- so
+// both dispatch levels produce bit-identical results (asserted by
 // tests/test_fft.cpp and tests/test_hw.cpp).
 //
-// The WITRACK_SIMD environment variable (scalar | sse2 | avx2) clamps the
-// active level below the detected one for testing and triage; requests the
-// hardware cannot honor fall back to the best supported level.
+// The WITRACK_SIMD environment variable (scalar | avx2) selects the initial
+// level for testing and triage: `scalar` forces the scalar level, and any
+// other value (or none) keeps the detected one.
 #pragma once
 
 #include <cmath>
 #include <cstddef>
 
-#if defined(__SSE2__) || defined(__AVX2__)
+#if defined(__AVX2__)
 #include <immintrin.h>
 #endif
 
 namespace witrack::dsp::simd {
 
-/// Dispatch levels, ordered: higher levels strictly require the lower
-/// ones' ISA. kSse2 is the x86-64 baseline; non-x86 builds detect kScalar.
+/// Dispatch levels, ordered. x86-64 CPUs without AVX2 and non-x86 builds
+/// detect kScalar.
 enum class Level : int {
     kScalar = 0,
-    kSse2 = 1,
-    kAvx2 = 2,
+    kAvx2 = 1,
 };
 
-/// "scalar" / "sse2" / "avx2".
+/// "scalar" / "avx2".
 const char* to_string(Level level) noexcept;
 
 /// Best level this CPU supports (queried once, constant thereafter).
 Level detect() noexcept;
 
-/// The level the kernels dispatch on: detect(), clamped down by the
-/// WITRACK_SIMD environment variable (read once, on first use) or by the
-/// most recent force() call. Never above detect().
+/// The level the kernels dispatch on: detect(), lowered to kScalar by
+/// WITRACK_SIMD=scalar (read once, on first use), or the level of the most
+/// recent force() call. Never above detect().
 Level active() noexcept;
 
 /// Test hook: override the active level (clamped to detect() -- forcing a
@@ -81,22 +80,6 @@ struct Scalar {
 };
 
 using ScalarD = Scalar<double>;
-
-#if defined(__SSE2__)
-struct SseD {
-    using elem = double;
-    using reg = __m128d;
-    static constexpr std::size_t width = 2;
-    static reg load(const elem* p) noexcept { return _mm_loadu_pd(p); }
-    static void store(elem* p, reg v) noexcept { _mm_storeu_pd(p, v); }
-    static reg set1(elem v) noexcept { return _mm_set1_pd(v); }
-    static reg add(reg a, reg b) noexcept { return _mm_add_pd(a, b); }
-    static reg sub(reg a, reg b) noexcept { return _mm_sub_pd(a, b); }
-    static reg mul(reg a, reg b) noexcept { return _mm_mul_pd(a, b); }
-    static reg div(reg a, reg b) noexcept { return _mm_div_pd(a, b); }
-    static reg sqrt(reg a) noexcept { return _mm_sqrt_pd(a); }
-};
-#endif  // __SSE2__
 
 #if defined(__AVX2__)
 struct AvxD {

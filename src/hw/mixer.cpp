@@ -9,9 +9,9 @@ namespace witrack::hw {
 
 namespace mixer_kernels {
 
-// Scalar level: always available. Per-ISA entry points live in their own
-// translation units; simd::active() never exceeds detect(), so an ISA entry
-// point is only reached on hardware that supports it.
+// Scalar level: always available. The AVX2 entry point lives in its own
+// translation unit; simd::active() never exceeds detect(), so it is only
+// reached on hardware that supports it.
 void detail::accumulate_scalar(const Tone* tones, std::size_t count,
                                const double* ripple, double* out, std::size_t n) {
     run_tones<dsp::simd::ScalarD>(tones, count, ripple, out, n);
@@ -22,9 +22,6 @@ void accumulate(const Tone* tones, std::size_t count, const double* ripple, doub
     switch (dsp::simd::active()) {
         case dsp::simd::Level::kAvx2:
             detail::accumulate_avx2(tones, count, ripple, out, n);
-            return;
-        case dsp::simd::Level::kSse2:
-            detail::accumulate_sse2(tones, count, ripple, out, n);
             return;
         case dsp::simd::Level::kScalar: break;
     }

@@ -11,7 +11,7 @@
 // generated with a blocked complex phasor recurrence on the dsp/simd.hpp
 // lanes (hw/mixer_kernels_impl.hpp): eight consecutive samples advance
 // together by rotation^8, renormalized every 512 samples, so a full sweep
-// with tens of paths stays cheap. Scalar, SSE2 and AVX2 dispatch produce
+// with tens of paths stays cheap. Scalar and AVX2 dispatch produce
 // bit-identical output.
 #pragma once
 

@@ -2,7 +2,7 @@
 // by every SIMD dispatch level. Same discipline as dsp/fft_kernels_impl.hpp:
 // one template over the dsp/simd.hpp lane vocabulary, instantiated by the
 // per-ISA translation units (mixer.cpp for the scalar level and dispatch,
-// mixer_sse2.cpp, mixer_avx2.cpp), each built with -ffp-contract=off.
+// mixer_avx2.cpp), each built with -ffp-contract=off.
 //
 // A tone is advanced as a blocked phasor recurrence: the phasors of kBlock
 // consecutive samples sit side by side, and one complex multiply by
@@ -10,8 +10,8 @@
 // independently with per-element mul/add/sub (and, at each renormalization,
 // correctly rounded sqrt and div), and each output sample accumulates its
 // tones in path order. The logical layout is kBlock phasors whatever the
-// register width -- scalar runs eight width-1 chains, SSE2 four two-wide,
-// AVX2 two four-wide -- so every level is bit-identical.
+// register width -- scalar runs eight width-1 chains, AVX2 two four-wide --
+// so both levels are bit-identical.
 #pragma once
 
 #include <cstddef>
@@ -48,8 +48,6 @@ namespace detail {
 
 void accumulate_scalar(const Tone* tones, std::size_t count, const double* ripple,
                        double* out, std::size_t n);
-void accumulate_sse2(const Tone* tones, std::size_t count, const double* ripple,
-                     double* out, std::size_t n);
 void accumulate_avx2(const Tone* tones, std::size_t count, const double* ripple,
                      double* out, std::size_t n);
 

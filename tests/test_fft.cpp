@@ -2,19 +2,23 @@
 // (dense power-of-two sizes and pruned zero-padded shapes, plus linearity
 // and Parseval), pruned == dense at one shape, the r2c RealFft at the
 // production shape (2500 samples into 4096 points) and at dense
-// power-of-two shapes, the fused window, and bit-identity of the scalar,
-// SSE2 and AVX2 dispatch levels.
+// power-of-two shapes, the fused window, the WITRACK_SIMD rule, and
+// bit-identity of the scalar and AVX2 dispatch levels.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <complex>
+#include <cstdlib>
 #include <random>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dsp/fft.hpp"
 #include "dsp/fft_kernels.hpp"
 #include "dsp/simd.hpp"
+
+#include "forced_level.hpp"
 
 namespace witrack::dsp {
 namespace {
@@ -277,25 +281,9 @@ TEST(RealFftSuite, RejectsBadShapes) {
 
 // ------------------------------------------------- SIMD dispatch levels
 
-/// RAII: force a kernel dispatch level for one test and restore the ambient
-/// level on exit. granted() is the level force() actually activated -- it
-/// clamps to detect(), so requesting a level the hardware lacks grants a
-/// lower one (the test then skips that level instead of silently retesting
-/// a covered one).
-class ForcedLevel {
-  public:
-    explicit ForcedLevel(simd::Level level)
-        : previous_(simd::active()), granted_(simd::force(level)) {}
-    ~ForcedLevel() { simd::force(previous_); }
-    simd::Level granted() const { return granted_; }
+using testing_support::ForcedLevel;
 
-  private:
-    simd::Level previous_;
-    simd::Level granted_;
-};
-
-constexpr simd::Level kAllLevels[] = {simd::Level::kScalar, simd::Level::kSse2,
-                                      simd::Level::kAvx2};
+constexpr simd::Level kAllLevels[] = {simd::Level::kScalar, simd::Level::kAvx2};
 
 /// The kernel shapes the dispatch-level gates run: the pruned shapes above
 /// plus one dense plan.
@@ -303,6 +291,17 @@ constexpr PrunedCase kKernelShapes[] = {{64, 40},     {256, 17},
                                         {2048, 1250}, {4096, 2500},
                                         {4096, 1},    {4096, 4095},
                                         {1024, 1024}};
+
+TEST(SimdDispatch, EnvironmentSelectsInitialLevel) {
+    // WITRACK_SIMD is read on the first active() call, and no test before
+    // this one forces a level: `scalar` selects the scalar level; `avx2`,
+    // any other value (a retired level name included) and no value keep
+    // detect(). CMakeLists.txt runs this case alone once per value.
+    const char* env = std::getenv("WITRACK_SIMD");
+    SCOPED_TRACE(env != nullptr ? env : "(unset)");
+    const bool scalar = env != nullptr && std::string_view(env) == "scalar";
+    EXPECT_EQ(simd::active(), scalar ? simd::Level::kScalar : simd::detect());
+}
 
 TEST(SimdDispatch, ForceClampsToHardware) {
     ForcedLevel guard(simd::Level::kAvx2);
@@ -330,8 +329,9 @@ TEST(SimdDispatch, EveryLevelMatchesNaiveDft) {
 
 TEST(SimdDispatch, AllLevelsBitIdenticalForward) {
     // The lane templates perform the same IEEE-754 operations per element
-    // at every width, so scalar / sse2 / avx2 must agree bit for bit --
+    // at every width, so scalar and avx2 must agree bit for bit --
     // WITRACK_SIMD triage runs and heterogeneous fleets see one answer.
+    if (simd::detect() != simd::Level::kAvx2) GTEST_SKIP() << "this CPU lacks AVX2";
     for (const auto& [n, nz] : kKernelShapes) {
         SCOPED_TRACE("N" + std::to_string(n) + "nz" + std::to_string(nz));
         auto in = random_signal(nz, static_cast<unsigned>(3 * n + nz));
@@ -344,15 +344,11 @@ TEST(SimdDispatch, AllLevelsBitIdenticalForward) {
             ASSERT_EQ(guard.granted(), simd::Level::kScalar);
             reference = kernel_forward(plan, in);
         }
-        for (const simd::Level level : {simd::Level::kSse2, simd::Level::kAvx2}) {
-            ForcedLevel guard(level);
-            if (guard.granted() != level) continue;
-            SCOPED_TRACE(simd::to_string(level));
-            const auto forward = kernel_forward(plan, in);
-            for (std::size_t k = 0; k < n; ++k) {
-                ASSERT_EQ(forward[k].real(), reference[k].real()) << "k=" << k;
-                ASSERT_EQ(forward[k].imag(), reference[k].imag()) << "k=" << k;
-            }
+        ForcedLevel guard(simd::Level::kAvx2);
+        const auto forward = kernel_forward(plan, in);
+        for (std::size_t k = 0; k < n; ++k) {
+            ASSERT_EQ(forward[k].real(), reference[k].real()) << "k=" << k;
+            ASSERT_EQ(forward[k].imag(), reference[k].imag()) << "k=" << k;
         }
     }
 }
@@ -360,6 +356,7 @@ TEST(SimdDispatch, AllLevelsBitIdenticalForward) {
 TEST(SimdDispatch, RealWindowedPathBitIdenticalAcrossLevels) {
     // End-to-end r2c hot path (fused window, pruned production shape)
     // across dispatch levels.
+    if (simd::detect() != simd::Level::kAvx2) GTEST_SKIP() << "this CPU lacks AVX2";
     const std::size_t nz = 2500;
     std::mt19937 rng(29);
     std::uniform_real_distribution<double> dist(-1.0, 1.0);
@@ -375,16 +372,12 @@ TEST(SimdDispatch, RealWindowedPathBitIdenticalAcrossLevels) {
         ForcedLevel guard(simd::Level::kScalar);
         reference = real_forward(plan, x, w, scratch);
     }
-    for (const simd::Level level : {simd::Level::kSse2, simd::Level::kAvx2}) {
-        ForcedLevel guard(level);
-        if (guard.granted() != level) continue;
-        SCOPED_TRACE(simd::to_string(level));
-        const auto out = real_forward(plan, x, w, scratch);
-        ASSERT_EQ(out.size(), reference.size());
-        for (std::size_t k = 0; k < out.size(); ++k) {
-            ASSERT_EQ(out[k].real(), reference[k].real()) << "k=" << k;
-            ASSERT_EQ(out[k].imag(), reference[k].imag()) << "k=" << k;
-        }
+    ForcedLevel guard(simd::Level::kAvx2);
+    const auto out = real_forward(plan, x, w, scratch);
+    ASSERT_EQ(out.size(), reference.size());
+    for (std::size_t k = 0; k < out.size(); ++k) {
+        ASSERT_EQ(out[k].real(), reference[k].real()) << "k=" << k;
+        ASSERT_EQ(out[k].imag(), reference[k].imag()) << "k=" << k;
     }
 }
 

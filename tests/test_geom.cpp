@@ -1,6 +1,6 @@
-// Geometry tests: vectors, ellipsoids, beam cones, and the ellipsoid-
-// intersection localizer (closed form vs Gauss-Newton, noise behaviour,
-// over-constrained arrays).
+// Geometry tests: vectors, ellipsoids, and the ellipsoid-intersection
+// localizer (closed form vs Gauss-Newton, noise behaviour, over-constrained
+// arrays).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,7 +8,6 @@
 
 #include "common/random.hpp"
 #include "geom/array_geometry.hpp"
-#include "geom/beam.hpp"
 #include "geom/ellipsoid.hpp"
 #include "geom/solver.hpp"
 #include "geom/vec3.hpp"
@@ -98,23 +97,6 @@ TEST(EllipsoidTest, SemiMinorAxisShrinksWithFocalDistance) {
         EXPECT_LT(e.semi_minor_axis(), prev);
         prev = e.semi_minor_axis();
     }
-}
-
-// ------------------------------------------------------------------- Beam
-
-TEST(BeamTest, ContainsAndRejects) {
-    const BeamCone beam({0, 0, 0}, {0, 1, 0}, M_PI / 3.0);
-    EXPECT_TRUE(beam.contains({0, 5, 0}));
-    EXPECT_TRUE(beam.contains({1, 3, 0.5}));
-    EXPECT_FALSE(beam.contains({0, -5, 0}));   // behind
-    EXPECT_FALSE(beam.contains({10, 1, 0}));   // outside half-angle
-}
-
-TEST(BeamTest, OffAxisAngle) {
-    const BeamCone beam({0, 0, 0}, {0, 1, 0}, M_PI / 4.0);
-    EXPECT_NEAR(beam.off_axis_angle({0, 3, 0}), 0.0, 1e-9);
-    EXPECT_NEAR(beam.off_axis_angle({3, 3, 0}), M_PI / 4.0, 1e-9);
-    EXPECT_DOUBLE_EQ(beam.off_axis_angle({0, -1, 0}), M_PI);
 }
 
 // ----------------------------------------------------------- ArrayGeometry
