@@ -1,8 +1,9 @@
-// Microbenchmarks for the substrate hot paths: the radix-4 FFT kernel and
-// the pruned r2c range transform, baseband synthesis, receiver noise generation, channel path
-// enumeration, contour extraction, the Kalman filters, the streaming
-// fall detector, and the WTNF transport (CRC-32, packing a frame into
-// datagrams, reassembling it in a NetSource).
+// Microbenchmarks for the substrate hot paths: the radix-4 FFT kernel (dense,
+// and pruned at the production shape) and the pruned r2c range transform,
+// baseband synthesis, receiver noise generation, channel path enumeration,
+// contour extraction, the Kalman filters, the streaming fall detector, and
+// the WTNF transport (CRC-32, packing a frame into datagrams, reassembling
+// it in a NetSource).
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -44,6 +45,23 @@ void BM_FftPow2Kernel(benchmark::State& state) {
     state.SetComplexityN(static_cast<int64_t>(n));
 }
 BENCHMARK(BM_FftPow2Kernel)->Arg(1024)->Arg(4096)->Arg(16384)->Complexity();
+
+void BM_Pow2KernelPruned(benchmark::State& state) {
+    // The production kernel shape: the 2048-point half transform of a
+    // 2500-sample sweep, whose packed input has 1250 live entries (the
+    // pruned first stage). Arg is the transform size.
+    const auto n = static_cast<std::size_t>(state.range(0));
+    const std::size_t live = n * 1250 / 2048;
+    const dsp::kernels::Pow2Kernel plan(n, live);
+    std::vector<double> re(n), im(n), wr(n), wi(n);
+    for (auto _ : state) {
+        std::fill(re.begin(), re.begin() + static_cast<std::ptrdiff_t>(live), 1.0);
+        std::fill(im.begin(), im.begin() + static_cast<std::ptrdiff_t>(live), -0.5);
+        plan.forward(re.data(), im.data(), wr.data(), wi.data());
+        benchmark::DoNotOptimize(re.data());
+    }
+}
+BENCHMARK(BM_Pow2KernelPruned)->Arg(2048)->Unit(benchmark::kMicrosecond);
 
 void BM_RealFftHalfSpectrum(benchmark::State& state) {
     // The production r2c shape: 2500 windowed real samples zero-padded into

@@ -31,18 +31,21 @@ SweepProcessor::SweepProcessor(const FmcwParams& fmcw)
     bin_round_trip_m_ = kSpeedOfLight * bin_hz / fmcw_.slope();
 }
 
-void SweepProcessor::transform(RangeProfile& out) {
-    rfft_.forward(averaged_, window_, out.re, out.im, scratch_);
+void SweepProcessor::transform(std::span<const double> sweep, RangeProfile& out) {
+    rfft_.forward(sweep, window_, out.re, out.im, scratch_);
     out.bin_round_trip_m = bin_round_trip_m_;
     out.usable_bins = usable_bins();
 }
 
-void SweepProcessor::average(std::span<const double> sweeps,
-                             std::size_t sweep_count) {
+std::span<const double> SweepProcessor::average(std::span<const double> sweeps,
+                                                std::size_t sweep_count) {
     const std::size_t n = fmcw_.samples_per_sweep();
     if (sweep_count == 0) throw std::invalid_argument("SweepProcessor: no sweeps");
     if (sweeps.size() != sweep_count * n)
         throw std::invalid_argument("SweepProcessor: sweep length mismatch");
+    // One sweep is its own average: x * 1.0 == x bit for bit, and a
+    // signalling NaN is quieted by the window multiply either way.
+    if (sweep_count == 1) return sweeps;
 
     // Fused averaging: the first sweep assigns (no zero-fill pass), the
     // rest accumulate. The window multiply happens inside the transform's
@@ -54,12 +57,12 @@ void SweepProcessor::average(std::span<const double> sweeps,
         const double* sweep = sweeps.data() + s * n;
         for (std::size_t i = 0; i < n; ++i) averaged_[i] += sweep[i] * scale;
     }
+    return averaged_;
 }
 
 void SweepProcessor::process_into(std::span<const double> sweeps,
                                   std::size_t sweep_count, RangeProfile& out) {
-    average(sweeps, sweep_count);
-    transform(out);
+    transform(average(sweeps, sweep_count), out);
 }
 
 void SweepProcessor::process_frame_into(const FrameBuffer& frame,

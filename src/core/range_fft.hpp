@@ -10,7 +10,9 @@
 // buffer, later sweeps accumulate into it, and the window is applied during
 // the r2c packing pass inside RealFft -- there is no zero-fill pass and no
 // separate window pass, and the zero-padded tail of the transform never
-// exists in memory (the pruned FFT plan knows it is structurally zero).
+// exists in memory (the pruned FFT plan knows it is structurally zero). A
+// single-sweep frame (fast capture, or a replayed recording of one) is
+// transformed straight from the caller's sweep, with no averaging copy.
 //
 // The processor owns its averaging buffer, its FFT plan and the FFT scratch
 // space, so the steady-state `process_into` / `process_frame_into` paths do
@@ -77,13 +79,15 @@ class SweepProcessor {
     std::size_t usable_bins() const { return rfft_.size() / 2; }
 
   private:
-    /// FFT the averaged sweep in averaged_ into `out` (window fused into
-    /// the transform's packing pass).
-    void transform(RangeProfile& out);
+    /// FFT one (averaged) sweep into `out` (window fused into the
+    /// transform's packing pass).
+    void transform(std::span<const double> sweep, RangeProfile& out);
 
-    /// Coherently average `sweep_count` sweeps into averaged_ (fused
-    /// scale-assign on the first sweep, accumulate on the rest).
-    void average(std::span<const double> sweeps, std::size_t sweep_count);
+    /// The coherent average of `sweep_count` sweeps: the sweep itself when
+    /// there is one, else averaged_ (fused scale-assign on the first sweep,
+    /// accumulate on the rest).
+    std::span<const double> average(std::span<const double> sweeps,
+                                    std::size_t sweep_count);
 
     FmcwParams fmcw_;
     dsp::RealFft rfft_;             ///< pruned to the sweep length

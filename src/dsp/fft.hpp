@@ -21,14 +21,13 @@ namespace witrack::dsp {
 
 using cplx = std::complex<double>;
 
-/// Caller-owned scratch space for allocation-free transforms: separate
-/// re/im planes (the kernel is structure-of-arrays throughout). Buffers
-/// grow on first use and are reused afterwards, so a long-lived scratch
-/// makes every subsequent transform heap-allocation-free. One scratch must
-/// not be shared between threads.
+/// Caller-owned scratch space for allocation-free transforms: the four
+/// half-length re/im work planes of the structure-of-arrays kernel, in one
+/// block. The block grows on first use and is reused afterwards, so a
+/// long-lived scratch makes every subsequent transform
+/// heap-allocation-free. One scratch must not be shared between threads.
 struct FftScratch {
-    std::vector<double> zre, zim;  ///< packed half-length sequence
-    std::vector<double> wre, wim;  ///< kernel ping-pong work planes
+    std::vector<double> planes;
 };
 
 /// Real-input DFT plan for one sweep length with a true r2c half-spectrum
@@ -37,7 +36,8 @@ struct FftScratch {
 /// (the upper half is their conjugate mirror and is never materialized).
 /// It runs through one N/2-point complex FFT (even samples in the real
 /// plane, odd samples in the imaginary plane) plus an O(N/4) paired
-/// untangling stage. Immutable after construction; all per-call storage is
+/// untangling stage, which kernels::real_forward fuses into the FFT's
+/// first and last passes. Immutable after construction; all per-call storage is
 /// in the caller's FftScratch, so steady-state transforms are
 /// allocation-free.
 class RealFft {

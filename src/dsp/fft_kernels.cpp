@@ -1,5 +1,6 @@
 #include "dsp/fft_kernels.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -26,6 +27,28 @@ namespace witrack::dsp::kernels {
 // always fall on whole p values, and a skipped (unwritten) destination
 // range is never read back. The final stage always satisfies nzb >= s, so
 // its t_0 covers the whole p-range and the output is fully materialized.
+//
+// Passes: the stages are grouped into passes over memory at plan time
+// (fft_kernels_impl.hpp runs them). The stride-1 first stage fuses with the
+// stride-4 stage whenever its output is dense (live prefix >= n/4; its own
+// input may be pruned). After it, a stage whose input is dense (live
+// prefix n) fuses with the next one -- a radix-4 pair into radix-16, the
+// last radix-4 stage and the radix-2 fixup into radix-8 -- and a stage that
+// still has structural zeros in its input runs alone with its pruning
+// regions. The range pipeline's 2048-point half transform (1250 live
+// inputs) runs its 6 stages in 3 passes: stride-1 + stride-4 (pruned),
+// radix-16, and radix-8, which also untangles the half spectrum
+// (real_forward).
+
+namespace {
+
+/// Live output prefix of one stage, given its live input prefix.
+std::size_t stage_output_live(const FftStage& st, std::size_t n, std::size_t live) {
+    if (st.radix == 2) return std::min(live, n / 2) > 0 ? n : 0;
+    return 4 * st.stride * detail::ceil_div(std::min(live, n / 4), st.stride);
+}
+
+}  // namespace
 
 Pow2Kernel::Pow2Kernel(std::size_t n, std::size_t n_nonzero) : n_(n) {
     if (!is_power_of_two(n_))
@@ -60,6 +83,24 @@ Pow2Kernel::Pow2Kernel(std::size_t n, std::size_t n_nonzero) : n_(n) {
         stride *= 4;
     }
     if (sub == 2) stages_.push_back({2, n_ / 2, 1, tw_.size()});
+
+    std::size_t live = nz_;
+    for (std::size_t i = 0; i < stages_.size();) {
+        const FftStage& st = stages_[i];
+        const bool next4 = i + 1 < stages_.size() && stages_[i + 1].radix == 4;
+        PassKind kind = PassKind::kRadix4;
+        if (st.radix == 2)
+            kind = PassKind::kRadix2;
+        else if (st.stride == 1)
+            kind = next4 && live >= n_ / 4 ? PassKind::kStride1Radix16 : PassKind::kStride1;
+        else if (live == n_ && i + 1 < stages_.size())
+            kind = next4 ? PassKind::kRadix16 : PassKind::kRadix8;
+        passes_.push_back({kind, i, live});
+        const bool pair = kind == PassKind::kStride1Radix16 ||
+                          kind == PassKind::kRadix16 || kind == PassKind::kRadix8;
+        for (const std::size_t end = i + (pair ? 2 : 1); i < end; ++i)
+            live = stage_output_live(stages_[i], n_, live);
+    }
 }
 
 namespace detail {
@@ -67,8 +108,16 @@ namespace detail {
 // Scalar level: always available, and the tail lane of every vector loop.
 
 void forward_scalar(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
-                    double* wi, std::size_t nzb) {
-    run_forward_t<simd::ScalarD>(plan, xr, xi, wr, wi, nzb);
+                    double* wi) {
+    run_forward_t<simd::ScalarD>(plan, xr, xi, wr, wi);
+}
+
+void real_forward_scalar(const Pow2Kernel& half, const double* x, const double* w,
+                         std::size_t samples, const double* twr,
+                         const double* twi, double* ore, double* oim,
+                         double* zr, double* zi, double* wr, double* wi) {
+    run_real_forward_t<simd::ScalarD>(half, x, w, samples, twr, twi, ore, oim, zr,
+                                      zi, wr, wi);
 }
 
 }  // namespace detail
@@ -78,13 +127,22 @@ void forward_scalar(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
 // translation unit forwards to the scalar level when the *build* lacks
 // AVX2 entirely, e.g. a non-x86 target).
 void Pow2Kernel::forward(double* xr, double* xi, double* wr, double* wi) const {
-    switch (simd::active()) {
-        case simd::Level::kAvx2:
-            detail::forward_avx2(*this, xr, xi, wr, wi, nz_);
-            return;
-        case simd::Level::kScalar: break;
-    }
-    detail::forward_scalar(*this, xr, xi, wr, wi, nz_);
+    if (simd::active() == simd::Level::kAvx2)
+        detail::forward_avx2(*this, xr, xi, wr, wi);
+    else
+        detail::forward_scalar(*this, xr, xi, wr, wi);
+}
+
+void real_forward(const Pow2Kernel& half, const double* x, const double* w,
+                  std::size_t samples, const double* twr, const double* twi,
+                  double* ore, double* oim, double* zr, double* zi, double* wr,
+                  double* wi) {
+    if (simd::active() == simd::Level::kAvx2)
+        detail::real_forward_avx2(half, x, w, samples, twr, twi, ore, oim, zr, zi,
+                                  wr, wi);
+    else
+        detail::real_forward_scalar(half, x, w, samples, twr, twi, ore, oim, zr,
+                                    zi, wr, wi);
 }
 
 }  // namespace witrack::dsp::kernels

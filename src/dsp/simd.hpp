@@ -1,6 +1,7 @@
 // Width-agnostic SIMD lane layer for the two dispatched kernels, the range
 // FFT and the beat-tone mixer: a tiny set of lane structs (load/store/
-// broadcast/add/sub/mul, plus the mixer's div/sqrt, over a register of
+// broadcast/add/sub/mul, the mixer's div/sqrt, and the FFT's three data
+// movers -- interleaving store, deinterleave, reverse -- over a register of
 // `width` elements) with scalar and AVX2 (256-bit) implementations, plus
 // the runtime dispatch level the per-ISA kernel translation units are
 // selected by.
@@ -62,6 +63,15 @@ Level force(Level level) noexcept;
 //   add / sub / mul   -- elementwise IEEE-754 arithmetic
 //   div / sqrt        -- correctly-rounded IEEE-754 divide / square root,
 //                        so they keep the cross-level bit-identity contract
+//   store4            -- interleaving 4-way store, lane i's four elements
+//                        contiguous at p + i*stride: p[i*stride + k] = r_k[i]
+//                        (a 4x4 transpose on the way out)
+//   deinterleave      -- split 2*width consecutive elems held as (lo, hi)
+//                        into even[i] = elem 2i and odd[i] = elem 2i + 1;
+//                        with two loads in front, a deinterleaving load
+//   reverse           -- the register's elements in reverse order
+// The last three only move data, so they cannot break bit identity; at
+// width 1 they are plain stores, plain loads and the identity.
 
 /// Width-1 fallback lane; also the tail lane of every vector loop.
 template <class T>
@@ -77,6 +87,17 @@ struct Scalar {
     static reg mul(reg a, reg b) noexcept { return a * b; }
     static reg div(reg a, reg b) noexcept { return a / b; }
     static reg sqrt(reg a) noexcept { return std::sqrt(a); }
+    static void store4(elem* p, std::size_t, reg a, reg b, reg c, reg d) noexcept {
+        p[0] = a;
+        p[1] = b;
+        p[2] = c;
+        p[3] = d;
+    }
+    static void deinterleave(reg lo, reg hi, reg& even, reg& odd) noexcept {
+        even = lo;
+        odd = hi;
+    }
+    static reg reverse(reg a) noexcept { return a; }
 };
 
 using ScalarD = Scalar<double>;
@@ -94,6 +115,23 @@ struct AvxD {
     static reg mul(reg a, reg b) noexcept { return _mm256_mul_pd(a, b); }
     static reg div(reg a, reg b) noexcept { return _mm256_div_pd(a, b); }
     static reg sqrt(reg a) noexcept { return _mm256_sqrt_pd(a); }
+    static void store4(elem* p, std::size_t stride, reg a, reg b, reg c,
+                       reg d) noexcept {
+        const reg ab_lo = _mm256_unpacklo_pd(a, b);  // a0 b0 a2 b2
+        const reg ab_hi = _mm256_unpackhi_pd(a, b);  // a1 b1 a3 b3
+        const reg cd_lo = _mm256_unpacklo_pd(c, d);  // c0 d0 c2 d2
+        const reg cd_hi = _mm256_unpackhi_pd(c, d);  // c1 d1 c3 d3
+        _mm256_storeu_pd(p, _mm256_permute2f128_pd(ab_lo, cd_lo, 0x20));
+        _mm256_storeu_pd(p + stride, _mm256_permute2f128_pd(ab_hi, cd_hi, 0x20));
+        _mm256_storeu_pd(p + 2 * stride, _mm256_permute2f128_pd(ab_lo, cd_lo, 0x31));
+        _mm256_storeu_pd(p + 3 * stride, _mm256_permute2f128_pd(ab_hi, cd_hi, 0x31));
+    }
+    static void deinterleave(reg lo, reg hi, reg& even, reg& odd) noexcept {
+        // lo = x0 x1 x2 x3, hi = x4 x5 x6 x7
+        even = _mm256_permute4x64_pd(_mm256_unpacklo_pd(lo, hi), 0xD8);  // x0 x4 x2 x6
+        odd = _mm256_permute4x64_pd(_mm256_unpackhi_pd(lo, hi), 0xD8);   // x1 x5 x3 x7
+    }
+    static reg reverse(reg a) noexcept { return _mm256_permute4x64_pd(a, 0x1B); }
 };
 #endif  // __AVX2__
 

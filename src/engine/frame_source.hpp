@@ -43,7 +43,7 @@ struct Frame {
 /// engine layer depending on the network layer. Datagram-level counters
 /// (crc_errors, truncated, bad_magic, version_skew) cover datagrams that
 /// never decoded; frame-level counters (frame_gaps, reorders, duplicates,
-/// late_fragments) come from per-sender sequence tracking.
+/// late_fragments, seq_resyncs) come from per-sender sequence tracking.
 struct NetIngestStats {
     std::uint64_t datagrams = 0;         ///< datagrams accepted (decoded OK)
     std::uint64_t bytes = 0;             ///< payload + header bytes accepted
@@ -59,6 +59,7 @@ struct NetIngestStats {
     std::uint64_t malformed = 0;         ///< dropped: bad datagram header or frame body
     std::uint64_t foreign_token = 0;     ///< datagrams dropped: wrong session token
     std::uint64_t idle_timeouts = 0;     ///< next() gave up waiting for frames
+    std::uint64_t seq_resyncs = 0;       ///< jumps to a new frame-seq range
 
     NetIngestStats& operator+=(const NetIngestStats& other) {
         datagrams += other.datagrams;
@@ -75,6 +76,7 @@ struct NetIngestStats {
         malformed += other.malformed;
         foreign_token += other.foreign_token;
         idle_timeouts += other.idle_timeouts;
+        seq_resyncs += other.seq_resyncs;
         return *this;
     }
 };

@@ -118,6 +118,7 @@ void append_net(std::string& out, const NetIngestStats& net) {
     append_field(out, "malformed", net.malformed);
     append_field(out, "foreign_token", net.foreign_token);
     append_field(out, "idle_timeouts", net.idle_timeouts);
+    append_field(out, "seq_resyncs", net.seq_resyncs);
     out += "}";
 }
 

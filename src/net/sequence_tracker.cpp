@@ -14,11 +14,54 @@ SequenceTracker::SequenceTracker(std::size_t max_body_bytes,
 void SequenceTracker::offer(const FrameHeader& header,
                             std::span<const std::uint8_t> payload) {
     if (header.end_of_stream()) {
+        // The stream bound may not run more than R past the newest frame
+        // this range could still deliver.
+        std::uint64_t newest = next_seq_;
+        if (any_seen_ && highest_seen_ != UINT64_MAX)
+            newest = std::max(newest, highest_seen_ + 1);
+        if (header.frame_seq > newest && header.frame_seq - newest > reach()) {
+            ++stats_.malformed;
+            return;
+        }
         eos_seen_ = true;
         eos_seq_ = std::max(eos_seq_, header.frame_seq);
         return;
     }
 
+    switch (classify(header.frame_seq)) {
+        case Range::kOutlier:
+            offer_outlier(header, payload);
+            return;
+        case Range::kLate:
+            // The frame this fragment belongs to was already delivered or
+            // written off as a gap; either way its book is closed.
+            note_arrival(header);
+            ++stats_.late_fragments;
+            return;
+        case Range::kInRange: break;
+    }
+    if (header.frame_seq < next_seq_) {
+        // In range only modulo 2^64: the sender's counter wrapped. Close
+        // the range below the wrap first, so the pending maps only ever
+        // hold seqs ascending from next_seq_.
+        close_range();
+        if (next_seq_ != 0) write_off_through(UINT64_MAX);
+        any_seen_ = false;
+        have_last_key_ = false;
+    }
+    offer_in_range(header, payload);
+}
+
+SequenceTracker::Range SequenceTracker::classify(std::uint64_t seq) const {
+    // Unsigned differences are distances modulo 2^64.
+    if (seq - next_seq_ <= reach()) return Range::kInRange;
+    if (closed_any_ && next_seq_ - seq <= reach()) return Range::kLate;
+    if (retired_ && (seq - *retired_ <= reach() || *retired_ - seq <= reach()))
+        return Range::kLate;
+    return Range::kOutlier;
+}
+
+void SequenceTracker::note_arrival(const FrameHeader& header) {
     // Arrival-order probe: datagrams are sent (seq, fragment) ascending, so
     // any step backwards means the network reordered them. Duplicates
     // compare equal and are not reorders.
@@ -27,56 +70,102 @@ void SequenceTracker::offer(const FrameHeader& header,
     if (have_last_key_ && key < last_key_) ++stats_.reorders;
     if (!have_last_key_ || last_key_ < key) last_key_ = key;
     have_last_key_ = true;
+}
 
+void SequenceTracker::offer_in_range(const FrameHeader& header,
+                                     std::span<const std::uint8_t> payload) {
+    note_arrival(header);
     if (!any_seen_ || header.frame_seq > highest_seen_)
         highest_seen_ = header.frame_seq;
     any_seen_ = true;
 
-    if (header.frame_seq < next_seq_) {
-        // The frame this fragment belongs to was already delivered or
-        // written off as a gap; either way its book is closed.
-        ++stats_.late_fragments;
-        return;
-    }
     if (ready_.count(header.frame_seq) != 0) {
         ++stats_.duplicates;
         return;
     }
+    auto it = partial_.try_emplace(header.frame_seq).first;
+    if (!accept(it->second, header, payload)) {
+        if (it->second.seen.empty()) partial_.erase(it);  // nothing placed
+        return;
+    }
+    if (complete(it->second)) {
+        ready_.emplace(header.frame_seq, finish(std::move(it->second)));
+        partial_.erase(it);
+    }
+    promote();
+}
 
-    auto it = partial_.find(header.frame_seq);
-    if (it == partial_.end()) {
-        Partial fresh;
-        fresh.fragment_count = header.fragment_count;
-        if (!fits(fresh, header, payload.size())) {
-            ++stats_.malformed;
+void SequenceTracker::offer_outlier(const FrameHeader& header,
+                                    std::span<const std::uint8_t> payload) {
+    const std::uint64_t seq = header.frame_seq;
+    if (held_ && held_->first != seq) {
+        const std::uint64_t held = held_->first;
+        const bool held_first = seq - held <= reach();
+        if (held_first || held - seq <= reach()) {
+            // A second frame near the held one: the sender moved to a new
+            // range. Close the old one and continue from the earlier frame.
+            // A pair straddling the top of the counter continues from the
+            // second frame alone, so the pending maps stay ascending.
+            close_range();
+            retired_ = next_seq_;
+            ++stats_.seq_resyncs;
+            have_last_key_ = false;
+            next_seq_ = seq;
+            any_seen_ = false;
+            if (held_first ? held <= seq : seq <= held) {
+                Partial partial = std::move(held_->second);
+                held_.reset();
+                next_seq_ = std::min(held, seq);
+                highest_seen_ = held;
+                any_seen_ = true;
+                if (complete(partial))
+                    ready_.emplace(held, finish(std::move(partial)));
+                else
+                    partial_.emplace(held, std::move(partial));
+            } else {
+                drop_held();
+            }
+            offer_in_range(header, payload);
             return;
         }
-        fresh.seen.assign(header.fragment_count, false);
-        fresh.body = take_buffer();
-        it = partial_.emplace(header.frame_seq, std::move(fresh)).first;
-    } else if (it->second.fragment_count != header.fragment_count) {
+        drop_held();
+    }
+    if (!held_) held_.emplace(seq, Partial{});
+    if (!accept(held_->second, header, payload) && held_->second.seen.empty())
+        held_.reset();
+}
+
+bool SequenceTracker::accept(Partial& partial, const FrameHeader& header,
+                             std::span<const std::uint8_t> payload) {
+    if (partial.seen.empty()) {  // the frame's first fragment
+        partial.fragment_count = header.fragment_count;
+        if (!fits(partial, header, payload.size())) {
+            ++stats_.malformed;
+            return false;
+        }
+        partial.seen.assign(header.fragment_count, false);
+        partial.body = take_buffer();
+    } else if (partial.fragment_count != header.fragment_count) {
         // Two fragments of one frame disagreeing about the frame's shape:
         // the sender is broken or hostile. Drop the datagram, keep what we
         // have (the consistent majority may still complete).
         ++stats_.malformed;
-        return;
-    } else if (it->second.seen[header.fragment_index]) {
+        return false;
+    } else if (partial.seen[header.fragment_index]) {
         ++stats_.duplicates;
-        return;
-    } else if (!fits(it->second, header, payload.size())) {
+        return false;
+    } else if (!fits(partial, header, payload.size())) {
         ++stats_.malformed;
-        return;
+        return false;
     }
-
-    Partial& partial = it->second;
     place(partial, header, payload);
-    if (partial.received == partial.fragment_count) {
-        partial.body.resize((partial.fragment_count - 1u) * partial.chunk +
-                            partial.last_bytes);
-        ready_.emplace(header.frame_seq, std::move(partial.body));
-        partial_.erase(it);
-    }
-    promote();
+    return true;
+}
+
+SequenceTracker::Buffer SequenceTracker::finish(Partial&& partial) {
+    partial.body.resize((partial.fragment_count - 1u) * partial.chunk +
+                        partial.last_bytes);
+    return std::move(partial.body);
 }
 
 bool SequenceTracker::fits(const Partial& partial, const FrameHeader& header,
@@ -141,20 +230,38 @@ void SequenceTracker::recycle(Buffer&& buffer) {
 }
 
 void SequenceTracker::skip_to(std::uint64_t seq) {
-    if (seq <= next_seq_) return;
-    // Every seq in [next_seq_, seq) that never completed is a gap; drop
+    if (seq > next_seq_) write_off_through(seq - 1);
+}
+
+void SequenceTracker::write_off_through(std::uint64_t last) {
+    // Every seq in [next_seq_, last] that never completed is a gap; drop
     // whatever incomplete fragments it left behind.
-    std::uint64_t skipped = seq - next_seq_;
-    for (auto it = ready_.begin(); it != ready_.end() && it->first < seq;) {
+    for (auto it = ready_.begin(); it != ready_.end() && it->first <= last;) {
         recycle(std::move(it->second));  // unreachable in practice: promote() drains these
         it = ready_.erase(it);
     }
-    for (auto it = partial_.begin(); it != partial_.end() && it->first < seq;) {
+    for (auto it = partial_.begin(); it != partial_.end() && it->first <= last;) {
         recycle(std::move(it->second.body));
         it = partial_.erase(it);
     }
-    stats_.frame_gaps += skipped;
-    next_seq_ = seq;
+    stats_.frame_gaps += last - next_seq_ + 1;
+    closed_any_ = true;
+    next_seq_ = last + 1;
+    if (next_seq_ == 0) any_seen_ = false;  // past the top of the counter
+}
+
+void SequenceTracker::close_range() {
+    while (!ready_.empty()) {
+        skip_to(ready_.begin()->first);
+        promote();
+    }
+    if (!partial_.empty()) write_off_through(partial_.rbegin()->first);
+}
+
+void SequenceTracker::drop_held() {
+    stats_.malformed += held_->second.received;
+    recycle(std::move(held_->second.body));
+    held_.reset();
 }
 
 void SequenceTracker::promote() {
@@ -164,7 +271,8 @@ void SequenceTracker::promote() {
         if (it != ready_.end()) {
             deliverable_.emplace_back(it->first, std::move(it->second));
             ready_.erase(it);
-            ++next_seq_;
+            closed_any_ = true;
+            if (++next_seq_ == 0) any_seen_ = false;  // past the top of the counter
             continue;
         }
         // A hole at next_seq_: wait for it until the window of pending
@@ -188,17 +296,15 @@ void SequenceTracker::promote() {
 
 void SequenceTracker::flush() {
     // Deliver every completed frame in order, writing the incomplete seqs
-    // between them off as gaps.
-    while (!ready_.empty()) {
-        skip_to(ready_.begin()->first);
-        promote();
-    }
-    // Everything left is incomplete; account it and the wholly-missing
-    // tail up to the stream bound.
-    std::uint64_t bound = next_seq_;
-    if (eos_seen_) bound = std::max(bound, eos_seq_);
-    if (any_seen_) bound = std::max(bound, highest_seen_ + 1);
-    skip_to(bound);
+    // between and after them off as gaps; then the wholly-missing tail up
+    // to the stream bound (the end-of-stream seq when one arrived, one past
+    // the newest in-range seq seen otherwise -- neither runs more than R
+    // past the range, and neither wraps). An unconfirmed outlier is
+    // dropped.
+    close_range();
+    if (eos_seen_) skip_to(eos_seq_);
+    if (any_seen_ && highest_seen_ >= next_seq_) write_off_through(highest_seen_);
+    if (held_) drop_held();
 }
 
 bool SequenceTracker::pop(std::uint64_t& frame_seq, Buffer& body) {

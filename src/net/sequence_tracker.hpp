@@ -41,12 +41,29 @@
 // written off once a frame >= h + window_frames arrived. flush() (end of
 // stream, or the source going idle) releases everything still pending the
 // same way.
+//
+// Seq range: a frame seq is in range when it lies at most R = 4 *
+// window_frames ahead of the next seq to deliver (distances modulo 2^64, so
+// a sender whose counter wraps past 2^64 - 1 flows on), and late when it
+// lies at most R behind (once any seq was delivered or written off). Any other seq -- one stray or forged datagram, or
+// a sender that restarted its counter -- is an outlier: its frame is held
+// aside, one frame at a time, and moves nothing (no gap, no reorder, no
+// stream bound). A second frame within R of the held one confirms the new
+// range: the tracker resyncs to it, delivering the old range's completed
+// frames and writing off its incomplete ones (at most R gaps), counts one
+// seq_resyncs, and continues from the earlier of the two frames. A held
+// frame that a different outlier displaces, or that flush() finds
+// unconfirmed, is counted malformed per datagram. Stragglers within R of
+// the range a resync retired count as late fragments. An end-of-stream
+// seq more than R past the newest in-range frame is an outlier too: it is
+// counted malformed and ends nothing.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -90,11 +107,15 @@ class SequenceTracker {
     bool end_of_stream_seen() const { return eos_seen_; }
 
     /// Seq-level counters (frame_gaps, reorders, duplicates,
-    /// late_fragments, malformed, idle/datagram fields untouched). The
-    /// caller owns the datagram-level counters.
+    /// late_fragments, malformed, seq_resyncs; idle/datagram fields
+    /// untouched). The caller owns the datagram-level counters.
     const engine::NetIngestStats& stats() const { return stats_; }
 
-    std::size_t pending_frames() const { return partial_.size() + ready_.size(); }
+    /// Frames held for later delivery or confirmation (the held outlier
+    /// included).
+    std::size_t pending_frames() const {
+        return partial_.size() + ready_.size() + (held_ ? 1 : 0);
+    }
 
   private:
     using Buffer = std::vector<std::uint8_t>;
@@ -108,6 +129,24 @@ class SequenceTracker {
         Buffer body;                 ///< at most max_body_bytes_ long
     };
 
+    /// Where a frame seq stands against the range being delivered.
+    enum class Range { kInRange, kLate, kOutlier };
+
+    Range classify(std::uint64_t seq) const;
+    std::uint64_t reach() const { return 4 * config_.window_frames; }
+    void offer_in_range(const FrameHeader& header,
+                        std::span<const std::uint8_t> payload);
+    void offer_outlier(const FrameHeader& header,
+                       std::span<const std::uint8_t> payload);
+    void note_arrival(const FrameHeader& header);
+    /// Add one fragment to `partial` (created empty for a new frame); false
+    /// when it was counted duplicate or malformed instead.
+    bool accept(Partial& partial, const FrameHeader& header,
+                std::span<const std::uint8_t> payload);
+    bool complete(const Partial& partial) const {
+        return partial.received == partial.fragment_count;
+    }
+    Buffer finish(Partial&& partial);
     bool fits(const Partial& partial, const FrameHeader& header, std::size_t n) const;
     void place(Partial& partial, const FrameHeader& header,
                std::span<const std::uint8_t> payload);
@@ -115,6 +154,12 @@ class SequenceTracker {
     void recycle(Buffer&& buffer);
     void promote();
     void skip_to(std::uint64_t seq);
+    /// Write off every seq in [next_seq_, last] (next_seq_ <= last).
+    void write_off_through(std::uint64_t last);
+    /// Deliver every completed pending frame in order, writing off the
+    /// incomplete ones: pending seqs lie within R of next_seq_.
+    void close_range();
+    void drop_held();
 
     SequenceTrackerConfig config_;
     std::size_t max_body_bytes_;
@@ -124,10 +169,13 @@ class SequenceTracker {
     std::deque<std::pair<std::uint64_t, Buffer>> deliverable_;
     std::vector<Buffer> spare_;        ///< recycled body buffers
     std::uint64_t next_seq_ = 0;       ///< next frame seq to deliver
-    std::uint64_t highest_seen_ = 0;   ///< highest frame seq offered
+    std::uint64_t highest_seen_ = 0;   ///< highest in-range frame seq offered
     bool any_seen_ = false;
+    bool closed_any_ = false;          ///< a seq was delivered or written off
     bool eos_seen_ = false;
     std::uint64_t eos_seq_ = 0;
+    std::optional<std::pair<std::uint64_t, Partial>> held_;  ///< the outlier frame
+    std::optional<std::uint64_t> retired_;  ///< where the last resync left off
     bool have_last_key_ = false;
     std::pair<std::uint64_t, std::uint16_t> last_key_{0, 0};  ///< arrival order probe
 };

@@ -2,22 +2,29 @@
 // (dense power-of-two sizes and pruned zero-padded shapes, plus linearity
 // and Parseval), pruned == dense at one shape, the r2c RealFft at the
 // production shape (2500 samples into 4096 points) and at dense
-// power-of-two shapes, the fused window, the WITRACK_SIMD rule, and
-// bit-identity of the scalar and AVX2 dispatch levels.
+// power-of-two shapes, the fused window, the WITRACK_SIMD rule,
+// bit-identity of the scalar and AVX2 dispatch levels, and byte equality
+// of both levels with the frozen scalar reference in fft_reference.hpp
+// (plus a golden CRC of the production-shape spectrum).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <complex>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <random>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/serialize.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/fft_kernels.hpp"
 #include "dsp/simd.hpp"
 
+#include "fft_reference.hpp"
 #include "forced_level.hpp"
 
 namespace witrack::dsp {
@@ -39,7 +46,7 @@ std::vector<cplx> naive_dft(const std::vector<cplx>& in) {
     std::vector<cplx> out(n);
     for (std::size_t k = 0; k < n; ++k) {
         double re = 0.0, im = 0.0;
-        for (std::size_t t = 0, j = 0; t < n; ++t, j = (j + k) % n) {
+        for (std::size_t t = 0, j = 0; t < n; ++t, j = j + k < n ? j + k : j + k - n) {
             re += in[t].real() * cos_t[j] + in[t].imag() * sin_t[j];
             im += in[t].imag() * cos_t[j] - in[t].real() * sin_t[j];
         }
@@ -148,7 +155,8 @@ TEST_P(KernelSizes, Linearity) {
 }
 
 INSTANTIATE_TEST_SUITE_P(PowerOfTwo, KernelSizes,
-                         ::testing::Values(2, 4, 16, 64, 256, 1024, 2048, 4096),
+                         ::testing::Values(2, 4, 8, 16, 64, 256, 1024, 2048, 4096,
+                                           16384),
                          [](const ::testing::TestParamInfo<std::size_t>& info) {
                              return "N" + std::to_string(info.param);
                          });
@@ -192,6 +200,9 @@ INSTANTIATE_TEST_SUITE_P(
     ZeroPaddedShapes, PrunedShapes,
     ::testing::Values(PrunedCase{64, 40}, PrunedCase{256, 17},
                       PrunedCase{2048, 1250},  // packed half of the sweep
+                      PrunedCase{2048, 600},   // 2- and 1-live first stage
+                      PrunedCase{2048, 1},     // pruned through the radix-2 fixup
+                      PrunedCase{32, 3},
                       PrunedCase{4096, 2500},
                       PrunedCase{4096, 1}, PrunedCase{4096, 4095}),
     [](const ::testing::TestParamInfo<PrunedCase>& info) {
@@ -255,12 +266,14 @@ TEST_P(RealShapes, WindowedForwardEqualsPremultiplied) {
 
 INSTANTIATE_TEST_SUITE_P(
     DenseAndPruned, RealShapes,
-    ::testing::Values(RealCase{2, 2}, RealCase{16, 16}, RealCase{64, 64},
+    ::testing::Values(RealCase{2, 2}, RealCase{4, 4}, RealCase{8, 8},
+                      RealCase{16, 16}, RealCase{32, 32}, RealCase{64, 64},
                       RealCase{2048, 2048}, RealCase{4096, 4096},
                       RealCase{250, 256},     // test-sized sweep
                       RealCase{2500, 4096},   // production shape
                       RealCase{2501, 4096},   // odd sweep length
-                      RealCase{1000, 1024}),  // prune beyond half
+                      RealCase{1000, 1024},   // prune beyond half
+                      RealCase{6000, 8192}),  // radix-16 last pass
     [](const ::testing::TestParamInfo<RealCase>& info) {
         return "N" + std::to_string(info.param.n) + "nz" +
                std::to_string(info.param.samples);
@@ -378,6 +391,165 @@ TEST(SimdDispatch, RealWindowedPathBitIdenticalAcrossLevels) {
     for (std::size_t k = 0; k < out.size(); ++k) {
         ASSERT_EQ(out[k].real(), reference[k].real()) << "k=" << k;
         ASSERT_EQ(out[k].imag(), reference[k].imag()) << "k=" << k;
+    }
+}
+
+// ------------------------------------------- frozen reference parity
+//
+// Every dispatch level must reproduce the frozen scalar schedule in
+// fft_reference.hpp byte for byte (memcmp, so the sign of every zero
+// counts), on inputs that reach the corners of IEEE-754 arithmetic: signed
+// zeros, subnormals and magnitudes near 1e300 (large enough to stress the
+// exponent range, small enough that no 2048-term sum overflows).
+
+/// SplitMix64: a fixed integer generator, so the inputs (and the golden
+/// CRC below) do not depend on the standard library's distributions.
+std::uint64_t splitmix64(std::uint64_t& state) {
+    std::uint64_t z = (state += 0x9E3779B97F4A7C15ull);
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    return z ^ (z >> 31);
+}
+
+enum class Corner { kMixed, kTiny, kSparseZeros };
+
+/// One seeded value of the given input class.
+double corner_value(std::uint64_t& state, Corner corner) {
+    const std::uint64_t r = splitmix64(state);
+    const double u = static_cast<double>(r >> 11) * 0x1.0p-53;  // [0, 1)
+    const std::uint64_t sign = (r & 8u) != 0 ? 0x8000000000000000ull : 0;
+    const auto subnormal = [&] {
+        const std::uint64_t mantissa = ((r >> 12) & 0xFFFFFFFFFFFFFull) | 1u;
+        return std::bit_cast<double>(sign | mantissa);
+    };
+    switch (corner) {
+        case Corner::kMixed:
+            switch (r & 7u) {
+                case 0: return 0.0;
+                case 1: return -0.0;
+                case 2: return subnormal();
+                case 3: return (sign != 0 ? -1e300 : 1e300) * (1.0 + u);
+                default: return 2.0 * u - 1.0;
+            }
+        case Corner::kTiny:
+            switch (r & 3u) {
+                case 0: return sign != 0 ? -0.0 : 0.0;
+                case 1: return (sign != 0 ? -1e-300 : 1e-300) * u;
+                default: return subnormal();
+            }
+        case Corner::kSparseZeros:
+            if ((r & 31u) == 0) return 2.0 * u - 1.0;
+            return sign != 0 ? -0.0 : 0.0;
+    }
+    return 0.0;
+}
+
+constexpr Corner kCorners[] = {Corner::kMixed, Corner::kTiny, Corner::kSparseZeros};
+
+std::vector<double> corner_signal(std::size_t n, std::uint64_t seed, Corner corner) {
+    std::vector<double> v(n);
+    for (auto& x : v) x = corner_value(seed, corner);
+    return v;
+}
+
+/// A window in [0, 2) with an occasional signed zero: every product with
+/// a corner value stays finite.
+std::vector<double> tame_window(std::size_t n, std::uint64_t state) {
+    std::vector<double> w(n);
+    for (auto& v : w) {
+        const std::uint64_t r = splitmix64(state);
+        const double u = static_cast<double>(r >> 11) * 0x1.0p-52;
+        v = (r & 15u) == 0 ? ((r & 16u) != 0 ? -0.0 : 0.0) : u;
+    }
+    return w;
+}
+
+bool same_bytes(const std::vector<double>& a, const std::vector<double>& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// Kernel output of plan (n, nz) against the frozen reference, at every
+/// dispatch level this machine supports. The tail [nz, n) holds NaN: the
+/// pruned kernel must never read it.
+void expect_kernel_matches_reference(std::size_t n, std::size_t nz) {
+    const Pow2Kernel plan(n, nz);
+    const reference::Pow2Reference frozen(n, nz);
+    const std::size_t live = plan.n_nonzero();
+    for (const Corner corner : kCorners) {
+        const std::uint64_t seed = 1000003u * n + nz + static_cast<std::uint64_t>(corner);
+        std::vector<double> re = corner_signal(live, seed, corner);
+        std::vector<double> im = corner_signal(live, ~seed, corner);
+        re.resize(n, std::nan(""));
+        im.resize(n, std::nan(""));
+        std::vector<double> ref_re = re, ref_im = im, wr(n), wi(n);
+        frozen.forward(ref_re.data(), ref_im.data(), wr.data(), wi.data());
+        for (const simd::Level level : kAllLevels) {
+            ForcedLevel guard(level);
+            if (guard.granted() != level) continue;
+            SCOPED_TRACE(std::string(simd::to_string(level)) + " corner " +
+                         std::to_string(static_cast<int>(corner)));
+            std::vector<double> out_re = re, out_im = im;
+            std::fill(wr.begin(), wr.end(), std::nan(""));
+            std::fill(wi.begin(), wi.end(), std::nan(""));
+            plan.forward(out_re.data(), out_im.data(), wr.data(), wi.data());
+            EXPECT_TRUE(same_bytes(out_re, ref_re));
+            EXPECT_TRUE(same_bytes(out_im, ref_im));
+        }
+    }
+}
+
+TEST_P(KernelSizes, BytewiseEqualsFrozenReference) {
+    expect_kernel_matches_reference(GetParam(), GetParam());
+}
+
+TEST_P(PrunedShapes, BytewiseEqualsFrozenReference) {
+    expect_kernel_matches_reference(GetParam().n, GetParam().nonzero);
+}
+
+TEST_P(RealShapes, BytewiseEqualsFrozenReference) {
+    const std::size_t nz = GetParam().samples;
+    const RealFft plan(nz);
+    for (const Corner corner : kCorners) {
+        const std::uint64_t seed = 7919u * nz + static_cast<std::uint64_t>(corner);
+        const auto x = corner_signal(nz, seed, corner);
+        const auto w = tame_window(nz, ~seed);
+        std::vector<double> ref_re, ref_im;
+        reference::real_forward(x, w, ref_re, ref_im);
+        for (const simd::Level level : kAllLevels) {
+            ForcedLevel guard(level);
+            if (guard.granted() != level) continue;
+            SCOPED_TRACE(std::string(simd::to_string(level)) + " corner " +
+                         std::to_string(static_cast<int>(corner)));
+            FftScratch scratch;
+            std::vector<double> re, im;
+            plan.forward(x, w, re, im, scratch);
+            EXPECT_TRUE(same_bytes(re, ref_re));
+            EXPECT_TRUE(same_bytes(im, ref_im));
+        }
+    }
+}
+
+TEST(RealFftSuite, ProductionSpectrumMatchesGoldenCrc) {
+    // CRC-32 of the 2500 -> 4096 half spectrum's bytes (re plane, then im
+    // plane) for a fixed seeded input, computed by the radix-4 schedule
+    // before it was fused into multi-stage vector passes. Any change to an
+    // element's operation sequence, or to a twiddle value, changes it.
+    constexpr std::uint32_t kGoldenCrc = 0x2C425117u;
+    const std::size_t nz = 2500;
+    const auto x = corner_signal(nz, 20141, Corner::kMixed);
+    const auto w = tame_window(nz, 20142);
+    const RealFft plan(nz);
+    for (const simd::Level level : kAllLevels) {
+        ForcedLevel guard(level);
+        if (guard.granted() != level) continue;
+        SCOPED_TRACE(simd::to_string(level));
+        FftScratch scratch;
+        std::vector<double> re, im;
+        plan.forward(x, w, re, im, scratch);
+        std::uint32_t crc = common::crc32(re.data(), re.size() * sizeof(double));
+        crc = common::crc32(im.data(), im.size() * sizeof(double), crc);
+        EXPECT_EQ(crc, kGoldenCrc) << std::hex << "0x" << crc;
     }
 }
 

@@ -524,6 +524,128 @@ TEST(SequenceTracker, WindowOverflowWritesOffTheHole) {
     EXPECT_EQ(tracker.stats().frame_gaps, 1u);
 }
 
+/// Pop everything deliverable.
+std::vector<std::uint64_t> drain_seqs(net::SequenceTracker& tracker) {
+    std::vector<std::uint64_t> delivered;
+    std::uint64_t seq = 0;
+    std::vector<std::uint8_t> body;
+    while (tracker.pop(seq, body)) delivered.push_back(seq);
+    return delivered;
+}
+
+std::vector<std::uint64_t> seq_run(std::uint64_t first, std::size_t count) {
+    std::vector<std::uint64_t> seqs;
+    for (std::size_t i = 0; i < count; ++i) seqs.push_back(first + i);  // wraps at 2^64
+    return seqs;
+}
+
+TEST(SequenceTracker, OutlierSeqDoesNotWriteOffTheStream) {
+    // One CRC-valid frame far ahead of the stream (a stray or forged
+    // datagram) is held aside: it writes nothing off, and every genuine
+    // frame after it is still delivered.
+    net::SequenceTracker tracker(body_bound(tiny_frame()));
+    offer_frame(tracker, 0);
+    offer_frame(tracker, 1);
+    const std::size_t forged = net::pack_frame(tiny_frame(), 1, 0).size();
+    offer_frame(tracker, std::uint64_t{1} << 62);
+    for (std::uint64_t seq = 2; seq < 10; ++seq) offer_frame(tracker, seq);
+    EXPECT_EQ(drain_seqs(tracker), seq_run(0, 10));
+    EXPECT_EQ(tracker.stats().frame_gaps, 0u);
+    EXPECT_EQ(tracker.stats().late_fragments, 0u);
+    EXPECT_EQ(tracker.stats().reorders, 0u);
+    EXPECT_EQ(tracker.stats().seq_resyncs, 0u);
+    EXPECT_EQ(tracker.pending_frames(), 1u);  // the held outlier
+    tracker.flush();
+    EXPECT_EQ(tracker.stats().frame_gaps, 0u);
+    EXPECT_EQ(tracker.stats().malformed, forged);  // unconfirmed at the end
+    EXPECT_EQ(tracker.pending_frames(), 0u);
+}
+
+TEST(SequenceTracker, SenderRestartResyncsOnItsSecondFrame) {
+    net::SequenceTracker tracker(body_bound(tiny_frame()));  // R = 32
+    for (std::uint64_t seq = 0; seq < 100; ++seq) offer_frame(tracker, seq);
+    EXPECT_EQ(drain_seqs(tracker), seq_run(0, 100));
+    // The sender restarts its counter: its first frame is held, its second
+    // confirms the new range, and both are delivered.
+    offer_frame(tracker, 0);
+    EXPECT_TRUE(drain_seqs(tracker).empty());
+    for (std::uint64_t seq = 1; seq < 20; ++seq) offer_frame(tracker, seq);
+    EXPECT_EQ(drain_seqs(tracker), seq_run(0, 20));
+    // A straggler of the retired range is late, not a new range.
+    offer_frame(tracker, 99);
+    tracker.flush();
+    EXPECT_EQ(tracker.stats().seq_resyncs, 1u);
+    EXPECT_EQ(tracker.stats().frame_gaps, 0u);
+    EXPECT_EQ(tracker.stats().late_fragments, 1u);
+    EXPECT_EQ(tracker.stats().malformed, 0u);
+    EXPECT_EQ(tracker.stats().reorders, 0u);
+}
+
+TEST(SequenceTracker, ResyncWritesOffAtMostTheOldWindow) {
+    net::SequenceTracker tracker(body_bound(tiny_frame()), {.window_frames = 4});
+    offer_frame(tracker, 0);
+    offer_frame(tracker, 2);  // 1 is missing: 2 waits
+    offer_frame(tracker, 1000);
+    offer_frame(tracker, 1001);
+    EXPECT_EQ(drain_seqs(tracker), (std::vector<std::uint64_t>{0, 2, 1000, 1001}));
+    EXPECT_EQ(tracker.stats().seq_resyncs, 1u);
+    EXPECT_EQ(tracker.stats().frame_gaps, 1u);  // seq 1, not 998 seqs
+}
+
+TEST(SequenceTracker, CounterWrapFlowsOn) {
+    // A sender whose counter starts near 2^64 - 1 and wraps: the tracker
+    // syncs to it on its second frame, writes off the one frame lost at
+    // the top of the counter, and delivers on across the wrap.
+    net::SequenceTracker tracker(body_bound(tiny_frame()));
+    const std::uint64_t start = UINT64_MAX - 9;
+    for (std::uint64_t seq = start; seq != UINT64_MAX; ++seq) offer_frame(tracker, seq);
+    // UINT64_MAX itself is lost.
+    for (std::uint64_t seq = 0; seq < 10; ++seq) offer_frame(tracker, seq);
+    std::vector<std::uint64_t> want = seq_run(start, 9);
+    for (std::uint64_t seq = 0; seq < 10; ++seq) want.push_back(seq);
+    EXPECT_EQ(drain_seqs(tracker), want);
+    tracker.flush();
+    EXPECT_EQ(tracker.stats().seq_resyncs, 1u);  // syncing to the sender
+    EXPECT_EQ(tracker.stats().frame_gaps, 1u);
+    EXPECT_EQ(tracker.stats().late_fragments, 0u);
+    EXPECT_EQ(tracker.stats().malformed, 0u);
+
+    // A restart whose first two frames straddle the top of the counter
+    // resyncs from the second: the first is dropped as malformed.
+    net::SequenceTracker straddle(body_bound(tiny_frame()));
+    for (std::uint64_t seq = 0; seq < 100; ++seq) offer_frame(straddle, seq);
+    EXPECT_EQ(drain_seqs(straddle), seq_run(0, 100));
+    offer_frame(straddle, UINT64_MAX);
+    for (std::uint64_t seq = 0; seq < 3; ++seq) offer_frame(straddle, seq);
+    EXPECT_EQ(drain_seqs(straddle), seq_run(0, 3));
+    EXPECT_EQ(straddle.stats().seq_resyncs, 1u);
+    EXPECT_EQ(straddle.stats().malformed, net::pack_frame(tiny_frame(), 1, 0).size());
+    EXPECT_EQ(straddle.stats().frame_gaps, 0u);
+
+    // Delivered up to the top of the counter, flush() writes nothing off:
+    // its bound saturates instead of wrapping to 0.
+    net::SequenceTracker top(body_bound(tiny_frame()));
+    for (std::uint64_t seq = UINT64_MAX - 3; seq != 0; ++seq) offer_frame(top, seq);
+    EXPECT_EQ(drain_seqs(top), seq_run(UINT64_MAX - 3, 4));
+    top.flush();
+    EXPECT_EQ(top.stats().frame_gaps, 0u);
+}
+
+TEST(SequenceTracker, OutlierEndOfStreamEndsNothing) {
+    net::SequenceTracker tracker(body_bound(tiny_frame()));
+    for (std::uint64_t seq = 0; seq < 5; ++seq) offer_frame(tracker, seq);
+    net::FrameHeader header;
+    std::span<const std::uint8_t> payload;
+    const Datagram eos = net::pack_end_of_stream(1, std::uint64_t{1} << 63);
+    ASSERT_EQ(net::decode_datagram(eos, header, payload), DecodeStatus::kOk);
+    tracker.offer(header, payload);
+    EXPECT_FALSE(tracker.end_of_stream_seen());
+    EXPECT_EQ(tracker.stats().malformed, 1u);
+    tracker.flush();
+    EXPECT_EQ(drain_seqs(tracker), seq_run(0, 5));
+    EXPECT_EQ(tracker.stats().frame_gaps, 0u);
+}
+
 /// A frame of 3 x 500 samples: a 12 KB body, 9 fragments at the default MTU.
 engine::Frame wide_frame() {
     engine::Frame frame = tiny_frame(1.5);

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <sstream>
 
 #include "common/random.hpp"
@@ -15,6 +16,7 @@
 #include "core/localize.hpp"
 #include "core/range_fft.hpp"
 #include "core/tof.hpp"
+#include "dsp/window.hpp"
 #include "geom/array_geometry.hpp"
 #include "hw/mixer.hpp"
 
@@ -104,6 +106,45 @@ TEST(RangeFft, ZeroPadsToNextPowerOfTwo) {
     // Padding refines the bin grid; the C/2B resolution is unchanged.
     EXPECT_NEAR(profile.bin_round_trip_m,
                 config.fmcw.round_trip_bin_m() * 2500.0 / 4096.0, 1e-12);
+}
+
+TEST(RangeFft, SingleSweepEqualsCopyThenTransformBytewise) {
+    // A one-sweep frame is transformed straight from the caller's sweep.
+    // The path it replaced first copied the sweep scaled by 1/1 into the
+    // averaging buffer; x * 1.0 == x bit for bit, and a signalling NaN is
+    // quieted once by the window multiply on either path.
+    const auto config = test_config();
+    const std::size_t n = config.fmcw.samples_per_sweep();
+    std::vector<double> window = dsp::hann_window(n);
+    const double gain = dsp::window_gain(window) / static_cast<double>(n);
+    for (auto& w : window) w /= gain;
+    const dsp::RealFft rfft(n);
+
+    witrack::Rng rng(11);
+    for (int variant = 0; variant < 3; ++variant) {
+        SCOPED_TRACE(variant);
+        auto sweep = sweep_with_echo(config.fmcw, 9.0);
+        for (auto& v : sweep) v += rng.gaussian(0.05);
+        sweep[3] = -0.0;
+        sweep[4] = 0.0;
+        sweep[5] = 4.9e-324;  // subnormal
+        if (variant == 1) sweep[6] = std::numeric_limits<double>::signaling_NaN();
+        if (variant == 2) sweep[6] = -std::numeric_limits<double>::infinity();
+
+        std::vector<double> copied(n);
+        const double scale = 1.0 / static_cast<double>(1);
+        for (std::size_t i = 0; i < n; ++i) copied[i] = sweep[i] * scale;
+        std::vector<double> re, im;
+        dsp::FftScratch scratch;
+        rfft.forward(copied, window, re, im, scratch);
+
+        SweepProcessor processor(config.fmcw);
+        RangeProfile profile;
+        processor.process_into(sweep, 1, profile);
+        ASSERT_EQ(profile.re.size(), re.size());
+        EXPECT_EQ(std::memcmp(profile.re.data(), re.data(), re.size() * sizeof(double)), 0);
+        EXPECT_EQ(std::memcmp(profile.im.data(), im.data(), im.size() * sizeof(double)), 0);
+    }
 }
 
 TEST(RangeFft, RejectsBadInput) {
