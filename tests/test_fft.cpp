@@ -399,8 +399,9 @@ TEST(SimdDispatch, RealWindowedPathBitIdenticalAcrossLevels) {
 // Every dispatch level must reproduce the frozen scalar schedule in
 // fft_reference.hpp byte for byte (memcmp, so the sign of every zero
 // counts), on inputs that reach the corners of IEEE-754 arithmetic: signed
-// zeros, subnormals and magnitudes near 1e300 (large enough to stress the
-// exponent range, small enough that no 2048-term sum overflows).
+// zeros, subnormals (alone, and mixed with normal values) and magnitudes
+// near 1e300 (large enough to stress the exponent range, small enough that
+// no 2048-term sum overflows).
 
 /// SplitMix64: a fixed integer generator, so the inputs (and the golden
 /// CRC below) do not depend on the standard library's distributions.
@@ -411,7 +412,7 @@ std::uint64_t splitmix64(std::uint64_t& state) {
     return z ^ (z >> 31);
 }
 
-enum class Corner { kMixed, kTiny, kSparseZeros };
+enum class Corner { kMixed, kTiny, kSubnormal, kSparseZeros };
 
 /// One seeded value of the given input class.
 double corner_value(std::uint64_t& state, Corner corner) {
@@ -437,6 +438,12 @@ double corner_value(std::uint64_t& state, Corner corner) {
                 case 1: return (sign != 0 ? -1e-300 : 1e-300) * u;
                 default: return subnormal();
             }
+        case Corner::kSubnormal: {
+            // Small mantissas: sums over a whole transform stay subnormal,
+            // so every halving and twiddle product rounds.
+            const std::uint64_t mantissa = ((r >> 28) & 0xFFFFFFFFFull) | 1u;
+            return std::bit_cast<double>(sign | mantissa);
+        }
         case Corner::kSparseZeros:
             if ((r & 31u) == 0) return 2.0 * u - 1.0;
             return sign != 0 ? -0.0 : 0.0;
@@ -444,7 +451,8 @@ double corner_value(std::uint64_t& state, Corner corner) {
     return 0.0;
 }
 
-constexpr Corner kCorners[] = {Corner::kMixed, Corner::kTiny, Corner::kSparseZeros};
+constexpr Corner kCorners[] = {Corner::kMixed, Corner::kTiny, Corner::kSubnormal,
+                               Corner::kSparseZeros};
 
 std::vector<double> corner_signal(std::size_t n, std::uint64_t seed, Corner corner) {
     std::vector<double> v(n);

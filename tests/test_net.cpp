@@ -646,6 +646,49 @@ TEST(SequenceTracker, OutlierEndOfStreamEndsNothing) {
     EXPECT_EQ(tracker.stats().frame_gaps, 0u);
 }
 
+TEST(SequenceTracker, SeededForgedSeqsMoveNothing) {
+    // Each case sends frames 0..n-1 with some genuinely lost, and slips in
+    // CRC-valid datagrams at random 64-bit seqs. A forged seq is an outlier
+    // (two landing within a window of each other has probability ~2^-58),
+    // so it writes nothing off and resyncs nothing: every frame not lost
+    // is delivered, the lost ones are the only gaps, and each forgery is
+    // counted malformed once it is displaced or flushed.
+    SplitMix64 bits(2027);
+    for (std::size_t c = 0; c < 200; ++c) {
+        SCOPED_TRACE(c);
+        const std::size_t n = 20 + bits.next() % 60;
+        net::SequenceTracker tracker(
+            body_bound(tiny_frame()),
+            net::SequenceTrackerConfig{.window_frames = 1 + bits.next() % 8});
+        std::vector<std::uint64_t> want;
+        std::size_t lost = 0;
+        std::size_t forged = 0;
+        for (std::uint64_t seq = 0; seq < n; ++seq) {
+            if (bits.next() % 10 == 0) {
+                const std::uint64_t stray = bits.next();
+                for (const auto& datagram : net::pack_frame(tiny_frame(), 1, stray)) {
+                    ASSERT_TRUE(offer(tracker, datagram));
+                    ++forged;
+                }
+            }
+            if (seq + 1 < n && bits.next() % 8 == 0) {
+                ++lost;
+                continue;
+            }
+            offer_frame(tracker, seq);
+            want.push_back(seq);
+        }
+        ASSERT_TRUE(offer(tracker, net::pack_end_of_stream(1, n)));
+        tracker.flush();
+        EXPECT_EQ(drain_seqs(tracker), want);
+        EXPECT_EQ(tracker.stats().frame_gaps, lost);
+        EXPECT_EQ(tracker.stats().malformed, forged);
+        EXPECT_EQ(tracker.stats().seq_resyncs, 0u);
+        EXPECT_EQ(tracker.stats().late_fragments, 0u);
+        EXPECT_EQ(tracker.pending_frames(), 0u);
+    }
+}
+
 /// A frame of 3 x 500 samples: a 12 KB body, 9 fragments at the default MTU.
 engine::Frame wide_frame() {
     engine::Frame frame = tiny_frame(1.5);
