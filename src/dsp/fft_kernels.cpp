@@ -35,7 +35,8 @@ namespace witrack::dsp::kernels {
 // prefix n) fuses with the next one -- a radix-4 pair into radix-16, the
 // last radix-4 stage and the radix-2 fixup into radix-8 -- and a stage that
 // still has structural zeros in its input runs alone with its pruning
-// regions. The range pipeline's 2048-point half transform (1250 live
+// regions (a lone stride-1 stage runs along its stride, in the scalar
+// tail). The range pipeline's 2048-point half transform (1250 live
 // inputs) runs its 6 stages in 3 passes: stride-1 + stride-4 (pruned),
 // radix-16, and radix-8, which also untangles the half spectrum
 // (real_forward).
@@ -91,9 +92,9 @@ Pow2Kernel::Pow2Kernel(std::size_t n, std::size_t n_nonzero) : n_(n) {
         PassKind kind = PassKind::kRadix4;
         if (st.radix == 2)
             kind = PassKind::kRadix2;
-        else if (st.stride == 1)
-            kind = next4 && live >= n_ / 4 ? PassKind::kStride1Radix16 : PassKind::kStride1;
-        else if (live == n_ && i + 1 < stages_.size())
+        else if (st.stride == 1 && next4 && live >= n_ / 4)
+            kind = PassKind::kStride1Radix16;
+        else if (st.stride > 1 && live == n_ && i + 1 < stages_.size())
             kind = next4 ? PassKind::kRadix16 : PassKind::kRadix8;
         passes_.push_back({kind, i, live});
         const bool pair = kind == PassKind::kStride1Radix16 ||

@@ -7,7 +7,8 @@
 // inside the kernel's first and last passes.
 //
 // The plan groups its stages into passes over memory: the stride-1 and
-// stride-4 stages together (vectorized across butterflies), then pairs of
+// stride-4 stages together (vectorized across butterflies) unless pruning
+// leaves fewer than n/4 live inputs, then pairs of
 // dense radix-4 stages fused in registers (radix-16), the last dense
 // radix-4 stage fused with the radix-2 fixup (radix-8), and single stages
 // wherever input pruning (below) still leaves structural zeros. The fused
@@ -46,7 +47,6 @@ struct FftStage {
 
 /// How one pass over memory runs its stage(s).
 enum class PassKind : unsigned char {
-    kStride1,         ///< the stride-1 stage alone, across butterflies
     kStride1Radix16,  ///< the stride-1 and stride-4 stages, across butterflies
     kRadix4,          ///< one radix-4 stage, along its stride
     kRadix16,         ///< two dense radix-4 stages (stage, stage + 1)
@@ -117,9 +117,10 @@ class Pow2Kernel {
 ///      one step per pair (X_k, X_{h-k} = conj(E_k - w^k O_k)), so h/2
 ///      steps; X_0, X_{h/2} and X_h come straight from Z_0 and Z_{h/2}.
 /// For an even sweep the pack is fused into the first pass (z is formed on
-/// load), and where the plan's last pass is made of dense groups the
-/// untangle is fused into it (Z is untangled from registers), so neither
-/// z nor most of Z is ever stored. (twr, twi) hold w^k for k <= h/2;
+/// load), and where the plan's last pass is a radix-8 pass (as the range
+/// pipeline's 2048-point half plan's is) the untangle is fused into it (Z
+/// is untangled from registers), so neither z nor most of Z is ever
+/// stored. (twr, twi) hold w^k for k <= h/2;
 /// (ore, oim) hold h + 1 bins; (zr, zi, wr, wi) are h-point work planes.
 void real_forward(const Pow2Kernel& half, const double* x, const double* w,
                   std::size_t samples, const double* twr, const double* twi,

@@ -7,17 +7,20 @@
 // contract on wider -march targets), which is what makes all dispatch
 // levels bit-identical.
 //
-// Every pass runs at vector width:
-//   - kStride1, kStride1Radix16: the first stage has stride 1, so it is
-//     vectorized across butterflies -- vector twiddle loads, and each
-//     butterfly's contiguous outputs leave through the interleaving store.
+// Passes run at vector width:
+//   - kStride1Radix16: the first stage has stride 1, so it is vectorized
+//     across butterflies -- vector twiddle loads, and each butterfly's
+//     contiguous outputs leave through the interleaving store.
 //   - kRadix4, kRadix16, kRadix8, kRadix2: vectorized along the stride q,
-//     which is contiguous in memory.
+//     which is contiguous in memory. A kRadix4 pass of stride 1 (a first
+//     stage pruned below n/4 live inputs, or the whole of a 4- or 8-point
+//     plan) runs in the scalar tail.
 // The fused passes (kStride1Radix16, kRadix16, kRadix8) keep the first
 // stage's outputs in registers and feed them straight to the second, so a
 // pair of stages costs one pass over memory instead of two. The real
 // transform fuses further: its first pass forms the windowed r2c pack on
-// load (Windowed), and its last pass untangles the half spectrum from
+// load (Windowed), and a kRadix8 last pass -- the one the range pipeline's
+// 2048-point half transform ends in -- untangles the half spectrum from
 // registers (untangle_last_pass). A fused pass forms the same elements
 // from the same operands in the same order as the steps it replaces, so it
 // changes no bit of the result.
@@ -235,23 +238,6 @@ void radix4_span(const FftStage& st, const double* tw, std::size_t n4,
     }
 }
 
-/// Butterflies p in [p_begin, p_end) of the stride-1 stage, each with
-/// `Live` live operands, vectorized across p.
-template <class L, int Live, class Src>
-void stride1_span(const FftStage& st, const double* tw, std::size_t n4,
-                  const Src& src, double* dr, double* di, std::size_t p_begin,
-                  std::size_t p_end) {
-    const double* table = tw + st.tw_offset;
-    lane_loop<L>(p_end - p_begin, [&]<class V>(std::size_t i) {
-        const std::size_t p = p_begin + i;
-        Cx<V> x[4], y[4];
-        load_quartet<V, Live>(src, p, n4, x);
-        butterfly4<V, Live>(x, twiddles_from<V>(table, st.m, p), y);
-        V::store4(dr + 4 * p, 4, y[0].r, y[1].r, y[2].r, y[3].r);
-        V::store4(di + 4 * p, 4, y[0].i, y[1].i, y[2].i, y[3].i);
-    });
-}
-
 /// Region bounds of a radix-4 stage over a live input prefix [0, live):
 /// operand k of butterfly p is live iff p < bound[k].
 inline void live_bounds(std::size_t live, std::size_t n4, std::size_t stride,
@@ -272,22 +258,16 @@ WITRACK_KERNEL_INLINE int live_operands(const std::size_t (&bound)[4], std::size
 /// One radix-4 stage over a live input prefix [0, live): the p-range
 /// splits into regions of 4, 3, 2 and 1 live operands, and the all-zero
 /// tail is skipped (its destination is never read back).
-template <class L, bool kAcrossP, class Src>
+template <class L, class Src>
 void radix4_pass(const FftStage& st, const double* tw, std::size_t n,
                  std::size_t live, const Src& src, double* dr, double* di) {
     const std::size_t n4 = n / 4;
     std::size_t p[4];
     live_bounds(live, n4, st.stride, p);
-    const auto span = [&]<int Live>(std::size_t begin, std::size_t end) {
-        if constexpr (kAcrossP)
-            stride1_span<L, Live>(st, tw, n4, src, dr, di, begin, end);
-        else
-            radix4_span<L, Live>(st, tw, n4, src, dr, di, begin, end);
-    };
-    span.template operator()<4>(0, p[3]);
-    span.template operator()<3>(p[3], p[2]);
-    span.template operator()<2>(p[2], p[1]);
-    span.template operator()<1>(p[1], p[0]);
+    radix4_span<L, 4>(st, tw, n4, src, dr, di, 0, p[3]);
+    radix4_span<L, 3>(st, tw, n4, src, dr, di, p[3], p[2]);
+    radix4_span<L, 2>(st, tw, n4, src, dr, di, p[2], p[1]);
+    radix4_span<L, 1>(st, tw, n4, src, dr, di, p[1], p[0]);
 }
 
 /// The stride-1 stage a and the stride-4 stage b in one pass, vectorized
@@ -366,8 +346,8 @@ void stride1_radix16_pass(const FftStage& a, const FftStage& b, const double* tw
 
 // Dense passes group their work: a group computes all outputs of a few
 // butterflies in registers, and `y[t]` (t < T, the pass's radix) lands at
-// base + s*t for the pass's stride s. As a last pass the groups are also
-// what the fused untangle below pairs up.
+// base + s*t for the pass's stride s. As a real transform's last pass the
+// radix-8 groups are also what the fused untangle below pairs up.
 
 /// Group (pb, q) of two dense radix-4 stages a (stride s) and b (stride
 /// 4s): stage-b butterfly (pb, s*r + q) reads output r of the stage-a
@@ -405,15 +385,6 @@ WITRACK_KERNEL_INLINE void radix8_group(const FftStage& a, const double* tw,
         y[r] = {V::add(lo[r].r, hi[r].r), V::add(lo[r].i, hi[r].i)};
         y[r + 4] = {V::sub(lo[r].r, hi[r].r), V::sub(lo[r].i, hi[r].i)};
     }
-}
-
-/// Group q of a dense radix-2 fixup (stride h = n/2): y[t] lands at q + h*t.
-template <class V, class Src>
-WITRACK_KERNEL_INLINE void radix2_group(std::size_t h, const Src& src, std::size_t q,
-                                        Cx<V>* y) {
-    const Cx<V> a = src.template load<V>(q), b = src.template load<V>(q + h);
-    y[0] = {V::add(a.r, b.r), V::add(a.i, b.i)};
-    y[1] = {V::sub(a.r, b.r), V::sub(a.i, b.i)};
 }
 
 /// Two dense radix-4 stages in one pass (radix16_group).
@@ -454,10 +425,9 @@ void radix2_pass(std::size_t n, std::size_t live, const Src& src, double* dr,
     const std::size_t t0 = std::min(live, h);
     const std::size_t t1 = live > h ? live - h : 0;
     lane_loop<L>(t1, [&]<class V>(std::size_t q) {
-        Cx<V> y[2];
-        radix2_group<V>(h, src, q, y);
-        store_cx<V>(dr, di, q, y[0]);
-        store_cx<V>(dr, di, q + h, y[1]);
+        const Cx<V> a = src.template load<V>(q), b = src.template load<V>(q + h);
+        store_cx<V>(dr, di, q, {V::add(a.r, b.r), V::add(a.i, b.i)});
+        store_cx<V>(dr, di, q + h, {V::sub(a.r, b.r), V::sub(a.i, b.i)});
     });
     using S = simd::Scalar<double>;
     for (std::size_t q = t1; q < t0; ++q) {
@@ -478,15 +448,12 @@ void run_pass(const Pow2Kernel& plan, const FftPass& pass, const Src& src,
     const FftStage& st = stages[pass.stage];
     const double* tw = plan.twiddles().data();
     switch (pass.kind) {
-        case PassKind::kStride1:
-            radix4_pass<L, true>(st, tw, n, pass.live, src, dr, di);
-            break;
         case PassKind::kStride1Radix16:
             stride1_radix16_pass<L>(st, stages[pass.stage + 1], tw, n, pass.live,
                                     src, dr, di);
             break;
         case PassKind::kRadix4:
-            radix4_pass<L, false>(st, tw, n, pass.live, src, dr, di);
+            radix4_pass<L>(st, tw, n, pass.live, src, dr, di);
             break;
         case PassKind::kRadix16:
             radix16_pass<L>(st, stages[pass.stage + 1], tw, n, src, dr, di);
@@ -628,68 +595,12 @@ void untangle_last_pass(std::size_t s, Group&& group, const double* twr,
     oim[h / 2] = -zi[h / 2];
 }
 
-/// True when `pass`, as a plan's last pass, can run fused with the
-/// untangle: a dense pass made of groups.
-inline bool untangles_in_pass(const FftPass& pass, std::size_t n) {
-    switch (pass.kind) {
-        case PassKind::kRadix8:
-        case PassKind::kRadix16: return true;
-        case PassKind::kRadix4:
-        case PassKind::kRadix2: return pass.live == n;
-        default: return false;
-    }
-}
-
-/// Run the plan's last pass (untangles_in_pass) reading `src`, fused with
-/// the untangle.
-template <class L, class Src>
-void run_untangling_pass(const Pow2Kernel& plan, const FftPass& pass,
-                         const Src& src, const double* twr, const double* twi,
-                         double* ore, double* oim, double* zr, double* zi) {
-    const std::size_t n = plan.size();
-    const auto& stages = plan.plan_stages();
-    const FftStage& st = stages[pass.stage];
-    const double* tw = plan.twiddles().data();
-    switch (pass.kind) {
-        case PassKind::kRadix2:
-            untangle_last_pass<L, 2>(
-                n / 2,
-                [&]<class V>(std::size_t q, Cx<V>* y) { radix2_group<V>(n / 2, src, q, y); },
-                twr, twi, ore, oim, zr, zi);
-            break;
-        case PassKind::kRadix4:
-            untangle_last_pass<L, 4>(
-                st.stride,
-                [&]<class V>(std::size_t q, Cx<V>* y) {
-                    radix4_group<V>(st, tw, n / 4, src, 0, q, y);
-                },
-                twr, twi, ore, oim, zr, zi);
-            break;
-        case PassKind::kRadix8:
-            untangle_last_pass<L, 8>(
-                st.stride,
-                [&]<class V>(std::size_t q, Cx<V>* y) {
-                    radix8_group<V>(st, tw, n / 4, src, q, y);
-                },
-                twr, twi, ore, oim, zr, zi);
-            break;
-        case PassKind::kRadix16:
-            untangle_last_pass<L, 16>(
-                st.stride,
-                [&]<class V>(std::size_t q, Cx<V>* y) {
-                    radix16_group<V>(st, stages[pass.stage + 1], tw, n / 4, src, 0, q, y);
-                },
-                twr, twi, ore, oim, zr, zi);
-            break;
-        default: break;  // not an untangling pass
-    }
-}
-
 /// The r2c transform of fft_kernels.hpp's real_forward. An even sweep's
 /// pack is fused into the first pass (Windowed); its passes ping-pong
-/// between the planes, and the last one untangles from registers where it
-/// can (untangles_in_pass). An odd sweep, whose last sample pairs with a
-/// zero, or a plan without passes packs first.
+/// between the planes, and a kRadix8 last pass untangles from registers.
+/// Other last passes leave Z in (zr, zi) for untangle_t. An odd sweep,
+/// whose last sample pairs with a zero, or a plan without passes packs
+/// first.
 template <class L>
 void run_real_forward_t(const Pow2Kernel& plan, const double* x, const double* w,
                         std::size_t samples, const double* twr, const double* twi,
@@ -713,27 +624,30 @@ void run_real_forward_t(const Pow2Kernel& plan, const double* x, const double* w
     // Pass i writes planes[(count - 1 - i) % 2], so the last pass writes
     // (zr, zi) -- or, fused with the untangle, reads (wr, wi) and spills
     // its unpaired groups to (zr, zi).
-    const bool fuse = untangles_in_pass(passes.back(), n);
     double* planes[2][2] = {{zr, zi}, {wr, wi}};
-    const auto to = [&](std::size_t i) { return planes[(count - 1 - i) % 2]; };
-    for (std::size_t i = 0; i < count; ++i) {
-        double* const* prev = planes[(count - i) % 2];  // what pass i - 1 wrote
-        const Planes from{prev[0], prev[1]};
-        if (fuse && i + 1 == count) {
-            if (i == 0)
-                run_untangling_pass<L>(plan, passes[i], Windowed{x, w}, twr, twi,
-                                       ore, oim, zr, zi);
-            else
-                run_untangling_pass<L>(plan, passes[i], from, twr, twi, ore, oim,
-                                       zr, zi);
-            return;
+    const auto run = [&](std::size_t i, const auto& src) {
+        const FftPass& pass = passes[i];
+        if (i + 1 == count && pass.kind == PassKind::kRadix8) {
+            const FftStage& st = plan.plan_stages()[pass.stage];
+            const double* tw = plan.twiddles().data();
+            untangle_last_pass<L, 8>(
+                st.stride,
+                [&]<class V>(std::size_t q, Cx<V>* y) {
+                    radix8_group<V>(st, tw, n / 4, src, q, y);
+                },
+                twr, twi, ore, oim, zr, zi);
+            return true;
         }
-        if (i == 0)
-            run_pass<L>(plan, passes[i], Windowed{x, w}, to(i)[0], to(i)[1]);
-        else
-            run_pass<L>(plan, passes[i], from, to(i)[0], to(i)[1]);
+        double* const* to = planes[(count - 1 - i) % 2];
+        run_pass<L>(plan, pass, src, to[0], to[1]);
+        return false;
+    };
+    bool untangled = run(0, Windowed{x, w});
+    for (std::size_t i = 1; i < count; ++i) {
+        double* const* prev = planes[(count - i) % 2];  // what pass i - 1 wrote
+        untangled = run(i, Planes{prev[0], prev[1]});
     }
-    untangle_t<L>(zr, zi, n, twr, twi, ore, oim);
+    if (!untangled) untangle_t<L>(zr, zi, n, twr, twi, ore, oim);
 }
 
 // ------------------------------------------------ per-level entry points

@@ -48,7 +48,9 @@ struct NetIngestStats {
     std::uint64_t datagrams = 0;         ///< datagrams accepted (decoded OK)
     std::uint64_t bytes = 0;             ///< payload + header bytes accepted
     std::uint64_t frames_delivered = 0;  ///< frames handed to the Engine
-    std::uint64_t frame_gaps = 0;        ///< frame seqs never delivered
+    /// Frame seqs never delivered, except those a resync jumped over: an
+    /// outage of more than 4 reassembly windows counts one seq_resyncs.
+    std::uint64_t frame_gaps = 0;
     std::uint64_t reorders = 0;          ///< datagrams that arrived out of order
     std::uint64_t duplicates = 0;        ///< fragments already held
     std::uint64_t late_fragments = 0;    ///< fragments of already-closed frames

@@ -40,6 +40,11 @@ void SequenceTracker::offer(const FrameHeader& header,
             return;
         case Range::kInRange: break;
     }
+    // The range is still live: a held outlier is not the start of a new
+    // one (two old datagrams -- delayed, duplicated or replayed -- must not
+    // rewind the stream), so a resync needs two outlier frames with no
+    // in-range traffic between them.
+    if (held_) drop_held();
     if (header.frame_seq < next_seq_) {
         // In range only modulo 2^64: the sender's counter wrapped. Close
         // the range below the wrap first, so the pending maps only ever
@@ -55,7 +60,7 @@ void SequenceTracker::offer(const FrameHeader& header,
 SequenceTracker::Range SequenceTracker::classify(std::uint64_t seq) const {
     // Unsigned differences are distances modulo 2^64.
     if (seq - next_seq_ <= reach()) return Range::kInRange;
-    if (closed_any_ && next_seq_ - seq <= reach()) return Range::kLate;
+    if (anchored_ && next_seq_ - seq <= reach()) return Range::kLate;
     if (retired_ && (seq - *retired_ <= reach() || *retired_ - seq <= reach()))
         return Range::kLate;
     return Range::kOutlier;
@@ -78,6 +83,7 @@ void SequenceTracker::offer_in_range(const FrameHeader& header,
     if (!any_seen_ || header.frame_seq > highest_seen_)
         highest_seen_ = header.frame_seq;
     any_seen_ = true;
+    anchored_ = true;
 
     if (ready_.count(header.frame_seq) != 0) {
         ++stats_.duplicates;
@@ -245,7 +251,7 @@ void SequenceTracker::write_off_through(std::uint64_t last) {
         it = partial_.erase(it);
     }
     stats_.frame_gaps += last - next_seq_ + 1;
-    closed_any_ = true;
+    anchored_ = true;
     next_seq_ = last + 1;
     if (next_seq_ == 0) any_seen_ = false;  // past the top of the counter
 }
@@ -271,7 +277,7 @@ void SequenceTracker::promote() {
         if (it != ready_.end()) {
             deliverable_.emplace_back(it->first, std::move(it->second));
             ready_.erase(it);
-            closed_any_ = true;
+            anchored_ = true;
             if (++next_seq_ == 0) any_seen_ = false;  // past the top of the counter
             continue;
         }

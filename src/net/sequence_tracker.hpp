@@ -45,18 +45,23 @@
 // Seq range: a frame seq is in range when it lies at most R = 4 *
 // window_frames ahead of the next seq to deliver (distances modulo 2^64, so
 // a sender whose counter wraps past 2^64 - 1 flows on), and late when it
-// lies at most R behind (once any seq was delivered or written off). Any other seq -- one stray or forged datagram, or
-// a sender that restarted its counter -- is an outlier: its frame is held
+// lies at most R behind (once any seq was offered in range, delivered or
+// written off). Any other seq -- one stray, forged, long-delayed or
+// replayed datagram, a sender that restarted its counter, or the first
+// frame after an outage longer than R -- is an outlier: its frame is held
 // aside, one frame at a time, and moves nothing (no gap, no reorder, no
-// stream bound). A second frame within R of the held one confirms the new
-// range: the tracker resyncs to it, delivering the old range's completed
-// frames and writing off its incomplete ones (at most R gaps), counts one
-// seq_resyncs, and continues from the earlier of the two frames. A held
-// frame that a different outlier displaces, or that flush() finds
-// unconfirmed, is counted malformed per datagram. Stragglers within R of
-// the range a resync retired count as late fragments. An end-of-stream
-// seq more than R past the newest in-range frame is an outlier too: it is
-// counted malformed and ends nothing.
+// stream bound). A second frame within R of the held one, with no in-range
+// datagram between the two, confirms the new range: the tracker resyncs to
+// it, delivering the old range's completed frames and writing off its
+// incomplete ones (at most R gaps), counts one seq_resyncs, and continues
+// from the earlier of the two frames. The seqs a resync jumps over are not
+// gaps: an outage longer than R counts one seq_resyncs, not its lost
+// frames. A held frame that an in-range datagram or a different outlier
+// displaces, or that flush() finds unconfirmed, is counted malformed per
+// datagram. Stragglers within R of the range a resync retired count as
+// late fragments. An end-of-stream seq more than R past the newest
+// in-range frame is an outlier too: it is counted malformed and ends
+// nothing.
 #pragma once
 
 #include <cstddef>
@@ -171,7 +176,7 @@ class SequenceTracker {
     std::uint64_t next_seq_ = 0;       ///< next frame seq to deliver
     std::uint64_t highest_seen_ = 0;   ///< highest in-range frame seq offered
     bool any_seen_ = false;
-    bool closed_any_ = false;          ///< a seq was delivered or written off
+    bool anchored_ = false;  ///< a seq was offered in range, delivered or written off
     bool eos_seen_ = false;
     std::uint64_t eos_seq_ = 0;
     std::optional<std::pair<std::uint64_t, Partial>> held_;  ///< the outlier frame

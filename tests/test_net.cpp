@@ -541,23 +541,28 @@ std::vector<std::uint64_t> seq_run(std::uint64_t first, std::size_t count) {
 
 TEST(SequenceTracker, OutlierSeqDoesNotWriteOffTheStream) {
     // One CRC-valid frame far ahead of the stream (a stray or forged
-    // datagram) is held aside: it writes nothing off, and every genuine
-    // frame after it is still delivered.
+    // datagram) is held aside: it writes nothing off, the next in-range
+    // datagram drops it, and every genuine frame is still delivered.
     net::SequenceTracker tracker(body_bound(tiny_frame()));
     offer_frame(tracker, 0);
     offer_frame(tracker, 1);
     const std::size_t forged = net::pack_frame(tiny_frame(), 1, 0).size();
     offer_frame(tracker, std::uint64_t{1} << 62);
+    EXPECT_EQ(tracker.pending_frames(), 1u);  // the held outlier
     for (std::uint64_t seq = 2; seq < 10; ++seq) offer_frame(tracker, seq);
     EXPECT_EQ(drain_seqs(tracker), seq_run(0, 10));
     EXPECT_EQ(tracker.stats().frame_gaps, 0u);
     EXPECT_EQ(tracker.stats().late_fragments, 0u);
     EXPECT_EQ(tracker.stats().reorders, 0u);
     EXPECT_EQ(tracker.stats().seq_resyncs, 0u);
-    EXPECT_EQ(tracker.pending_frames(), 1u);  // the held outlier
+    EXPECT_EQ(tracker.stats().malformed, forged);  // displaced by frame 2
+    EXPECT_EQ(tracker.pending_frames(), 0u);
+    // An outlier after the last genuine frame stays held until flush().
+    offer_frame(tracker, std::uint64_t{1} << 62);
+    EXPECT_EQ(tracker.pending_frames(), 1u);
     tracker.flush();
     EXPECT_EQ(tracker.stats().frame_gaps, 0u);
-    EXPECT_EQ(tracker.stats().malformed, forged);  // unconfirmed at the end
+    EXPECT_EQ(tracker.stats().malformed, 2 * forged);  // unconfirmed at the end
     EXPECT_EQ(tracker.pending_frames(), 0u);
 }
 
@@ -590,6 +595,46 @@ TEST(SequenceTracker, ResyncWritesOffAtMostTheOldWindow) {
     EXPECT_EQ(drain_seqs(tracker), (std::vector<std::uint64_t>{0, 2, 1000, 1001}));
     EXPECT_EQ(tracker.stats().seq_resyncs, 1u);
     EXPECT_EQ(tracker.stats().frame_gaps, 1u);  // seq 1, not 998 seqs
+}
+
+TEST(SequenceTracker, OldDatagramsAmidLiveTrafficRewindNothing) {
+    // Genuine datagrams of two adjacent frames delivered long ago (delayed,
+    // duplicated or replayed) arrive more than R behind the stream, each
+    // followed by live traffic: neither confirms a new range, nothing is
+    // delivered twice, and the live frames are neither late nor gaps.
+    net::SequenceTracker tracker(body_bound(tiny_frame()));  // R = 32
+    const std::size_t per_frame = net::pack_frame(tiny_frame(), 1, 0).size();
+    for (std::uint64_t seq = 0; seq < 1005; ++seq) offer_frame(tracker, seq);
+    offer_frame(tracker, 900);
+    offer_frame(tracker, 1005);
+    offer_frame(tracker, 901);
+    for (std::uint64_t seq = 1006; seq < 1100; ++seq) offer_frame(tracker, seq);
+    tracker.flush();
+    EXPECT_EQ(drain_seqs(tracker), seq_run(0, 1100));
+    EXPECT_EQ(tracker.stats().seq_resyncs, 0u);
+    EXPECT_EQ(tracker.stats().frame_gaps, 0u);
+    EXPECT_EQ(tracker.stats().late_fragments, 0u);
+    EXPECT_EQ(tracker.stats().reorders, 0u);
+    EXPECT_EQ(tracker.stats().malformed, 2 * per_frame);  // the two old frames
+}
+
+TEST(SequenceTracker, OutageLongerThanFourWindowsCountsOneResync) {
+    // 40 consecutive frames lost (R = 32): the first frame after the
+    // outage is held, the second confirms the new range. The jump counts
+    // one seq_resyncs, not 40 gaps.
+    net::SequenceTracker tracker(body_bound(tiny_frame()));
+    for (std::uint64_t seq = 0; seq < 100; ++seq)
+        if (seq < 40 || seq >= 80) offer_frame(tracker, seq);
+    ASSERT_TRUE(offer(tracker, net::pack_end_of_stream(1, 100)));
+    tracker.flush();
+    std::vector<std::uint64_t> want = seq_run(0, 40);
+    for (std::uint64_t seq = 80; seq < 100; ++seq) want.push_back(seq);
+    EXPECT_EQ(drain_seqs(tracker), want);
+    EXPECT_EQ(tracker.stats().seq_resyncs, 1u);
+    EXPECT_EQ(tracker.stats().frame_gaps, 0u);
+    EXPECT_EQ(tracker.stats().late_fragments, 0u);
+    EXPECT_EQ(tracker.stats().malformed, 0u);
+    EXPECT_EQ(tracker.pending_frames(), 0u);
 }
 
 TEST(SequenceTracker, CounterWrapFlowsOn) {
@@ -727,6 +772,36 @@ TEST(SequenceTracker, FragmentsArePlacedInAnyArrivalOrder) {
     ASSERT_TRUE(tracker.pop(seq, body));
     EXPECT_EQ(seq, 1u);
     EXPECT_EQ(body, want);
+    EXPECT_EQ(tracker.stats().malformed, 0u);
+}
+
+TEST(SequenceTracker, MidStreamJoinTakesEarlierFramesAsLate) {
+    // A tracker that joins mid-stream syncs to frames 1000 and 1001 from
+    // their first fragments; frames 999 and 998, reordered behind them,
+    // then arrive before anything is delivered. They are late fragments of
+    // the range the tracker joined, not a second new range, so 1000 and
+    // 1001 are neither written off nor delivered twice.
+    const engine::Frame frame = wide_frame();
+    net::SequenceTracker tracker(body_bound(frame));
+    const auto f1000 = net::pack_frame(frame, 1, 1000);
+    const auto f1001 = net::pack_frame(frame, 1, 1001);
+    ASSERT_TRUE(offer(tracker, f1000[0]));
+    ASSERT_TRUE(offer(tracker, f1001[0]));
+    std::size_t stragglers = 0;
+    for (const std::uint64_t seq : {999u, 998u}) {
+        for (const auto& datagram : net::pack_frame(frame, 1, seq)) {
+            ASSERT_TRUE(offer(tracker, datagram));
+            ++stragglers;
+        }
+    }
+    for (const auto* datagrams : {&f1000, &f1001})
+        for (std::size_t i = 1; i < datagrams->size(); ++i)
+            ASSERT_TRUE(offer(tracker, (*datagrams)[i]));
+    tracker.flush();
+    EXPECT_EQ(drain_seqs(tracker), (std::vector<std::uint64_t>{1000, 1001}));
+    EXPECT_EQ(tracker.stats().seq_resyncs, 1u);  // joining the stream
+    EXPECT_EQ(tracker.stats().frame_gaps, 0u);
+    EXPECT_EQ(tracker.stats().late_fragments, stragglers);
     EXPECT_EQ(tracker.stats().malformed, 0u);
 }
 
