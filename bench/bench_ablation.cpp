@@ -56,8 +56,8 @@ AblationResult run_variant(std::uint64_t seed, double seconds,
     core::Localizer localizer(scenario.array(), pipeline);
     core::SweepProcessor processor(pipeline.fmcw);
     // Differenced over the same tracked band the TofEstimator uses.
-    const core::BackgroundSubtractor background(core::tracked_band(
-        pipeline, processor.usable_bins(), processor.bin_round_trip_m()));
+    const core::BackgroundSubtractor background(
+        core::tracked_band(processor.usable_bins(), processor.bin_round_trip_m()));
     std::vector<core::BackgroundSubtractor> backgrounds(3, background);
 
     std::vector<double> errors;

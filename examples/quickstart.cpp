@@ -39,7 +39,7 @@ int main() {
     int frame_index = 0;
     eng.bus().subscribe<engine::TrackUpdateEvent>(
         [&](const engine::TrackUpdateEvent& event) {
-            // truth is absent on live (hardware) sources; guard so the
+            // truth is absent on network sources; guard so the
             // subscriber survives a source swap unchanged.
             if (!event.smoothed || !event.truth || ++frame_index % 40 != 0) return;
             const auto& p = event.smoothed->position;

@@ -20,6 +20,15 @@ double point_segment_distance_2d(const Vec3& p, const Vec3& a, const Vec3& b) {
 
 namespace {
 
+constexpr std::size_t kNodes = 24;          ///< sensors on the area perimeter
+constexpr double kGridCellM = 0.25;         ///< reconstruction grid resolution
+constexpr double kEllipseWidthM = 0.50;     ///< NeSh weight ellipse width (lambda)
+constexpr double kShadowDb = 6.0;           ///< attenuation of a fully crossed link
+constexpr double kFadingFraction = 0.8;     ///< multiplicative multipath fading on shadowed links
+constexpr double kRegularization = 20.0;    ///< Tikhonov weight
+constexpr double kPerimeterMarginM = 0.5;   ///< sensors sit this far outside the area
+static_assert(kNodes >= 6, "RtiNetwork: too few nodes");
+
 /// Dense Cholesky solve of (A) X = B where A is n x n SPD (row-major) and B
 /// is n x m. Used once at construction to precompute the reconstruction
 /// operator.
@@ -58,17 +67,15 @@ void cholesky_solve_in_place(std::vector<double>& a, std::vector<double>& b,
 
 RtiNetwork::RtiNetwork(RtiConfig config, const sim::MotionBounds& area, Rng rng)
     : config_(config), area_(area), rng_(rng) {
-    if (config_.nodes < 6) throw std::invalid_argument("RtiNetwork: too few nodes");
-
     // Sensors evenly spaced around the rectangle perimeter, slightly outside
     // the monitored area, at torso height.
-    const double x0 = area.x_min - config_.perimeter_margin_m;
-    const double x1 = area.x_max + config_.perimeter_margin_m;
-    const double y0 = area.y_min - config_.perimeter_margin_m;
-    const double y1 = area.y_max + config_.perimeter_margin_m;
+    const double x0 = area.x_min - kPerimeterMarginM;
+    const double x1 = area.x_max + kPerimeterMarginM;
+    const double y0 = area.y_min - kPerimeterMarginM;
+    const double y1 = area.y_max + kPerimeterMarginM;
     const double perimeter = 2.0 * ((x1 - x0) + (y1 - y0));
-    for (std::size_t i = 0; i < config_.nodes; ++i) {
-        double s = perimeter * static_cast<double>(i) / static_cast<double>(config_.nodes);
+    for (std::size_t i = 0; i < kNodes; ++i) {
+        double s = perimeter * static_cast<double>(i) / static_cast<double>(kNodes);
         Vec3 p{0, 0, 1.0};
         if (s < x1 - x0) {
             p.x = x0 + s;
@@ -100,7 +107,7 @@ RtiNetwork::RtiNetwork(RtiConfig config, const sim::MotionBounds& area, Rng rng)
     // wins the image peak.
     auto cells_across = [&](double extent) {
         return std::max<std::size_t>(
-            1, static_cast<std::size_t>(extent / config_.grid_cell_m + 0.5));
+            1, static_cast<std::size_t>(extent / kGridCellM + 0.5));
     };
     grid_x_ = cells_across(area.x_max - area.x_min);
     grid_y_ = cells_across(area.y_max - area.y_min);
@@ -119,7 +126,7 @@ RtiNetwork::RtiNetwork(RtiConfig config, const sim::MotionBounds& area, Rng rng)
                 const Vec3 cell{cell_x(ix), cell_y(iy), 0.0};
                 const double d =
                     point_segment_distance_2d(cell, nodes_[link.a], nodes_[link.b]);
-                if (d < config_.ellipse_width_m / 2.0)
+                if (d < kEllipseWidthM / 2.0)
                     w[l * cells + ix + iy * grid_x_] = inv_sqrt_len;
             }
     }
@@ -133,7 +140,7 @@ RtiNetwork::RtiNetwork(RtiConfig config, const sim::MotionBounds& area, Rng rng)
             for (std::size_t j = 0; j < cells; ++j)
                 wtw[i * cells + j] += wi * w[l * cells + j];
         }
-    for (std::size_t i = 0; i < cells; ++i) wtw[i * cells + i] += config_.regularization;
+    for (std::size_t i = 0; i < cells; ++i) wtw[i * cells + i] += kRegularization;
 
     std::vector<double> wt(cells * links);
     for (std::size_t l = 0; l < links; ++l)
@@ -144,21 +151,21 @@ RtiNetwork::RtiNetwork(RtiConfig config, const sim::MotionBounds& area, Rng rng)
 }
 
 double RtiNetwork::cell_x(std::size_t ix) const {
-    return area_.x_min + (static_cast<double>(ix) + 0.5) * config_.grid_cell_m;
+    return area_.x_min + (static_cast<double>(ix) + 0.5) * kGridCellM;
 }
 
 double RtiNetwork::cell_y(std::size_t iy) const {
-    return area_.y_min + (static_cast<double>(iy) + 0.5) * config_.grid_cell_m;
+    return area_.y_min + (static_cast<double>(iy) + 0.5) * kGridCellM;
 }
 
 double RtiNetwork::link_shadowing(const Link& link, const Vec3& person) const {
     const double d =
         point_segment_distance_2d(person, nodes_[link.a], nodes_[link.b]);
-    const double half = config_.ellipse_width_m / 2.0;
+    const double half = kEllipseWidthM / 2.0;
     if (d >= half) return 0.0;
     // Shadowing tapers as the person moves off the link axis; longer links
     // are shadowed less (energy spreads around the body).
-    return config_.shadow_db * (1.0 - d / half) / std::sqrt(link.length);
+    return kShadowDb * (1.0 - d / half) / std::sqrt(link.length);
 }
 
 std::vector<double> RtiNetwork::measure(const Vec3& person) {
@@ -169,7 +176,7 @@ std::vector<double> RtiNetwork::measure(const Vec3& person) {
         // additive RSSI noise -- the core accuracy limit of RTI.
         // Two statements, so the draw order (fading, then noise) is fixed
         // rather than left to the compiler's operand evaluation order.
-        const double fading = config_.fading_fraction * rng_.gaussian();
+        const double fading = kFadingFraction * rng_.gaussian();
         y[l] = shadow * (1.0 + fading) + rng_.gaussian(config_.rssi_noise_db);
     }
     return y;

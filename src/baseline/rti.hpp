@@ -21,15 +21,10 @@
 
 namespace witrack::baseline {
 
+/// The network's geometry, link model and regularization are fixed
+/// constants (rti.cpp); only the measurement noise is configurable.
 struct RtiConfig {
-    std::size_t nodes = 24;          ///< sensors on the area perimeter
-    double grid_cell_m = 0.25;       ///< reconstruction grid resolution
-    double ellipse_width_m = 0.50;   ///< NeSh weight ellipse width (lambda)
-    double shadow_db = 6.0;          ///< attenuation of a fully crossed link
     double rssi_noise_db = 1.3;      ///< per-link measurement noise
-    double fading_fraction = 0.8;    ///< multiplicative multipath fading on shadowed links
-    double regularization = 20.0;    ///< Tikhonov weight
-    double perimeter_margin_m = 0.5; ///< sensors sit this far outside the area
 };
 
 class RtiNetwork {

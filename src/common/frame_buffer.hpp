@@ -90,43 +90,6 @@ class FrameBuffer {
         return const_cast<FrameBuffer*>(this)->at(rx, s, i);
     }
 
-    /// Convert from the legacy nested layout sweeps[sweep][rx][sample].
-    /// Throws std::invalid_argument on ragged input.
-    static FrameBuffer from_nested(
-        const std::vector<std::vector<std::vector<double>>>& sweeps) {
-        FrameBuffer frame;
-        if (sweeps.empty()) return frame;
-        const std::size_t num_rx = sweeps.front().size();
-        const std::size_t samples =
-            num_rx > 0 ? sweeps.front().front().size() : 0;
-        frame.resize(num_rx, sweeps.size(), samples);
-        for (std::size_t s = 0; s < sweeps.size(); ++s) {
-            if (sweeps[s].size() != num_rx)
-                throw std::invalid_argument("FrameBuffer: ragged antenna count");
-            for (std::size_t rx = 0; rx < num_rx; ++rx) {
-                const auto& src = sweeps[s][rx];
-                if (src.size() != samples)
-                    throw std::invalid_argument("FrameBuffer: ragged sweep length");
-                auto dst = frame.sweep(rx, s);
-                for (std::size_t i = 0; i < samples; ++i) dst[i] = src[i];
-            }
-        }
-        return frame;
-    }
-
-    /// Convert back to the legacy nested layout sweeps[sweep][rx][sample].
-    std::vector<std::vector<std::vector<double>>> to_nested() const {
-        std::vector<std::vector<std::vector<double>>> out(num_sweeps_);
-        for (std::size_t s = 0; s < num_sweeps_; ++s) {
-            out[s].resize(num_rx_);
-            for (std::size_t rx = 0; rx < num_rx_; ++rx) {
-                const auto row = sweep(rx, s);
-                out[s][rx].assign(row.begin(), row.end());
-            }
-        }
-        return out;
-    }
-
   private:
     std::size_t offset(std::size_t rx, std::size_t s) const {
         return (rx * num_sweeps_ + s) * samples_;

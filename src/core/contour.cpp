@@ -7,6 +7,11 @@ namespace witrack::core {
 
 namespace {
 
+/// A local maximum counts as motion when its magnitude exceeds
+/// noise_floor * kContourThreshold (paper Section 4.3 "substantially above
+/// the noise floor").
+constexpr double kContourThreshold = 5.0;
+
 struct BinWindow {
     std::size_t lo, hi;  // [lo, hi)
 };
@@ -15,7 +20,7 @@ BinWindow usable_window(const PipelineConfig& config, std::size_t bins,
                         double bin_round_trip_m) {
     const auto lo = static_cast<std::size_t>(
         std::max(1.0, config.min_round_trip_m / bin_round_trip_m));
-    return {std::min(lo, bins), tracked_band(config, bins, bin_round_trip_m)};
+    return {std::min(lo, bins), tracked_band(bins, bin_round_trip_m)};
 }
 
 // Robust per-frame noise floor from the usable band; median magnitude is
@@ -38,10 +43,9 @@ double banded_noise_floor(const std::vector<double>& magnitude, std::size_t lo,
 
 }  // namespace
 
-std::size_t tracked_band(const PipelineConfig& config, std::size_t bins,
-                         double bin_round_trip_m) {
-    return std::min(
-        bins, static_cast<std::size_t>(config.max_round_trip_m / bin_round_trip_m) + 1);
+std::size_t tracked_band(std::size_t bins, double bin_round_trip_m) {
+    return std::min(bins,
+                    static_cast<std::size_t>(kMaxRoundTripM / bin_round_trip_m) + 1);
 }
 
 double ContourTracker::measure_extent(const std::vector<double>& magnitude,
@@ -66,7 +70,7 @@ void ContourTracker::extract_peaks_into(const std::vector<double>& magnitude,
     if (lo + 4 >= hi) return;
 
     const double floor = banded_noise_floor(magnitude, lo, hi, scratch);
-    const double threshold = floor * config_.contour_threshold;
+    const double threshold = floor * kContourThreshold;
 
     // Closest-first local maxima, kept at least 2 bins apart so one body
     // echo is not double-counted.
@@ -111,7 +115,7 @@ ContourPoint ContourTracker::extract_near(const std::vector<double>& magnitude,
     // Noise floor still comes from the full usable band (cached when the
     // detection pass of this frame already computed it).
     const double floor = banded_noise_floor(magnitude, glo, ghi, scratch);
-    const double threshold = floor * config_.contour_threshold * relax;
+    const double threshold = floor * kContourThreshold * relax;
 
     const double lo_m = std::max(center_m - window_m,
                                  static_cast<double>(glo) * bin_round_trip_m);
@@ -138,7 +142,7 @@ ContourPoint ContourTracker::extract_near(const std::vector<double>& magnitude,
     point.power = magnitude[best];
     point.noise_floor = floor;
     point.extent_m =
-        measure_extent(magnitude, floor * config_.contour_threshold, glo, ghi,
+        measure_extent(magnitude, floor * kContourThreshold, glo, ghi,
                        bin_round_trip_m);
     return point;
 }
@@ -152,7 +156,7 @@ ContourPoint ContourTracker::extract_strongest(const std::vector<double>& magnit
     if (lo + 4 >= hi) return point;
 
     const double floor = banded_noise_floor(magnitude, lo, hi, scratch);
-    const double threshold = floor * config_.contour_threshold;
+    const double threshold = floor * kContourThreshold;
 
     const std::size_t best = lo + dsp::max_bin(magnitude.data() + lo, hi - lo);
     if (magnitude[best] < threshold) {

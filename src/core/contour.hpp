@@ -45,12 +45,16 @@ struct ContourScratch {
     void start_frame() { floor_valid = false; }
 };
 
+/// Ignore beat frequencies corresponding to round trips above this: only
+/// noise lies there (paper Fig. 3 displays up to 30 m). The lower edge is
+/// PipelineConfig::min_round_trip_m.
+inline constexpr double kMaxRoundTripM = 28.0;
+
 /// End (exclusive) of the band contour detection reads: bins [0, band)
-/// cover round trips up to config.max_round_trip_m, capped at `bins`. The
-/// usable window's upper edge and the background subtractor's width both
-/// come from here, so the two cannot drift apart.
-std::size_t tracked_band(const PipelineConfig& config, std::size_t bins,
-                         double bin_round_trip_m);
+/// cover round trips up to kMaxRoundTripM, capped at `bins`. The usable
+/// window's upper edge and the background subtractor's width both come
+/// from here, so the two cannot drift apart.
+std::size_t tracked_band(std::size_t bins, double bin_round_trip_m);
 
 class ContourTracker {
   public:

@@ -6,9 +6,16 @@
 
 namespace witrack::core {
 
+namespace {
+
+/// Process noise of each antenna's round-trip Kalman filter [m/s^2 scale].
+constexpr double kKalmanProcessNoise = 1.5;
+
+}  // namespace
+
 TofDenoiser::TofDenoiser(const PipelineConfig& config)
-    : config_(config),
-      kalman_(config.kalman_process_noise, config.kalman_measurement_noise) {}
+    : max_contour_jump_m_(config.max_contour_jump_m),
+      kalman_(kKalmanProcessNoise, config.kalman_measurement_noise) {}
 
 void TofDenoiser::accept(double measurement, double dt) {
     last_value_ = kalman_.update(measurement, dt);
@@ -28,10 +35,9 @@ std::optional<double> TofDenoiser::update(const ContourPoint& contour, double dt
         return last_value_;
     }
 
-    const double max_jump = config_.max_contour_jump_m;
     const double jump = std::abs(contour.round_trip_m - *last_value_);
 
-    if (jump > max_jump) {
+    if (jump > max_contour_jump_m_) {
         ++outlier_streak_;
         const bool closer = contour.round_trip_m < *last_value_;
         closer_streak_ = closer ? closer_streak_ + 1 : 0;
@@ -39,8 +45,8 @@ std::optional<double> TofDenoiser::update(const ContourPoint& contour, double dt
         // (the direct path is always shortest, Section 4.3): re-lock fast.
         // A farther echo needs much more persistence (lost track).
         const bool relock =
-            (closer && closer_streak_ >= config_.reacquire_closer_frames) ||
-            outlier_streak_ >= config_.reacquire_frames;
+            (closer && closer_streak_ >= kReacquireCloserFrames) ||
+            outlier_streak_ >= kReacquireFrames;
         if (relock) {
             kalman_.reset();
             accept(contour.round_trip_m, dt);

@@ -17,6 +17,14 @@ class StateReader;
 
 namespace witrack::core {
 
+/// After this many consecutive contour jumps beyond
+/// PipelineConfig::max_contour_jump_m the track re-locks (Section 4.4).
+inline constexpr std::size_t kReacquireFrames = 40;
+/// A persistent *closer* contour re-locks much faster: the direct body
+/// path is always the shortest (Section 4.3), so a stable closer echo
+/// means the track was sitting on dynamic multipath.
+inline constexpr std::size_t kReacquireCloserFrames = 6;
+
 class TofDenoiser {
   public:
     explicit TofDenoiser(const PipelineConfig& config);
@@ -42,7 +50,7 @@ class TofDenoiser {
   private:
     void accept(double measurement, double dt);
 
-    PipelineConfig config_;
+    double max_contour_jump_m_;
     dsp::ScalarKalman kalman_;
     std::optional<double> last_value_;
     std::size_t outlier_streak_ = 0;

@@ -11,9 +11,10 @@ namespace witrack::core {
 MultiPersonTracker::MultiPersonTracker(const PipelineConfig& config,
                                        const geom::ArrayGeometry& array,
                                        std::size_t max_people)
-    : config_(config), localizer_(array, config), max_people_(max_people) {
-    for (std::size_t i = 0; i < max_people_; ++i) tracks_.emplace_back(config_);
-}
+    : config_(config),
+      localizer_(array, config),
+      max_people_(max_people),
+      tracks_(max_people) {}
 
 std::vector<TrackPoint> MultiPersonTracker::candidates(const TofFrame& frame,
                                                        double time_s) const {

@@ -14,6 +14,7 @@
 
 #include "core/localize.hpp"
 #include "core/params.hpp"
+#include "core/pipeline_steps.hpp"
 #include "core/tof.hpp"
 #include "dsp/kalman.hpp"
 #include "geom/array_geometry.hpp"
@@ -42,11 +43,10 @@ class MultiPersonTracker {
 
   private:
     struct Track {
-        dsp::PositionKalman filter;
+        dsp::PositionKalman filter{kPositionProcessNoise,
+                                   kPositionMeasurementNoise * 2.0};
         bool initialized = false;
         std::size_t misses = 0;  ///< consecutive frames without a candidate
-        explicit Track(const PipelineConfig& c)
-            : filter(c.position_process_noise, c.position_measurement_noise * 2.0) {}
     };
 
     /// Candidate positions from all combinations of per-antenna peaks.

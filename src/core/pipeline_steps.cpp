@@ -20,10 +20,8 @@ std::string to_string(PipelineOutputs v) {
 }
 
 SmoothStep::SmoothStep(const PipelineConfig& config)
-    : filter_(config.position_process_noise, config.position_measurement_noise),
-      frame_duration_s_(config.fmcw.frame_duration_s()),
-      quality_noise_floor_(config.quality_noise_floor),
-      gate_innovation_m_(config.quality_gate_innovation_m) {}
+    : filter_(kPositionProcessNoise, kPositionMeasurementNoise),
+      frame_duration_s_(config.fmcw.frame_duration_s()) {}
 
 std::optional<TrackPoint> SmoothStep::run(const std::optional<TrackPoint>& raw,
                                           double time_s, double health) {
@@ -36,8 +34,8 @@ std::optional<TrackPoint> SmoothStep::run(const std::optional<TrackPoint>& raw,
 
     double noise_scale = 1.0;
     if (health < 1.0) {
-        noise_scale = 1.0 / std::max(health, quality_noise_floor_);
-        if (filter_.initialized() && gate_innovation_m_ > 0.0) {
+        noise_scale = 1.0 / std::max(health, kQualityNoiseFloor);
+        if (filter_.initialized()) {
             // Innovation gate: compare the degraded fix against the
             // constant-velocity prediction. A fix further than the gate is
             // a fault artifact, not human motion -- hold the filter on its
@@ -47,7 +45,7 @@ std::optional<TrackPoint> SmoothStep::run(const std::optional<TrackPoint>& raw,
             const double dx = raw->position.x - (pos.x + vel.x * dt);
             const double dy = raw->position.y - (pos.y + vel.y * dt);
             const double dz = raw->position.z - (pos.z + vel.z * dt);
-            if (std::sqrt(dx * dx + dy * dy + dz * dz) > gate_innovation_m_) {
+            if (std::sqrt(dx * dx + dy * dy + dz * dz) > kQualityGateInnovationM) {
                 const auto coasted = filter_.predict_only(dt);
                 TrackPoint point = *raw;
                 point.position = {coasted.x, coasted.y, coasted.z};

@@ -1,22 +1,20 @@
-// The paper's realtime chain (Section 7) split into composable steps --
-// TofStep (per-antenna range FFT + contour + denoise), LocalizeStep
-// (ellipsoid intersection) and SmoothStep (3D Kalman) -- scheduled
-// demand-driven: a consumer that only needs TOF observations (multi-person,
-// pointing) never pays for localization or smoothing. PipelineOutputs is
-// the demand vocabulary shared by the steps, WiTrackTracker and the
-// engine's AppStage::required_inputs().
+// The paper's realtime chain (Section 7) runs as three steps -- TOF
+// estimation (per-antenna range FFT + contour + denoise, TofEstimator),
+// localization (ellipsoid intersection, Localizer) and smoothing (3D
+// Kalman, SmoothStep) -- scheduled demand-driven: a consumer that only
+// needs TOF observations (multi-person, pointing) never pays for
+// localization or smoothing. PipelineOutputs is the demand vocabulary
+// shared by the steps, WiTrackTracker and the engine's
+// AppStage::required_inputs().
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
 
-#include "common/frame_buffer.hpp"
 #include "core/localize.hpp"
 #include "core/params.hpp"
-#include "core/tof.hpp"
 #include "dsp/kalman.hpp"
-#include "geom/array_geometry.hpp"
 
 namespace witrack::common {
 class StateWriter;
@@ -65,50 +63,24 @@ constexpr PipelineOutputs with_dependencies(PipelineOutputs v) {
 /// Human-readable demand set, e.g. "tof|raw" ("none" when empty).
 std::string to_string(PipelineOutputs v);
 
-/// Step 1: raw sweeps -> per-antenna TOF observations (Section 4 end to
-/// end). Owns the TofEstimator, which runs the per-RX FFT/contour/denoise
-/// chains one antenna after another.
-class TofStep {
-  public:
-    TofStep(const PipelineConfig& config, std::size_t num_rx)
-        : estimator_(config, num_rx) {}
+/// 3D position smoothing: process noise [m/s^2] and per-fix measurement
+/// noise [m] of the position Kalman filter (the multi-person tracker
+/// doubles the measurement noise).
+inline constexpr double kPositionProcessNoise = 2.0;
+inline constexpr double kPositionMeasurementNoise = 0.14;
 
-    void run(const FrameBuffer& frame, double time_s, TofFrame& out) {
-        out = estimator_.process_frame(frame, time_s);
-    }
+/// Quality-aware smoothing (hw-robustness plane). On frames whose health
+/// score h < 1 the position filter widens its measurement noise by
+/// 1 / max(h, kQualityNoiseFloor) -- degraded fixes pull the state gently
+/// instead of yanking it -- and a measurement whose innovation (distance
+/// from the predicted position) exceeds kQualityGateInnovationM is
+/// rejected outright: the filter coasts on its velocity for that frame
+/// rather than teleporting onto a fault-corrupted fix. Healthy frames
+/// (h == 1) are untouched bit for bit.
+inline constexpr double kQualityNoiseFloor = 0.25;
+inline constexpr double kQualityGateInnovationM = 0.8;
 
-    TofEstimator& estimator() { return estimator_; }
-    const TofEstimator& estimator() const { return estimator_; }
-
-    void reset() { estimator_.reset(); }
-
-    void save_state(common::StateWriter& writer) const {
-        estimator_.save_state(writer);
-    }
-    void load_state(common::StateReader& reader) { estimator_.load_state(reader); }
-
-  private:
-    TofEstimator estimator_;
-};
-
-/// Step 2: TOF observations -> unsmoothed 3D position (Section 5).
-/// Stateless beyond its solver: safe to skip for any number of frames.
-class LocalizeStep {
-  public:
-    LocalizeStep(const geom::ArrayGeometry& array, const PipelineConfig& config)
-        : localizer_(array, config) {}
-
-    std::optional<TrackPoint> run(const TofFrame& tof) const {
-        return localizer_.locate(tof);
-    }
-
-    const Localizer& localizer() const { return localizer_; }
-
-  private:
-    Localizer localizer_;
-};
-
-/// Step 3: raw positions -> Kalman-smoothed track. Stateful (filter state
+/// Raw positions -> Kalman-smoothed track. Stateful (filter state
 /// and inter-frame dt bookkeeping advance only on frames where the step
 /// runs), so a session either demands smoothing throughout or not at all.
 class SmoothStep {
@@ -120,10 +92,10 @@ class SmoothStep {
     /// `health` is the frame's quality score (FrameQuality::health): at 1.0
     /// (the default, and every pristine frame) the step is bit-identical
     /// to its pre-quality behavior. Below 1.0 the filter deweights the
-    /// measurement (noise widened by 1 / max(health, floor)) and rejects
-    /// it outright -- coasting on velocity instead -- when its innovation
-    /// exceeds the configured gate, so one fault-corrupted fix cannot
-    /// teleport the track.
+    /// measurement (noise widened by 1 / max(health, kQualityNoiseFloor))
+    /// and rejects it outright -- coasting on velocity instead -- when its
+    /// innovation exceeds kQualityGateInnovationM, so one fault-corrupted
+    /// fix cannot teleport the track.
     std::optional<TrackPoint> run(const std::optional<TrackPoint>& raw,
                                   double time_s, double health = 1.0);
 
@@ -136,8 +108,6 @@ class SmoothStep {
   private:
     dsp::PositionKalman filter_;
     double frame_duration_s_;
-    double quality_noise_floor_;
-    double gate_innovation_m_;
     double last_time_s_ = 0.0;
     bool have_last_time_ = false;
 };

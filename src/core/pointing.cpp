@@ -7,10 +7,24 @@
 
 namespace witrack::core {
 
+namespace {
+
+/// Frames with >= this many detecting antennas count as "active".
+constexpr std::size_t kDetectionQuorum = 2;
+/// Minimum silence between the lift and drop bursts [s].
+constexpr double kMinGapS = 0.35;
+/// Minimum/maximum burst length [s] for a plausible arm motion.
+constexpr double kMinBurstS = 0.30;
+constexpr double kMaxBurstS = 2.50;
+/// Mean reflection extent above this is a whole-body motion, not an arm
+/// (Section 6.1's variance criterion).
+constexpr double kMaxArmExtentM = 0.55;
+
+}  // namespace
+
 PointingEstimator::PointingEstimator(const PipelineConfig& pipeline,
-                                     const geom::ArrayGeometry& array,
-                                     PointingConfig config)
-    : config_(config), localizer_(array, pipeline), num_rx_(array.rx.size()) {}
+                                     const geom::ArrayGeometry& array)
+    : localizer_(array, pipeline), num_rx_(array.rx.size()) {}
 
 std::vector<PointingEstimator::Burst> PointingEstimator::segment(
     const std::vector<TofFrame>& frames) const {
@@ -28,7 +42,7 @@ std::vector<PointingEstimator::Burst> PointingEstimator::segment(
         b.t_begin = frames[b.begin].time_s;
         b.t_end = frames[b.end - 1].time_s;
         const double len = b.t_end - b.t_begin;
-        if (len >= config_.min_burst_s && len <= config_.max_burst_s)
+        if (len >= kMinBurstS && len <= kMaxBurstS)
             bursts.push_back(b);
         start = kNoBurst;
     };
@@ -37,7 +51,7 @@ std::vector<PointingEstimator::Burst> PointingEstimator::segment(
     // two consecutive inactive frames.
     std::size_t inactive_run = 0;
     for (std::size_t i = 0; i < frames.size(); ++i) {
-        const bool active = frames[i].motion_detected(config_.detection_quorum);
+        const bool active = frames[i].motion_detected(kDetectionQuorum);
         if (active) {
             if (start == kNoBurst) start = i;
             inactive_run = 0;
@@ -54,7 +68,7 @@ std::vector<PointingEstimator::Burst> PointingEstimator::segment(
     // motion).
     std::vector<Burst> merged;
     for (const auto& b : bursts) {
-        if (!merged.empty() && b.t_begin - merged.back().t_end < config_.min_gap_s) {
+        if (!merged.empty() && b.t_begin - merged.back().t_end < kMinGapS) {
             merged.back().end = b.end;
             merged.back().t_end = b.t_end;
         } else {
@@ -68,12 +82,12 @@ bool PointingEstimator::looks_like_body_part(const std::vector<TofFrame>& frames
     double extent_acc = 0.0;
     std::size_t n = 0;
     for (const auto& f : frames) {
-        if (!f.motion_detected(config_.detection_quorum)) continue;
+        if (!f.motion_detected(kDetectionQuorum)) continue;
         extent_acc += f.mean_extent_m();
         ++n;
     }
     if (n == 0) return false;
-    return extent_acc / static_cast<double>(n) <= config_.max_arm_extent_m;
+    return extent_acc / static_cast<double>(n) <= kMaxArmExtentM;
 }
 
 std::optional<std::pair<double, double>> PointingEstimator::regress_antenna(
@@ -148,7 +162,7 @@ std::optional<PointingResult> PointingEstimator::analyze(
     double extent_acc = 0.0;
     std::size_t n = 0;
     for (const auto& f : frames)
-        if (f.motion_detected(config_.detection_quorum)) {
+        if (f.motion_detected(kDetectionQuorum)) {
             extent_acc += f.mean_extent_m();
             ++n;
         }

@@ -20,19 +20,6 @@
 
 namespace witrack::core {
 
-struct PointingConfig {
-    /// Frames with >= this many detecting antennas count as "active".
-    std::size_t detection_quorum = 2;
-    /// Minimum silence between the lift and drop bursts [s].
-    double min_gap_s = 0.35;
-    /// Minimum/maximum burst length [s] for a plausible arm motion.
-    double min_burst_s = 0.30;
-    double max_burst_s = 2.50;
-    /// Mean reflection extent above this is a whole-body motion, not an arm
-    /// (Section 6.1's variance criterion).
-    double max_arm_extent_m = 0.55;
-};
-
 struct PointingResult {
     geom::Vec3 direction;        ///< unit pointing direction
     double azimuth_rad = 0.0;    ///< atan2(x, y): 0 = straight ahead (+y)
@@ -45,8 +32,7 @@ struct PointingResult {
 
 class PointingEstimator {
   public:
-    PointingEstimator(const PipelineConfig& pipeline, const geom::ArrayGeometry& array,
-                      PointingConfig config = PointingConfig{});
+    PointingEstimator(const PipelineConfig& pipeline, const geom::ArrayGeometry& array);
 
     /// Analyze a recorded gesture episode (TOF frames from TofEstimator).
     /// Returns nullopt when no valid pointing gesture is found (including
@@ -73,7 +59,6 @@ class PointingEstimator {
     std::optional<std::pair<geom::Vec3, geom::Vec3>> burst_endpoints(
         const std::vector<TofFrame>& frames, const Burst& burst) const;
 
-    PointingConfig config_;
     Localizer localizer_;
     std::size_t num_rx_;
 };

@@ -8,13 +8,23 @@
 
 namespace witrack::core {
 
+namespace {
+
+/// Gated re-detection runs at this fraction of the detection threshold.
+constexpr double kGateRelax = 0.75;
+/// Stop gating after this many consecutive gated-only detections so a
+/// genuinely lost track falls back to global reacquisition.
+constexpr std::size_t kGateMaxStreak = 24;
+
+}  // namespace
+
 TofEstimator::TofEstimator(const PipelineConfig& config, std::size_t num_rx)
     : config_(config),
       processor_(config.fmcw),
       contour_(config) {
     if (num_rx == 0) throw std::invalid_argument("TofEstimator: need >= 1 antenna");
-    const std::size_t band = tracked_band(config_, processor_.usable_bins(),
-                                          processor_.bin_round_trip_m());
+    const std::size_t band =
+        tracked_band(processor_.usable_bins(), processor_.bin_round_trip_m());
     per_rx_.reserve(num_rx);
     for (std::size_t i = 0; i < num_rx; ++i) per_rx_.emplace_back(config_, band);
     lane_flags_.resize(num_rx, kLaneOk);
@@ -91,10 +101,10 @@ void TofEstimator::process_rx(std::size_t rx, const FrameBuffer& frame,
                             *last + config_.max_contour_jump_m;
             if (!need_gate) {
                 antenna_state.gated_streak = 0;
-            } else if (antenna_state.gated_streak < config_.gate_max_streak) {
+            } else if (antenna_state.gated_streak < kGateMaxStreak) {
                 const auto gated = contour_.extract_near(
                     magnitude_, profile_.bin_round_trip_m, *last,
-                    config_.gate_window_m, contour_scratch_, config_.gate_relax);
+                    config_.gate_window_m, contour_scratch_, kGateRelax);
                 if (gated.detected) {
                     out.contour = gated;
                     ++antenna_state.gated_streak;

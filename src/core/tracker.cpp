@@ -25,8 +25,8 @@ std::vector<TrackPoint> load_track(common::StateReader& reader) {
 WiTrackTracker::WiTrackTracker(const PipelineConfig& config,
                                const geom::ArrayGeometry& array)
     : config_(config),
-      tof_step_(config, array.rx.size()),
-      localize_step_(array, config),
+      tof_(config, array.rx.size()),
+      localizer_(array, config),
       smooth_step_(config) {}
 
 const WiTrackTracker::FrameResult& WiTrackTracker::process_frame(
@@ -43,7 +43,7 @@ const WiTrackTracker::FrameResult& WiTrackTracker::process_frame(
     // (including frame 0) is bit-identical to before.
     if (demands(demanded, PipelineOutputs::kTof) &&
         !demands(prev_demanded_, PipelineOutputs::kTof))
-        tof_step_.reset();
+        tof_.reset();
     if (demands(demanded, PipelineOutputs::kSmoothedTrack) &&
         !demands(prev_demanded_, PipelineOutputs::kSmoothedTrack))
         smooth_step_.reset();
@@ -58,7 +58,7 @@ const WiTrackTracker::FrameResult& WiTrackTracker::process_frame(
     const double health = frame.quality().health;
 
     if (demands(demanded, PipelineOutputs::kTof)) {
-        tof_step_.run(frame, time_s, result_.tof);
+        result_.tof = tof_.process_frame(frame, time_s);
     } else {
         result_.tof.time_s = 0.0;
         result_.tof.antennas.clear();
@@ -66,7 +66,7 @@ const WiTrackTracker::FrameResult& WiTrackTracker::process_frame(
 
     if (demands(demanded, PipelineOutputs::kRawPosition)) {
         common::ScopedLatency timer(localize_steps_);
-        result_.raw = localize_step_.run(result_.tof);
+        result_.raw = localizer_.locate(result_.tof);
         if (result_.raw) {
             raw_track_.push_back(*result_.raw);
             trim_history(raw_track_);
@@ -102,7 +102,7 @@ void WiTrackTracker::trim_history(std::vector<TrackPoint>& track) {
 }
 
 void WiTrackTracker::reset() {
-    tof_step_.reset();
+    tof_.reset();
     smooth_step_.reset();
     prev_demanded_ = PipelineOutputs::kNone;
     track_.clear();
@@ -118,7 +118,7 @@ void WiTrackTracker::save_state(common::StateWriter& writer) const {
     writer.u64(frames_);
     save_track(writer, track_);
     save_track(writer, raw_track_);
-    tof_step_.save_state(writer);
+    tof_.save_state(writer);
     smooth_step_.save_state(writer);
 }
 
@@ -132,8 +132,8 @@ void WiTrackTracker::load_state(common::StateReader& reader) {
     const auto frames = static_cast<std::size_t>(reader.u64());
     auto track = load_track(reader);
     auto raw_track = load_track(reader);
-    TofStep tof_step = tof_step_;
-    tof_step.load_state(reader);
+    TofEstimator tof = tof_;
+    tof.load_state(reader);
     SmoothStep smooth_step = smooth_step_;
     smooth_step.load_state(reader);
 
@@ -141,7 +141,7 @@ void WiTrackTracker::load_state(common::StateReader& reader) {
     frames_ = frames;
     track_ = std::move(track);
     raw_track_ = std::move(raw_track);
-    tof_step_ = std::move(tof_step);
+    tof_ = std::move(tof);
     smooth_step_ = std::move(smooth_step);
 }
 

@@ -1,5 +1,5 @@
 // WiTrack facade: the full realtime pipeline of paper Section 7 composed
-// from the demand-schedulable steps (TofStep -> LocalizeStep -> SmoothStep)
+// from the demand-schedulable steps (TofEstimator -> Localizer -> SmoothStep)
 // plus per-step and whole-frame latency histograms (the paper reports
 // < 75 ms from signal reception to 3D output). Callers that only need part
 // of the chain pass a PipelineOutputs demand set and the undemanded steps
@@ -68,7 +68,7 @@ class WiTrackTracker {
         common::LatencyHistogram localize, smooth, frame;
     };
     PipelineStepStats take_step_stats() {
-        return {tof_step_.estimator().take_step_stats(), std::exchange(localize_steps_, {}),
+        return {tof_.take_step_stats(), std::exchange(localize_steps_, {}),
                 std::exchange(smooth_steps_, {}), std::exchange(frame_latency_, {})};
     }
 
@@ -85,8 +85,8 @@ class WiTrackTracker {
 
     std::size_t frames_processed() const { return frames_; }
 
-    TofEstimator& tof_estimator() { return tof_step_.estimator(); }
-    const Localizer& localizer() const { return localize_step_.localizer(); }
+    TofEstimator& tof_estimator() { return tof_; }
+    const Localizer& localizer() const { return localizer_; }
 
     void reset();
 
@@ -100,8 +100,8 @@ class WiTrackTracker {
     void trim_history(std::vector<TrackPoint>& track);
 
     PipelineConfig config_;
-    TofStep tof_step_;
-    LocalizeStep localize_step_;
+    TofEstimator tof_;
+    Localizer localizer_;  ///< stateless beyond its solver: safe to skip
     SmoothStep smooth_step_;
     PipelineOutputs prev_demanded_ = PipelineOutputs::kNone;
     FrameResult result_;  ///< persistent per-frame result, reused every frame

@@ -61,8 +61,9 @@ class EmpiricalCdf {
     std::vector<double> sorted_;
 };
 
-/// Streaming mean/variance (Welford). Used by the contour tracker's noise
-/// floor estimate and by the gesture-vs-body variance classifier (Fig. 5).
+/// Streaming mean/variance (Welford). Used by the Fig. 3 and Fig. 5 benches
+/// (static-bin power, the gesture-vs-body extent statistic); the contour
+/// tracker's noise floor uses noise_floor_inplace instead.
 class RunningStats {
   public:
     void add(double value);

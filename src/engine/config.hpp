@@ -77,10 +77,6 @@ struct EngineConfig {
         pipeline.max_track_history = max_points;
         return *this;
     }
-    EngineConfig& with_noise(const rf::NoiseModel& model) {
-        noise = model;
-        return *this;
-    }
 
     /// The pipeline configuration with the shared FMCW parameters applied.
     core::PipelineConfig pipeline_config() const {

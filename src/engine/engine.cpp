@@ -81,33 +81,33 @@ bool Engine::step() {
     if (state_ == SessionState::kAdmitted) state_ = SessionState::kRunning;
     quality_stats_.accumulate(frame_.sweeps.quality());
 
-    result_ = tracker_.process_frame(frame_.sweeps, frame_.time_s,
-                                     demanded_outputs());
+    const auto& result =
+        tracker_.process_frame(frame_.sweeps, frame_.time_s, demanded_outputs());
 
     // Skip even constructing the event when nobody listens: a headless
     // deployment pays nothing for the publish path.
     if (bus_.subscriber_count<TrackUpdateEvent>() > 0) {
         TrackUpdateEvent update;
         update.time_s = frame_.time_s;
-        update.motion_detected = result_.tof.motion_detected();
-        update.raw = result_.raw;
-        update.smoothed = result_.smoothed;
+        update.motion_detected = result.tof.motion_detected();
+        update.raw = result.raw;
+        update.smoothed = result.smoothed;
         update.truth = frame_.truth;
-        update.confidence = result_.confidence;
+        update.confidence = result.confidence;
         bus_.publish(update);
         ++track_updates_published_;
     }
 
-    run_stages();
+    run_stages(result);
 
     ++frames_;
     return true;
 }
 
-void Engine::run_stages() {
+void Engine::run_stages(const core::WiTrackTracker::FrameResult& result) {
     for (std::size_t i = 0; i < stages_.size(); ++i) {
         const common::ScopedLatency timer(stage_stats_[i]);
-        stages_[i]->on_frame(frame_, result_, bus_);
+        stages_[i]->on_frame(frame_, result, bus_);
     }
 }
 

@@ -7,7 +7,7 @@
 // accounting -- the paper's < 75 ms budget (Section 7) is observable per
 // stage.
 //
-//   source (sim | replay | live) --> Engine --> EventBus --> subscribers
+//   source (sim | replay | net) --> Engine --> EventBus --> subscribers
 //                                      |
 //                                      +--> AppStages (fall, pointing, ...)
 //
@@ -195,8 +195,8 @@ class Engine {
     /// lifecycle -- into `out` (layout documented at kSnapshotMagic).
     /// Restoring the snapshot into an identically-built Engine resumes the
     /// session bit-identically to never having stopped. Throws
-    /// std::runtime_error if the source cannot be resumed (live hardware)
-    /// or the sink fails.
+    /// std::runtime_error if the source cannot be resumed (a network
+    /// stream) or the sink fails.
     void snapshot(std::ostream& out) const;
 
     /// Load a snapshot into this Engine, which must be freshly constructed
@@ -210,7 +210,8 @@ class Engine {
   private:
     friend class EngineHost;  ///< admission identity + eviction transitions
 
-    void run_stages();
+    /// Drive every stage with the tracker's persistent per-frame result.
+    void run_stages(const core::WiTrackTracker::FrameResult& result);
 
     void set_session_id(std::uint64_t id) { session_id_ = id; }
     void mark_evicted() { state_ = SessionState::kEvicted; }
@@ -223,7 +224,6 @@ class Engine {
     core::WiTrackTracker tracker_;
     std::vector<std::unique_ptr<AppStage>> stages_;
     std::vector<StageStats> stage_stats_;
-    core::WiTrackTracker::FrameResult result_;  ///< current frame's outputs
     Frame frame_;                     ///< reused across step() calls
     QualityStats quality_stats_;      ///< per-frame quality plane, aggregated
     std::size_t frames_ = 0;

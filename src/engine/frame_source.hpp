@@ -1,8 +1,8 @@
 // The one ingestion seam of the streaming engine: every producer of
-// baseband frames -- the simulator, a recorded session on disk, or the FMCW
-// hardware front end -- implements FrameSource, and everything downstream
-// (Engine, Recorder, tests) consumes frames through it without knowing
-// which world they came from.
+// baseband frames -- the simulator, a recorded session on disk, or a WTNF
+// datagram stream off the network -- implements FrameSource, and
+// everything downstream (Engine, Recorder, tests) consumes frames through
+// it without knowing which world they came from.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +22,7 @@ namespace witrack::engine {
 
 /// Reference positions for evaluation. The simulator fills them from the
 /// motion script (the paper's VICON stand-in) and the replay format
-/// preserves them; live hardware leaves them empty.
+/// preserves them; a network stream (net::NetSource) leaves them empty.
 struct GroundTruth {
     geom::Vec3 position;                    ///< person 1 body centre
     std::optional<geom::Vec3> position2;    ///< person 2, if present
@@ -98,7 +98,7 @@ class FrameSource {
 
     /// Serialize the stream cursor (and any generator state) so a restored
     /// session resumes at the exact frame a snapshot was taken. Sources
-    /// that cannot be resumed (e.g. live hardware) keep the throwing
+    /// that cannot be resumed (e.g. a network stream) keep the throwing
     /// default, which makes Engine::snapshot fail loudly instead of
     /// producing a snapshot that silently restarts the stream.
     virtual void save_state(common::StateWriter&) const {

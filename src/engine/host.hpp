@@ -3,7 +3,7 @@
 // EngineHost; each session is an Engine owning its FrameSource, and the
 // host owns everything worth sharing:
 //
-//   sources (sim | replay | live)
+//   sources (sim | replay | net)
 //      │ admit()                 ┌──────────────┐
 //      ▼                         │  EngineHost  │
 //   Session 1..N  ◄── step_all ──┤  scheduler   │
@@ -188,8 +188,8 @@ class EngineHost {
   public:
     explicit EngineHost(HostConfig config = HostConfig{});
 
-    /// Admit one session: the host wraps the source in an Engine wired to
-    /// the shared FFT plan cache and schedules it. Past max_sessions the
+    /// Admit one session: the host wraps the source in an Engine and
+    /// schedules it. Past max_sessions the
     /// session is queued (queue_when_full) or the call throws
     /// std::runtime_error. Returns the session's id.
     SessionId admit(std::string name, EngineConfig config,

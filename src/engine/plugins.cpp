@@ -25,7 +25,7 @@ void FallMonitorStage::on_frame(const Frame& frame,
 
 void PointingStage::attach(const StageContext& context, EventBus& bus) {
     (void)bus;
-    estimator_.emplace(context.pipeline, context.array, config_);
+    estimator_.emplace(context.pipeline, context.array);
     frames_.clear();
 }
 
@@ -37,10 +37,10 @@ void PointingStage::on_frame(const Frame& frame,
     frames_.push_back(result.tof);
     // Sliding window: trim in blocks once the history doubles the cap, so
     // an endless live stream stays bounded at amortized O(1) per frame.
-    if (max_frames_ > 0 && frames_.size() >= 2 * max_frames_)
+    if (frames_.size() >= 2 * kMaxFrames)
         frames_.erase(frames_.begin(),
                       frames_.begin() +
-                          static_cast<std::ptrdiff_t>(frames_.size() - max_frames_));
+                          static_cast<std::ptrdiff_t>(frames_.size() - kMaxFrames));
 }
 
 void PointingStage::finish(EventBus& bus) {

@@ -20,11 +20,6 @@ namespace witrack::engine {
 /// FallEvent for every completed fall (paper Section 6.2).
 class FallMonitorStage : public AppStage {
   public:
-    explicit FallMonitorStage(
-        core::FallDetectorConfig config = core::FallDetectorConfig{},
-        std::size_t max_alerts = 64)
-        : monitor_(config, max_alerts) {}
-
     std::string_view name() const override { return "fall_monitor"; }
     Inputs required_inputs() const override {
         return apps::FallMonitor::kRequiredInputs;
@@ -51,13 +46,10 @@ class FallMonitorStage : public AppStage {
 /// was performed (paper Section 6.1).
 class PointingStage : public AppStage {
   public:
-    /// `max_frames` bounds the retained TOF window (a gesture lasts a few
-    /// seconds; the default keeps ~50 s at the paper's 80 Hz frame rate so
-    /// an endless live stream cannot grow memory without bound). 0 keeps
-    /// the whole episode.
-    explicit PointingStage(core::PointingConfig config = core::PointingConfig{},
-                           std::size_t max_frames = 4096)
-        : config_(config), max_frames_(max_frames) {}
+    /// Bound on the retained TOF window: a gesture lasts a few seconds, and
+    /// this keeps ~50 s at the paper's 80 Hz frame rate so an endless
+    /// stream cannot grow memory without bound.
+    static constexpr std::size_t kMaxFrames = 4096;
 
     std::string_view name() const override { return "pointing"; }
     /// The gesture analysis consumes the TOF stream alone: with only
@@ -75,8 +67,6 @@ class PointingStage : public AppStage {
     void load_state(common::StateReader& reader) override;
 
   private:
-    core::PointingConfig config_;
-    std::size_t max_frames_;
     std::optional<core::PointingEstimator> estimator_;
     std::vector<core::TofFrame> frames_;
 };

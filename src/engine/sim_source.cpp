@@ -32,11 +32,6 @@ SimSource::SimSource(const EngineConfig& config,
     attach_env_injector();
 }
 
-SimSource::SimSource(std::unique_ptr<sim::Scenario> scenario)
-    : scenario_(std::move(scenario)) {
-    attach_env_injector();
-}
-
 SimSource::SimSource(const sim::ScenarioSpec& spec)
     : scenario_(sim::make_scenario(spec)),
       injector_(sim::make_fault_injector(spec)) {

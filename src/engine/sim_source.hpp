@@ -30,9 +30,6 @@ class SimSource : public FrameSource {
     SimSource(const EngineConfig& config, std::unique_ptr<sim::MotionScript> script,
               std::unique_ptr<sim::MotionScript> second_script = nullptr);
 
-    /// Escape hatch for a fully customized scenario.
-    explicit SimSource(std::unique_ptr<sim::Scenario> scenario);
-
     /// Instantiate a parsed scenario file: motion scripts, deployment and
     /// (when the spec schedules any) the fault injector, all data-driven.
     explicit SimSource(const sim::ScenarioSpec& spec);

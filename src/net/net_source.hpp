@@ -58,8 +58,8 @@ class NetSource final : public engine::FrameSource {
     std::optional<engine::NetIngestStats> net_stats() const override;
 
     /// Drain every datagram currently pending on the source into the
-    /// tracker without blocking. next() calls this itself; external event
-    /// loops (the daemon, the interleaved send/step test rigs) call it to
+    /// tracker without blocking. next() calls this itself; an external
+    /// event loop (the interleaved send/step test rig does) calls it to
     /// keep the kernel socket buffer from overflowing between frames.
     /// Returns true when at least one datagram arrived.
     bool pump();

@@ -52,24 +52,22 @@ PathList Channel::static_paths(std::size_t rx_index) const {
 
     // Wall speculars (the flash effect): one image per panel that offers a
     // geometric bounce Tx -> wall -> Rx.
-    if (config_.enable_wall_speculars) {
-        for (const auto& wall : scene_.walls) {
-            const auto bounce = wall.specular_point(tx_.position, rx.position);
-            if (!bounce) continue;
-            const double d = tx_.position.distance_to(*bounce) +
-                             bounce->distance_to(rx.position);
-            const double g_tx = tx_.gain_toward(*bounce);
-            const double g_rx = rx.gain_toward(*bounce);
-            // Friis one-bounce with the wall's reflection loss.
-            const double power = config_.fmcw.tx_power_w * g_tx * g_rx * lambda_ *
-                                 lambda_ / (kFourPi * kFourPi * d * d) *
-                                 from_db(-wall.material().reflection_loss_db);
-            PropagationPath p;
-            p.round_trip_m = d;
-            p.amplitude = std::sqrt(power);
-            p.kind = PathKind::kStaticClutter;
-            paths.push_back(p);
-        }
+    for (const auto& wall : scene_.walls) {
+        const auto bounce = wall.specular_point(tx_.position, rx.position);
+        if (!bounce) continue;
+        const double d = tx_.position.distance_to(*bounce) +
+                         bounce->distance_to(rx.position);
+        const double g_tx = tx_.gain_toward(*bounce);
+        const double g_rx = rx.gain_toward(*bounce);
+        // Friis one-bounce with the wall's reflection loss.
+        const double power = config_.fmcw.tx_power_w * g_tx * g_rx * lambda_ *
+                             lambda_ / (kFourPi * kFourPi * d * d) *
+                             from_db(-wall.material().reflection_loss_db);
+        PropagationPath p;
+        p.round_trip_m = d;
+        p.amplitude = std::sqrt(power);
+        p.kind = PathKind::kStaticClutter;
+        paths.push_back(p);
     }
 
     // Furniture / point clutter via the radar equation, attenuated by any

@@ -29,7 +29,6 @@ struct ChannelConfig {
     /// Paths whose amplitude falls below peak-amplitude * this are pruned.
     double prune_relative_amplitude = 1e-7;
     bool enable_dynamic_multipath = true;
-    bool enable_wall_speculars = true;
 };
 
 class Channel {

@@ -1,4 +1,4 @@
-// FrameBuffer contract tests: layout round-trips, stride/indexing edge
+// FrameBuffer contract tests: row layout, stride/indexing edge
 // cases, bit-for-bit spectral equivalence between the per-antenna and
 // batched processing entry points, steady-state allocation freedom of
 // SweepProcessor::process_into and of FallDetector::push, and
@@ -51,45 +51,40 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace witrack {
 namespace {
 
-std::vector<std::vector<std::vector<double>>> make_nested(std::size_t sweeps,
-                                                          std::size_t num_rx,
-                                                          std::size_t samples,
-                                                          unsigned seed = 7) {
+/// Seeded N(0, 1) samples drawn sweep by sweep, antenna by antenna, in
+/// the order the sweep rows are filled below.
+std::vector<double> seeded_samples(std::size_t count, unsigned seed) {
     std::mt19937 rng(seed);
     std::normal_distribution<double> dist(0.0, 1.0);
-    std::vector<std::vector<std::vector<double>>> nested(sweeps);
-    for (auto& sweep : nested) {
-        sweep.resize(num_rx);
-        for (auto& rx : sweep) {
-            rx.resize(samples);
-            for (auto& v : rx) v = dist(rng);
+    std::vector<double> values(count);
+    for (auto& v : values) v = dist(rng);
+    return values;
+}
+
+/// A frame whose sweep(rx, s) rows hold the seeded stream, sweep-major:
+/// sample i of antenna rx in sweep s is draw (s * num_rx + rx) * samples + i.
+FrameBuffer make_frame(std::size_t sweeps, std::size_t num_rx, std::size_t samples,
+                       unsigned seed = 7) {
+    const auto values = seeded_samples(sweeps * num_rx * samples, seed);
+    FrameBuffer frame(num_rx, sweeps, samples);
+    for (std::size_t s = 0; s < sweeps; ++s)
+        for (std::size_t rx = 0; rx < num_rx; ++rx) {
+            const auto row = frame.sweep(rx, s);
+            for (std::size_t i = 0; i < samples; ++i)
+                row[i] = values[(s * num_rx + rx) * samples + i];
         }
-    }
-    return nested;
+    return frame;
 }
 
 // ------------------------------------------------------------------ layout
 
-TEST(FrameBufferTest, RoundTripsNestedLayout) {
-    const auto nested = make_nested(5, 3, 17);
-    const auto frame = FrameBuffer::from_nested(nested);
-
-    EXPECT_EQ(frame.num_sweeps(), 5u);
-    EXPECT_EQ(frame.num_rx(), 3u);
-    EXPECT_EQ(frame.samples_per_sweep(), 17u);
-    EXPECT_EQ(frame.size(), 5u * 3u * 17u);
-
-    for (std::size_t s = 0; s < 5; ++s)
-        for (std::size_t rx = 0; rx < 3; ++rx)
-            for (std::size_t i = 0; i < 17; ++i)
-                ASSERT_EQ(frame.at(rx, s, i), nested[s][rx][i]);
-
-    EXPECT_EQ(frame.to_nested(), nested);
-}
-
 TEST(FrameBufferTest, AntennaSpanIsContiguousAndSweepMajor) {
-    const auto nested = make_nested(4, 2, 9);
-    const auto frame = FrameBuffer::from_nested(nested);
+    const auto values = seeded_samples(4 * 2 * 9, 7);
+    const auto frame = make_frame(4, 2, 9);
+    EXPECT_EQ(frame.num_sweeps(), 4u);
+    EXPECT_EQ(frame.num_rx(), 2u);
+    EXPECT_EQ(frame.samples_per_sweep(), 9u);
+    EXPECT_EQ(frame.size(), 4u * 2u * 9u);
 
     for (std::size_t rx = 0; rx < 2; ++rx) {
         const auto block = frame.antenna(rx);
@@ -97,8 +92,10 @@ TEST(FrameBufferTest, AntennaSpanIsContiguousAndSweepMajor) {
         for (std::size_t s = 0; s < 4; ++s) {
             const auto row = frame.sweep(rx, s);
             EXPECT_EQ(row.data(), block.data() + s * 9);  // no gaps between sweeps
-            for (std::size_t i = 0; i < 9; ++i)
-                ASSERT_EQ(row[i], nested[s][rx][i]);
+            for (std::size_t i = 0; i < 9; ++i) {
+                ASSERT_EQ(row[i], values[(s * 2 + rx) * 9 + i]);
+                ASSERT_EQ(frame.at(rx, s, i), row[i]);
+            }
         }
     }
 }
@@ -117,18 +114,6 @@ TEST(FrameBufferTest, IndexingEdgeCases) {
     EXPECT_THROW(empty.sweep(0, 0), std::out_of_range);
 }
 
-TEST(FrameBufferTest, RejectsRaggedNestedInput) {
-    auto ragged_rx = make_nested(3, 2, 8);
-    ragged_rx[1].pop_back();
-    EXPECT_THROW(FrameBuffer::from_nested(ragged_rx), std::invalid_argument);
-
-    auto ragged_len = make_nested(3, 2, 8);
-    ragged_len[2][1].push_back(0.0);
-    EXPECT_THROW(FrameBuffer::from_nested(ragged_len), std::invalid_argument);
-
-    EXPECT_TRUE(FrameBuffer::from_nested({}).empty());
-}
-
 TEST(FrameBufferTest, ResizeReusesStorageAndZeroes) {
     FrameBuffer frame(3, 5, 100);
     frame.at(2, 4, 99) = 42.0;
@@ -144,7 +129,7 @@ TEST(FrameBufferTest, SpectraBitForBitAcrossEntryPoints) {
     FmcwParams fmcw;
     fmcw.sweep_duration_s = 250e-6;  // 250 samples: fast but non-trivial
     const std::size_t n = fmcw.samples_per_sweep();
-    const auto frame = FrameBuffer::from_nested(make_nested(5, 3, n));
+    const auto frame = make_frame(5, 3, n);
 
     core::SweepProcessor processor(fmcw);
     std::vector<core::RangeProfile> batched;
@@ -172,7 +157,7 @@ TEST(FrameBufferTest, SweepProcessorSteadyStateDoesNotAllocate) {
     FmcwParams fmcw;
     fmcw.sweep_duration_s = 250e-6;
     const std::size_t n = fmcw.samples_per_sweep();
-    FrameBuffer frame = FrameBuffer::from_nested(make_nested(5, 3, n));
+    FrameBuffer frame = make_frame(5, 3, n);
 
     // The range transform must be allocation-free once buffers are warm:
     // the zero-padded pruned r2c kernel path (250 live samples into a
@@ -180,10 +165,8 @@ TEST(FrameBufferTest, SweepProcessorSteadyStateDoesNotAllocate) {
     // kernel ping-pong planes) and the fused background
     // difference-and-store.
     core::SweepProcessor processor(fmcw);
-    core::PipelineConfig pipeline;
-    pipeline.fmcw = fmcw;
-    core::BackgroundSubtractor background(core::tracked_band(
-        pipeline, processor.usable_bins(), processor.bin_round_trip_m()));
+    core::BackgroundSubtractor background(
+        core::tracked_band(processor.usable_bins(), processor.bin_round_trip_m()));
     core::RangeProfile profile;
     std::vector<double> magnitude;
     for (int warm = 0; warm < 3; ++warm) {
@@ -208,8 +191,8 @@ TEST(FrameBufferTest, FullAnalysisTailSteadyStateDoesNotAllocate) {
     FmcwParams fmcw;
     fmcw.sweep_duration_s = 250e-6;
     const std::size_t n = fmcw.samples_per_sweep();
-    const FrameBuffer even = FrameBuffer::from_nested(make_nested(5, 2, n, 7));
-    const FrameBuffer odd = FrameBuffer::from_nested(make_nested(5, 2, n, 13));
+    const FrameBuffer even = make_frame(5, 2, n, 7);
+    const FrameBuffer odd = make_frame(5, 2, n, 13);
 
     core::PipelineConfig pipeline;
     pipeline.fmcw = fmcw;

@@ -14,6 +14,7 @@
 #include "core/contour.hpp"
 #include "core/denoise.hpp"
 #include "core/localize.hpp"
+#include "core/pipeline_steps.hpp"
 #include "core/range_fft.hpp"
 #include "core/tof.hpp"
 #include "dsp/window.hpp"
@@ -162,8 +163,8 @@ TEST(RangeFft, RejectsBadInput) {
 TEST(Background, FrameDiffRemovesStaticKeepsMoving) {
     const auto config = test_config();
     SweepProcessor processor(config.fmcw);
-    BackgroundSubtractor subtractor(tracked_band(config, processor.usable_bins(),
-                                                 processor.bin_round_trip_m()));
+    BackgroundSubtractor subtractor(
+        tracked_band(processor.usable_bins(), processor.bin_round_trip_m()));
 
     // Static reflector at 6 m in every frame; "person" moves 10 -> 10.5 m.
     hw::DechirpMixer mixer(config.fmcw);
@@ -196,12 +197,12 @@ TEST(Background, FrameDiffRemovesStaticKeepsMoving) {
 
 TEST(Background, BandMatchesFullSpectrumDifferenceBitForBit) {
     // One simulated frame pair: a static reflector, a moving person and an
-    // echo beyond max_round_trip_m. The band differencer's magnitudes are
+    // echo beyond kMaxRoundTripM. The band differencer's magnitudes are
     // the full-spectrum difference's, bit for bit, on [0, band).
     const auto config = test_config();
     SweepProcessor processor(config.fmcw);
-    const std::size_t band = tracked_band(config, processor.usable_bins(),
-                                          processor.bin_round_trip_m());
+    const std::size_t band =
+        tracked_band(processor.usable_bins(), processor.bin_round_trip_m());
     hw::DechirpMixer mixer(config.fmcw);
     auto frame_at = [&](double person_rt) {
         std::vector<rf::PropagationPath> paths(3);
@@ -242,9 +243,9 @@ TEST(Background, BandIsTheContourWindowEnd) {
     const auto config = test_config();
     SweepProcessor processor(config.fmcw);
     const double bin_m = processor.bin_round_trip_m();
-    const std::size_t band = tracked_band(config, processor.usable_bins(), bin_m);
+    const std::size_t band = tracked_band(processor.usable_bins(), bin_m);
     EXPECT_EQ(band, 259u);
-    EXPECT_EQ(tracked_band(config, 100, bin_m), 100u);  // capped at the profile
+    EXPECT_EQ(tracked_band(100, bin_m), 100u);  // capped at the profile
 
     ContourTracker tracker(config);
     auto peak_at = [&](std::size_t bin) {
@@ -261,8 +262,8 @@ TEST(Background, BandIsTheContourWindowEnd) {
 TEST(Background, RejectedSnapshotLeavesSubtractorUntouched) {
     const auto config = test_config();
     SweepProcessor processor(config.fmcw);
-    const std::size_t band = tracked_band(config, processor.usable_bins(),
-                                          processor.bin_round_trip_m());
+    const std::size_t band =
+        tracked_band(processor.usable_bins(), processor.bin_round_trip_m());
     const auto a = process_sweeps(processor, {sweep_with_echo(config.fmcw, 9.0)});
     const auto b = process_sweeps(processor, {sweep_with_echo(config.fmcw, 9.3)});
 
@@ -420,14 +421,14 @@ TEST(Contour, GateClipsToLowBandEdge) {
 }
 
 TEST(Contour, GateClipsToHighBandEdge) {
-    // Prediction beyond max_round_trip_m (28.0 -> last usable bin 259):
+    // Prediction beyond kMaxRoundTripM (28.0 -> last usable bin 259):
     // the gate clamps to the band's top; a monster peak past the band is
     // never considered, and an in-band echo at the clipped edge still is.
     const auto config = test_config();
     ContourTracker tracker(config);
     auto mag = flat_profile(2048, 1.0);
     mag[258] = 3.0;    // weak echo at the top of the band
-    mag[262] = 1000.0; // inside the unclipped gate, beyond max_round_trip_m
+    mag[262] = 1000.0; // inside the unclipped gate, beyond kMaxRoundTripM
     const auto gated = tracker.extract_near(mag, 0.108, 27.9, 0.7, 0.5);
     ASSERT_TRUE(gated.detected);
     EXPECT_NEAR(gated.round_trip_m, 258 * 0.108, 0.2);
@@ -526,10 +527,31 @@ TEST(Denoise, ReacquiresAfterPersistentJump) {
     TofDenoiser denoiser(config);
     denoiser.update(detection(8.0), 0.0125);
     std::optional<double> value;
-    for (std::size_t i = 0; i <= config.reacquire_frames; ++i)
+    for (std::size_t i = 0; i <= kReacquireFrames; ++i)
         value = denoiser.update(detection(14.0), 0.0125);
     ASSERT_TRUE(value.has_value());
     EXPECT_NEAR(*value, 14.0, 0.3);
+}
+
+TEST(Denoise, CloserEchoRelocksOnSixthFrame) {
+    // A persistent echo 3 m closer than the track (beyond the 1.2 m jump
+    // limit) is dynamic multipath the track was riding: it re-locks on the
+    // 6th consecutive frame, not the 5th, far sooner than the 40 frames a
+    // farther echo needs.
+    const auto config = test_config();
+    TofDenoiser denoiser(config);
+    denoiser.update(detection(8.0), 0.0125);
+    std::optional<double> value;
+    for (std::size_t frame = 1; frame <= 5; ++frame) {
+        value = denoiser.update(detection(5.0), 0.0125);
+        ASSERT_TRUE(value.has_value());
+        EXPECT_NEAR(*value, 8.0, 0.2) << "frame " << frame;
+        EXPECT_EQ(denoiser.outlier_streak(), frame);
+    }
+    value = denoiser.update(detection(5.0), 0.0125);
+    ASSERT_TRUE(value.has_value());
+    EXPECT_NEAR(*value, 5.0, 0.2);
+    EXPECT_EQ(denoiser.outlier_streak(), 0u);
 }
 
 TEST(Denoise, SmoothsJitter) {
@@ -596,6 +618,48 @@ TEST(Localize, ClampsElevationToPhysicalBand) {
     const auto point = localizer.locate_round_trips({9.0, 9.0, 10.8}, 0.0, false);
     ASSERT_TRUE(point.has_value());
     EXPECT_GE(point->position.z, 0.0);
+}
+
+// ------------------------------------------------------------ smoothing
+
+TEST(Smooth, DegradedFixGatedOnInnovationAndDeweighted) {
+    // A healthy track walking at a constant 0.4 m/s along x.
+    SmoothStep healthy(test_config());
+    const double dt = 0.0125;
+    double t = 0.0;
+    TrackPoint fix;
+    for (int i = 0; i < 200; ++i, t += dt) {
+        fix.time_s = t;
+        fix.position = {0.4 * t, 5.0, 1.0};
+        ASSERT_TRUE(healthy.run(fix, t).has_value());
+    }
+    const Vec3 truth{0.4 * t, 5.0, 1.0};  // where the walk is next frame
+    auto run_copy = [&](const Vec3& offset, double health) {
+        SmoothStep step = healthy;
+        TrackPoint degraded;
+        degraded.time_s = t;
+        degraded.position = truth + offset;
+        const auto out = step.run(degraded, t, health);
+        EXPECT_TRUE(out.has_value());
+        return out->position;
+    };
+
+    // At health 0.5 a fix more than 0.8 m from the constant-velocity
+    // prediction is rejected: the output is the prediction, whatever the fix.
+    const Vec3 coasted = run_copy({1.0, 0.0, 0.0}, 0.5);
+    const Vec3 coasted_far = run_copy({0.0, -3.0, 0.5}, 0.5);
+    EXPECT_EQ(coasted.x, coasted_far.x);
+    EXPECT_EQ(coasted.y, coasted_far.y);
+    EXPECT_EQ(coasted.z, coasted_far.z);
+    EXPECT_LT(coasted.distance_to(truth), 0.01);
+
+    // Within 0.8 m the fix is fused, but at health 0.5 it moves the track
+    // less than the same fix does at health 1.0.
+    const Vec3 offset{0.0, 0.5, 0.0};
+    const double moved_degraded = run_copy(offset, 0.5).distance_to(coasted);
+    const double moved_healthy = run_copy(offset, 1.0).distance_to(coasted);
+    EXPECT_GT(moved_degraded, 0.0);
+    EXPECT_LT(moved_degraded, moved_healthy);
 }
 
 }  // namespace
